@@ -9,14 +9,11 @@ utilities, and binary dataset/model formats round out the toolkit.
 
 from .attention import (
     AttentionModel,
-    MaskSpec,
     MaskedLatentSnapshot,
     fit_attention_tensor,
     fit_value_tensor,
-    pixel_mask,
     predict_masked,
     reconstruct,
-    softmax_row,
     train_attention_model,
 )
 from .errors import FormatError, NumericalError, ValidationError
@@ -34,6 +31,7 @@ from .metrics import (
     run_sweep,
 )
 from .patches import (
+    MaskSpec,
     NormStats,
     PatchGrid,
     PatchedSeries,
@@ -43,6 +41,7 @@ from .patches import (
     denormalize,
     normalize,
     patchify,
+    pixel_mask,
     split,
     unpatchify,
 )
@@ -51,8 +50,6 @@ from .synthetic import (
     ChaoticParams,
     FlowSpec,
     LaminarParams,
-    NoiseSpec,
-    add_noise,
     generate,
     noise_sigma2,
     signal_power,
@@ -70,7 +67,6 @@ __all__ = [
     "LatentSeries",
     "MaskSpec",
     "MaskedLatentSnapshot",
-    "NoiseSpec",
     "NormStats",
     "NumericalError",
     "PatchGrid",
@@ -83,7 +79,6 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "ValidationError",
-    "add_noise",
     "ae_loss",
     "apply_stats",
     "decode",
@@ -109,7 +104,6 @@ __all__ = [
     "reconstruct_gappy",
     "run_sweep",
     "signal_power",
-    "softmax_row",
     "split",
     "train_attention_model",
     "unpatchify",

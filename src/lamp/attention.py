@@ -21,6 +21,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError, ValidationError
 from .patches import (
+    MaskSpec,
     NormStats,
     PatchedSeries,
     PatchGrid,
@@ -39,58 +40,6 @@ RIDGE_SCALE = 1e-8
 DEFAULT_ERROR_FLOOR = 1e-12
 
 _PREDICT_CHUNK = 128  # snapshots per inference block, bounds peak memory
-
-
-@dataclass(frozen=True)
-class MaskSpec:
-    """Set of unmasked (observed) patch indices for one scenario."""
-
-    unmasked: tuple[int, ...]
-    n_patches: int
-    seed: int | None = None
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.unmasked)
-        if len(set(idx)) != len(idx):
-            raise ValidationError(f"duplicate unmasked indices: {idx}")
-        if any(i < 0 or i >= self.n_patches for i in idx):
-            raise ValidationError(
-                f"unmasked indices out of range [0, {self.n_patches}): {idx}"
-            )
-        object.__setattr__(self, "unmasked", tuple(sorted(idx)))
-        object.__setattr__(self, "n_patches", int(self.n_patches))
-
-    @classmethod
-    def random(cls, n_patches: int, coverage: float, seed: int) -> "MaskSpec":
-        """Draw round(coverage * N) unmasked patches (at least one)."""
-        if not 0.0 < coverage <= 1.0:
-            raise ValidationError(f"coverage must be in (0, 1], got {coverage}")
-        k = max(1, int(round(coverage * n_patches)))
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(n_patches, size=k, replace=False)
-        return cls(tuple(int(i) for i in idx), n_patches, seed=seed)
-
-    @property
-    def coverage(self) -> float:
-        return len(self.unmasked) / self.n_patches
-
-    @property
-    def masked(self) -> tuple[int, ...]:
-        observed = set(self.unmasked)
-        return tuple(i for i in range(self.n_patches) if i not in observed)
-
-
-def pixel_mask(grid: PatchGrid, mask: MaskSpec) -> np.ndarray:
-    """Boolean (H, W) map of pixels covered by unmasked patches."""
-    if mask.n_patches != grid.n_patches:
-        raise ValidationError(
-            f"mask over {mask.n_patches} patches does not fit grid with "
-            f"{grid.n_patches}"
-        )
-    obs = np.zeros((grid.rows, grid.cols), dtype=bool)
-    for i in mask.unmasked:
-        obs[i // grid.cols, i % grid.cols] = True
-    return np.repeat(np.repeat(obs, grid.patch_size, axis=0), grid.patch_size, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +150,17 @@ def _resolve_ridge(
     return float(ridge_lambda)
 
 
+def _ridge_solve(gram: np.ndarray, lam: float, rhs: np.ndarray, system: str) -> np.ndarray:
+    """Solve (gram + lam I) x = rhs by Cholesky; ``system`` names it in errors."""
+    try:
+        factor = cho_factor(gram + lam * np.eye(len(gram)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"{system} is singular; pass a positive ridge_lambda"
+        ) from exc
+    return cho_solve(factor, rhs)
+
+
 def _cross_grams(values: np.ndarray) -> np.ndarray:
     """All pairwise latent Gram blocks: G[m, n] = sum_t z_m(t) z_n(t)^T."""
     t, n, e = values.shape
@@ -235,16 +195,10 @@ def fit_value_tensor(
     eye = np.eye(e)
     for src in range(n):
         lam = _resolve_ridge(grams[src, src], e, ridge_lambda, mean_energy)
-        system = grams[src, src] + lam * eye
-        try:
-            factor = cho_factor(system)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"normal matrix of source patch {src} is singular; "
-                "pass a positive ridge_lambda"
-            ) from exc
         rhs = grams[:, src].transpose(2, 0, 1).reshape(e, n * e)  # G_mn^T stacked
-        sol = cho_solve(factor, rhs)                               # (e, n*e)
+        sol = _ridge_solve(                                        # (e, n*e)
+            grams[src, src], lam, rhs, f"normal matrix of source patch {src}"
+        )
         value_maps[:, src] = sol.reshape(e, n, e).transpose(1, 2, 0)
         value_maps[src, src] = eye
         preds = np.einsum("mef,tf->tme", value_maps[:, src], latent.values[:, src, :])
@@ -280,38 +234,19 @@ def fit_attention_tensor(
     mean_energy = float(np.sum(latent.values**2)) / n
     attn_vectors = np.empty((n, n, e))
     attn_intercepts = np.zeros((n, n))
-    eye = np.eye(e)
     for src in range(n):
         z = latent.values[:, src, :]          # (T, e)
-        gram = z.T @ z
-        lam = _resolve_ridge(gram, e, ridge_lambda, mean_energy)
         y = targets[:, src, :].T              # (T, N) one column per target m
+        lam = _resolve_ridge(z.T @ z, e, ridge_lambda, mean_energy)
         if use_intercept:
-            zsum = z.sum(axis=0)
-            system = np.empty((e + 1, e + 1))
-            system[:e, :e] = gram + lam * eye
-            system[:e, e] = zsum
-            system[e, :e] = zsum
-            system[e, e] = t
-            rhs = np.vstack([z.T @ y, y.sum(axis=0)])
-            try:
-                sol = np.linalg.solve(system, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"attention system of source patch {src} is singular; "
-                    "pass a positive ridge_lambda"
-                ) from exc
-            attn_vectors[:, src, :] = sol[:e].T
-            attn_intercepts[:, src] = sol[e]
-        else:
-            try:
-                factor = cho_factor(gram + lam * eye)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"attention system of source patch {src} is singular; "
-                    "pass a positive ridge_lambda"
-                ) from exc
-            attn_vectors[:, src, :] = cho_solve(factor, z.T @ y).T
+            # An unpenalized intercept is the ridge fit on centred data, with
+            # intercept y_mean - z_mean . w (lambda stays the uncentred one).
+            z_mean, y_mean = z.mean(axis=0), y.mean(axis=0)
+            z, y = z - z_mean, y - y_mean
+        w = _ridge_solve(z.T @ z, lam, z.T @ y, f"attention system of source patch {src}")
+        attn_vectors[:, src, :] = w.T
+        if use_intercept:
+            attn_intercepts[:, src] = y_mean - z_mean @ w
         attn_vectors[src, src, :] = 0.0
         attn_intercepts[src, src] = -np.log(error_floor)
     return attn_vectors, attn_intercepts
@@ -356,22 +291,23 @@ def train_attention_model(
     )
 
 
-def softmax_row(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over a vector that may contain -inf.
+def masked_softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax over the last axis; logits may be -inf.
 
-    -inf entries map to exactly zero weight; the finite entries are shifted
-    by their maximum before exponentiation.  All--inf input is rejected.
+    -inf entries map to exactly zero weight; each row is shifted by its
+    maximum before exponentiation.  NaN, +inf and rows without a finite
+    entry are rejected.
     """
     a = np.asarray(logits, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValidationError(f"softmax_row expects a vector, got shape {a.shape}")
-    if np.any(np.isnan(a)) or np.any(a == np.inf):
+    if a.ndim == 0 or a.shape[-1] == 0:
+        raise ValidationError(f"softmax needs rows of logits, got shape {a.shape}")
+    if not (a < np.inf).all():
         raise ValidationError("softmax logits must be finite or -inf")
-    finite = np.isfinite(a)
-    if not finite.any():
+    rowmax = a.max(axis=-1, keepdims=True)
+    if np.isneginf(rowmax).any():
         raise ValidationError("softmax over a row with no finite entries")
-    w = np.exp(a - a[finite].max())
-    return w / w.sum()
+    w = np.exp(a - rowmax)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _predict_block(
@@ -392,17 +328,13 @@ def _predict_block(
     )
     if not np.isfinite(logits).all():
         raise NumericalError("non-finite attention logit encountered")
-    logits[:, sources, np.arange(len(sources))] = -np.inf  # self-pairs excluded
-    sub = logits[:, targets, :]                                    # (T, R, k)
-    rowmax = sub.max(axis=2)
-    if np.any(np.isneginf(rowmax)):
-        bad = targets[np.isneginf(rowmax).any(axis=0)]
+    if len(sources) == 1 and sources[0] in targets:  # its only source is itself
         raise ValidationError(
-            f"patches {bad.tolist()} have no unmasked prediction sources; "
+            f"patches {sources.tolist()} have no unmasked prediction sources; "
             "enable copy_through or unmask more patches"
         )
-    weights = np.exp(sub - rowmax[:, :, None])
-    weights /= weights.sum(axis=2, keepdims=True)
+    logits[:, sources, np.arange(len(sources))] = -np.inf  # self-pairs excluded
+    weights = masked_softmax(logits[:, targets, :])                # (T, R, k)
     pair_preds = np.einsum(
         "rkef,tkf->trke", model.value_maps[targets][:, sources], z_src
     )

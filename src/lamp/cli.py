@@ -19,28 +19,23 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, metrics, synthetic
-from .attention import MaskSpec, reconstruct, train_attention_model
+from .attention import reconstruct, train_attention_model
 from .errors import FormatError, NumericalError, ValidationError
 from .gappy import fit_gappy, reconstruct_gappy
 from .metrics import PowerMap, place_sensors, pred_loss, predictive_power
 from .patches import (
+    MaskSpec,
     PatchGrid,
     SplitSpec,
     apply_stats,
     denormalize,
     normalize,
     patchify,
+    sensor_count,
     split,
 )
 from .pod import ae_loss
-from .synthetic import (
-    CHAOTIC,
-    LAMINAR,
-    ChaoticParams,
-    FlowSpec,
-    LaminarParams,
-    NoiseSpec,
-)
+from .synthetic import CHAOTIC, LAMINAR, ChaoticParams, FlowSpec, LaminarParams
 
 DEFAULT_BUDGET_BYTES = 2 * 1024**3
 
@@ -77,12 +72,9 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _parse_snr(text) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ValidationError(f"invalid --snr-db value: {text!r}")
-    if math.isnan(value):
-        raise ValidationError("--snr-db must be a number or inf")
-    return value
 
 
 def _split_spec(args) -> SplitSpec:
@@ -127,15 +119,20 @@ def _standardized(path: str, split_spec: SplitSpec) -> SnapshotSet:
     return normalize(fields, split_spec.train_range(fields.snapshots))
 
 
+def _check_geometry(model, raw: SnapshotSet) -> None:
+    if not model.grid.matches(raw):
+        raise ValidationError(
+            f"dataset geometry {(raw.height, raw.width, raw.components)} does not "
+            f"match model grid {model.grid}"
+        )
+
+
 def _mask_for(args, grid: PatchGrid, power: PowerMap | None) -> MaskSpec:
     if getattr(args, "sensors_from", None):
-        values = _read_power_values(args.sensors_from, grid.n_patches)
-        count = max(1, round(args.coverage * grid.n_patches))
-        return place_sensors(PowerMap(grid, values), count)
-    if power is not None:
-        count = max(1, round(args.coverage * grid.n_patches))
-        return place_sensors(power, count)
-    return MaskSpec.random(grid.n_patches, args.coverage, args.seed)
+        power = PowerMap(grid, _read_power_values(args.sensors_from, grid.n_patches))
+    if power is None:
+        return MaskSpec.random(grid.n_patches, args.coverage, args.seed)
+    return place_sensors(power, sensor_count(grid.n_patches, args.coverage))
 
 
 def _read_power_values(path: str, n_expected: int) -> np.ndarray:
@@ -145,27 +142,18 @@ def _read_power_values(path: str, n_expected: int) -> np.ndarray:
         raise ValidationError(
             f"power map {path} has {len(rows)} patches, expected {n_expected}"
         )
-    values = np.empty(n_expected)
     try:
-        for row in rows:
-            values[int(row["patch_index"])] = float(row["value"])
-    except (KeyError, ValueError) as exc:
+        indices = [int(row["patch_index"]) for row in rows]
+        values = [float(row["value"]) for row in rows]
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: not a power-map CSV: {exc}") from exc
-    return values
-
-
-def _noisy_test_input(test_raw, mask, snr_db, noise_seed, grid, stats):
-    """Masked-and-noised test input in standardized units, plus sigma^2.
-
-    As in the sweep protocol, the variance comes from the full test-split
-    power, so one run has one well-defined noise level regardless of which
-    patches the mask happens to observe.
-    """
-    if math.isinf(snr_db):
-        return apply_stats(test_raw, stats), 0.0
-    sigma2 = synthetic.noise_sigma2(test_raw, None, NoiseSpec(snr_db))
-    noisy = synthetic.add_noise_fixed(test_raw, mask, sigma2, noise_seed, grid)
-    return apply_stats(noisy, stats), sigma2
+    if sorted(indices) != list(range(n_expected)):
+        raise FormatError(
+            f"{path}: patch_index must list each of 0..{n_expected - 1} once"
+        )
+    out = np.empty(n_expected)
+    out[indices] = values
+    return out
 
 
 def _emit_field_images(
@@ -266,16 +254,13 @@ def cmd_reconstruct(args) -> int:
     spec = _split_spec(args)
     model = formats.read_model(args.model)
     raw = _load_raw(args.dataset)
-    if not model.grid.matches(raw):
-        raise ValidationError(
-            f"dataset geometry {(raw.height, raw.width, raw.components)} does not "
-            f"match model grid {model.grid}"
-        )
+    _check_geometry(model, raw)
     _, test_raw = split(raw, spec)
     snr_db = _parse_snr(args.snr_db)
     mask = _mask_for(args, model.grid, None)
-    test_in, sigma2 = _noisy_test_input(
-        test_raw, mask, snr_db, args.seed + 1, model.grid, model.norm_stats
+    sigma2 = synthetic.noise_sigma2(test_raw, snr_db)
+    test_in = metrics.noisy_test_input(
+        test_raw, mask, sigma2, args.seed + 1, model.grid, model.norm_stats
     )
     test_norm = apply_stats(test_raw, model.norm_stats)
     recon = reconstruct(model, test_in, mask, args.copy_through)
@@ -443,7 +428,7 @@ def cmd_place_sensors(args) -> int:
     out = _out_dir(args)
     model = formats.read_model(args.model)
     power = predictive_power(model)
-    count = args.count or max(1, round(args.coverage * model.n_patches))
+    count = args.count or sensor_count(model.n_patches, args.coverage)
     mask = place_sensors(power, count)
     formats.write_manifest(
         {
@@ -471,7 +456,8 @@ def cmd_gappy(args) -> int:
     model = fit_gappy(train_norm, args.rank)
     snr_db = _parse_snr(args.snr_db)
     mask = _mask_for(args, grid, None)
-    test_in, sigma2 = _noisy_test_input(test_raw, mask, snr_db, args.seed + 1, grid, stats)
+    sigma2 = synthetic.noise_sigma2(test_raw, snr_db)
+    test_in = metrics.noisy_test_input(test_raw, mask, sigma2, args.seed + 1, grid, stats)
     recon = reconstruct_gappy(model, test_in, mask, grid, args.ridge_lambda)
     loss = pred_loss(recon, test_norm)
     formats.write_csv(["rank", "coverage", "snr_db", "pred_loss"],
@@ -503,11 +489,7 @@ def cmd_compare(args) -> int:
     spec = _split_spec(args)
     model = formats.read_model(args.model)
     raw = _load_raw(args.dataset)
-    if not model.grid.matches(raw):
-        raise ValidationError(
-            f"dataset geometry {(raw.height, raw.width, raw.components)} does not "
-            f"match model grid {model.grid}"
-        )
+    _check_geometry(model, raw)
     grid = model.grid
     stats = model.norm_stats
     train_raw, test_raw = split(raw, spec)
@@ -518,7 +500,8 @@ def cmd_compare(args) -> int:
     power = predictive_power(model) if args.sensors_from is None and args.place_sensors else None
     mask = _mask_for(args, grid, power)
     snr_db = _parse_snr(args.snr_db)
-    test_in, sigma2 = _noisy_test_input(test_raw, mask, snr_db, args.seed + 1, grid, stats)
+    sigma2 = synthetic.noise_sigma2(test_raw, snr_db)
+    test_in = metrics.noisy_test_input(test_raw, mask, sigma2, args.seed + 1, grid, stats)
     lamp_recon = reconstruct(model, test_in, mask, args.copy_through)
     gappy_recon = reconstruct_gappy(baseline, test_in, mask, grid, args.ridge_lambda)
     lamp_loss = pred_loss(lamp_recon, test_norm)
@@ -556,11 +539,17 @@ def cmd_compare(args) -> int:
 
 def cmd_rerun(args) -> int:
     manifest = formats.read_manifest(args.manifest)
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{args.manifest}: manifest is not a JSON object")
     try:
         command = manifest["command"]
         config = manifest["config"]
     except KeyError as exc:
         raise FormatError(f"{args.manifest}: manifest missing {exc}") from exc
+    if not isinstance(command, str) or not isinstance(config, dict):
+        raise FormatError(f"{args.manifest}: manifest command or config is malformed")
+    if "out_dir" not in config:
+        raise FormatError(f"{args.manifest}: manifest config has no out_dir")
     argv = _argv_from_config(command, config)
     if args.out_dir is not None:
         idx = argv.index("--out-dir")

@@ -38,9 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import RIDGE_SCALE, AttentionModel, MaskSpec
+from .attention import RIDGE_SCALE, AttentionModel
 from .errors import FormatError, ValidationError
-from .patches import NormStats, PatchGrid, SnapshotSet
+from .patches import MaskSpec, NormStats, PatchGrid, SnapshotSet
 from .pod import PatchPodModel
 
 DATASET_MAGIC = b"LAMPDS01"
@@ -190,14 +190,19 @@ def read_model(path: str | Path) -> AttentionModel:
         grid = PatchGrid(h, w, c, p)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    n, d = grid.n_patches, grid.patch_dim
+    if not 1 <= e <= d:
+        raise FormatError(f"{path}: latent dimension {e} out of range for D={d}")
+    need = model_nbytes(h, w, c, p, e)
+    if len(cur.buf) < need:  # checked before the arrays are allocated
+        raise FormatError(
+            f"{path}: truncated file ({len(cur.buf)} bytes, header needs {need})"
+        )
     (intercept_flag,) = cur.unpack("<B")
     if intercept_flag not in (0, 1):
         raise FormatError(f"{path}: invalid intercept flag {intercept_flag}")
     ridge, floor = cur.unpack("<2d")
     pairs = cur.floats(2 * c).reshape(c, 2)
-    n, d = grid.n_patches, grid.patch_dim
-    if not 1 <= e <= d:
-        raise FormatError(f"{path}: latent dimension {e} out of range for D={d}")
     bases = np.empty((n, d, e))
     for i in range(n):
         bases[i] = cur.floats(d * e).reshape((d, e), order="F")

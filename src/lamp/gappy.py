@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .attention import MaskSpec, pixel_mask
 from .errors import NumericalError, ValidationError
-from .patches import NormStats, PatchGrid, SnapshotSet
+from .patches import MaskSpec, NormStats, PatchGrid, SnapshotSet, pixel_mask
 
 #: Relative ridge scale for the observed-pixel normal equations.  Smaller
 #: than the attention module's scale so that full observation reproduces the

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionModel, MaskSpec, reconstruct, train_attention_model
+from .attention import AttentionModel, reconstruct, train_attention_model
 from .errors import ValidationError
 from .patches import (
+    MaskSpec,
     NormStats,
     PatchGrid,
     SnapshotSet,
@@ -26,7 +27,7 @@ from .patches import (
     split,
 )
 from .pod import ae_loss
-from .synthetic import NoiseSpec, add_noise_fixed, noise_sigma2
+from .synthetic import add_noise_fixed, noise_sigma2
 
 
 def pred_loss(recon: SnapshotSet, truth: SnapshotSet) -> float:
@@ -37,6 +38,24 @@ def pred_loss(recon: SnapshotSet, truth: SnapshotSet) -> float:
         )
     diff = recon.data - truth.data
     return float(np.mean(diff * diff))
+
+
+def noisy_test_input(
+    test_raw: SnapshotSet,
+    mask: MaskSpec,
+    sigma2: float,
+    seed: int,
+    grid: PatchGrid,
+    stats: NormStats,
+) -> SnapshotSet:
+    """Evaluation input under the noise protocol, in standardized units.
+
+    ``sigma2`` comes from :func:`lamp.synthetic.noise_sigma2` on the whole
+    raw test split, so one run has one noise level whichever patches the mask
+    observes.  Noise drawn from ``seed`` goes onto the pixels of observed
+    patches only, then the frozen training stats standardize the result.
+    """
+    return apply_stats(add_noise_fixed(test_raw, mask, sigma2, seed, grid), stats)
 
 
 def noise_variance_normalized(sigma2: float, stats: NormStats) -> float:
@@ -219,14 +238,8 @@ def run_sweep(
                 continue
             floor = ae_loss(model.pod, test_series)
             for snr in axes.snr_dbs:
-                if math.isinf(snr):
-                    sigma2, noise_var = 0.0, 0.0
-                else:
-                    # Fixed per-cell variance from the full test-split power,
-                    # so the recorded value is exactly what every arrangement
-                    # injects (and zero-content masks stay well-defined).
-                    sigma2 = noise_sigma2(test_raw, None, NoiseSpec(snr))
-                    noise_var = noise_variance_normalized(sigma2, stats)
+                sigma2 = noise_sigma2(test_raw, snr)
+                noise_var = noise_variance_normalized(sigma2, stats)
                 for cov in axes.coverages:
                     losses = []
                     for arr_idx in range(n_arrangements):
@@ -238,8 +251,9 @@ def run_sweep(
                             noise_seed = derive_seed(
                                 seed, 1, p, int(round(cov * 1e9)), arr_idx, _float_key(snr)
                             )
-                            noisy = add_noise_fixed(test_raw, mask, sigma2, noise_seed, grid)
-                            test_in = apply_stats(noisy, stats)
+                            test_in = noisy_test_input(
+                                test_raw, mask, sigma2, noise_seed, grid, stats
+                            )
                         recon = reconstruct(model, test_in, mask, copy_through)
                         losses.append(pred_loss(recon, test_norm))
                     cells.append(

@@ -1,4 +1,4 @@
-"""Field geometry: normalization, patch extraction/reassembly, dataset splits.
+"""Field geometry: normalization, patches and masks over them, dataset splits.
 
 A snapshot set is a time series of 2D multi-component fields stored as a
 (T, H, W, C) float64 array.  Patching cuts each snapshot into non-overlapping
@@ -129,6 +129,62 @@ class PatchGrid:
             and fields.width == self.width
             and fields.components == self.components
         )
+
+
+def sensor_count(n_patches: int, coverage: float) -> int:
+    """Unmasked patch count for a coverage fraction: round(coverage * N), at least one."""
+    return max(1, int(round(coverage * n_patches)))
+
+
+@dataclass(frozen=True)
+class MaskSpec:
+    """Set of unmasked (observed) patch indices for one scenario."""
+
+    unmasked: tuple[int, ...]
+    n_patches: int
+    seed: int | None = None
+
+    def __post_init__(self):
+        idx = tuple(int(i) for i in self.unmasked)
+        if len(set(idx)) != len(idx):
+            raise ValidationError(f"duplicate unmasked indices: {idx}")
+        if any(i < 0 or i >= self.n_patches for i in idx):
+            raise ValidationError(
+                f"unmasked indices out of range [0, {self.n_patches}): {idx}"
+            )
+        object.__setattr__(self, "unmasked", tuple(sorted(idx)))
+        object.__setattr__(self, "n_patches", int(self.n_patches))
+
+    @classmethod
+    def random(cls, n_patches: int, coverage: float, seed: int) -> "MaskSpec":
+        """Draw :func:`sensor_count` unmasked patches uniformly at random."""
+        if not 0.0 < coverage <= 1.0:
+            raise ValidationError(f"coverage must be in (0, 1], got {coverage}")
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(n_patches, size=sensor_count(n_patches, coverage), replace=False)
+        return cls(tuple(int(i) for i in idx), n_patches, seed=seed)
+
+    @property
+    def coverage(self) -> float:
+        return len(self.unmasked) / self.n_patches
+
+    @property
+    def masked(self) -> tuple[int, ...]:
+        observed = set(self.unmasked)
+        return tuple(i for i in range(self.n_patches) if i not in observed)
+
+
+def pixel_mask(grid: PatchGrid, mask: MaskSpec) -> np.ndarray:
+    """Boolean (H, W) map of pixels covered by unmasked patches."""
+    if mask.n_patches != grid.n_patches:
+        raise ValidationError(
+            f"mask over {mask.n_patches} patches does not fit grid with "
+            f"{grid.n_patches}"
+        )
+    obs = np.zeros((grid.rows, grid.cols), dtype=bool)
+    for i in mask.unmasked:
+        obs[i // grid.cols, i % grid.cols] = True
+    return np.repeat(np.repeat(obs, grid.patch_size, axis=0), grid.patch_size, axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import MaskSpec, pixel_mask
 from .errors import ValidationError
-from .patches import PatchGrid, SnapshotSet
+from .patches import MaskSpec, PatchGrid, SnapshotSet, pixel_mask
 
 LAMINAR = "laminar-surrogate"
 CHAOTIC = "chaotic-surrogate"
@@ -108,23 +107,6 @@ class FlowSpec:
             )
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Additive Gaussian noise at a given signal-to-noise ratio.
-
-    The noise variance is sigma^2 = P_sig * 10**(-snr_db / 10), with P_sig
-    the mean squared value of the unnormalized input over the pixels of
-    unmasked patches.  snr_db may be math.inf, meaning noise-free.
-    """
-
-    snr_db: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if math.isnan(self.snr_db):
-            raise ValidationError("snr_db must be a number or +inf")
-
-
 def _mode_synthesis(time_mat: np.ndarray, space_mat: np.ndarray, h: int, w: int) -> np.ndarray:
     """(T, 2K) @ (2K, H*W) -> (T, H, W); the separable core of both generators."""
     return (time_mat @ space_mat).reshape(time_mat.shape[0], h, w)
@@ -205,28 +187,25 @@ def generate(spec: FlowSpec) -> SnapshotSet:
     return SnapshotSet(data)
 
 
-def signal_power(fields: SnapshotSet, mask: MaskSpec | None = None, grid: PatchGrid | None = None) -> float:
-    """Mean squared value across snapshots and components.
+def signal_power(fields: SnapshotSet) -> float:
+    """Mean squared value across snapshots, pixels and components."""
+    return float(np.mean(fields.data**2))
 
-    With a mask, only pixels of unmasked patches count, which is the support
-    the noise is injected on.
+
+def noise_sigma2(fields: SnapshotSet, snr_db: float) -> float:
+    """Noise variance of the SNR law: signal_power(fields) * 10**(-snr_db / 10).
+
+    ``fields`` is the unnormalized input the noise is scaled to; an infinite
+    snr_db means noise-free (zero variance).
     """
-    if mask is None:
-        return float(np.mean(fields.data**2))
-    if grid is None:
-        raise ValidationError("signal_power with a mask needs the patch grid")
-    observed = pixel_mask(grid, mask)
-    return float(np.mean(fields.data[:, observed, :] ** 2))
-
-
-def noise_sigma2(fields: SnapshotSet, mask: MaskSpec | None, noise: NoiseSpec, grid: PatchGrid | None = None) -> float:
-    """Noise variance implied by the SNR law for this (unnormalized) input."""
-    if math.isinf(noise.snr_db):
+    if math.isnan(snr_db):
+        raise ValidationError("snr_db must be a number or +inf")
+    if math.isinf(snr_db):
         return 0.0
-    power = signal_power(fields, mask, grid)
+    power = signal_power(fields)
     if power == 0.0:
         raise ValidationError("signal power is zero; SNR-scaled noise is undefined")
-    return power * 10.0 ** (-noise.snr_db / 10.0)
+    return power * 10.0 ** (-snr_db / 10.0)
 
 
 def add_noise_fixed(
@@ -246,18 +225,3 @@ def add_noise_fixed(
     observed = pixel_mask(grid, mask)
     data = fields.data + np.where(observed[None, :, :, None], eps, 0.0)
     return SnapshotSet(data, norm_stats=fields.norm_stats)
-
-
-def add_noise(fields: SnapshotSet, mask: MaskSpec, noise: NoiseSpec, grid: PatchGrid) -> SnapshotSet:
-    """Add SNR-scaled Gaussian noise to the pixels of unmasked patches.
-
-    The variance follows the law in :class:`NoiseSpec`, with the signal power
-    taken over the observed support, so the per-pixel SNR at the sensors does
-    not depend on coverage.  The input is expected in unnormalized units;
-    standardization with the frozen training stats comes after.  snr_db = inf
-    returns the input unchanged.
-    """
-    if math.isinf(noise.snr_db):
-        return fields
-    sigma2 = noise_sigma2(fields, mask, noise, grid)
-    return add_noise_fixed(fields, mask, sigma2, noise.seed, grid)

@@ -34,13 +34,17 @@ from lamp import (
     reconstruct,
     reconstruct_gappy,
     run_sweep,
-    softmax_row,
     split,
     train_attention_model,
     write_dataset,
     write_model,
 )
-from lamp.attention import MaskedLatentSnapshot, fit_attention_tensor, fit_value_tensor
+from lamp.attention import (
+    MaskedLatentSnapshot,
+    fit_attention_tensor,
+    fit_value_tensor,
+    masked_softmax,
+)
 from lamp.cli import main as cli_main
 from lamp.pod import LatentSeries, decode, encode
 from oracles import attention_oracle, value_oracle
@@ -189,10 +193,10 @@ def test_07_softmax_and_mask_invariants():
             n_masked = int(rng.integers(0, size))
             masked = rng.choice(size, size=n_masked, replace=False)
             logits[masked] = -np.inf
-            w = softmax_row(logits)
+            w = masked_softmax(logits)
             assert abs(w.sum() - 1.0) < 1e-12
             assert np.all(w[masked] == 0.0)
-            shifted = softmax_row(logits + 17.5)
+            shifted = masked_softmax(logits + 17.5)
             assert np.max(np.abs(w - shifted)) < 1e-12
 
 

@@ -19,11 +19,10 @@ from lamp import (
     pixel_mask,
     predict_masked,
     reconstruct,
-    softmax_row,
     train_attention_model,
     unpatchify,
 )
-from lamp.attention import _predict_batch
+from lamp.attention import _predict_batch, masked_softmax
 from lamp.patches import PatchGrid
 from lamp.pod import PatchPodModel
 
@@ -107,19 +106,19 @@ class TestMaskedLatentSnapshot:
 
 class TestSoftmaxRow:
     def test_neg_inf_gets_exact_zero(self):
-        w = softmax_row(np.array([0.0, -np.inf]))
+        w = masked_softmax(np.array([0.0, -np.inf]))
         np.testing.assert_array_equal(w, [1.0, 0.0])
 
     def test_uniform_on_equal_logits(self):
-        w = softmax_row(np.array([3.7, 3.7, 3.7]))
+        w = masked_softmax(np.array([3.7, 3.7, 3.7]))
         np.testing.assert_allclose(w, [1 / 3] * 3, atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             a = rng.standard_normal(6) * 10
-            w1 = softmax_row(a)
-            w2 = softmax_row(a + 123.456)
+            w1 = masked_softmax(a)
+            w2 = masked_softmax(a + 123.456)
             np.testing.assert_allclose(w1, w2, atol=1e-12)
 
     def test_large_logits_match_extended_precision_oracle(self):
@@ -130,24 +129,33 @@ class TestSoftmaxRow:
         exps = [mpmath.e**v for v in a]
         total = sum(exps)
         oracle = np.array([float(v / total) for v in exps])
-        np.testing.assert_allclose(softmax_row(a), oracle, atol=1e-12)
+        np.testing.assert_allclose(masked_softmax(a), oracle, atol=1e-12)
 
     def test_all_neg_inf_rejected(self):
         with pytest.raises(ValidationError, match="no finite"):
-            softmax_row(np.array([-np.inf, -np.inf]))
+            masked_softmax(np.array([-np.inf, -np.inf]))
 
     def test_nan_and_pos_inf_rejected(self):
         with pytest.raises(ValidationError):
-            softmax_row(np.array([0.0, np.nan]))
+            masked_softmax(np.array([0.0, np.nan]))
         with pytest.raises(ValidationError):
-            softmax_row(np.array([0.0, np.inf]))
+            masked_softmax(np.array([0.0, np.inf]))
+
+    def test_rows_of_a_2d_input_match_the_1d_result(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 7)) * 20
+        a[rng.random((5, 7)) < 0.3] = -np.inf
+        a[:, 0] = rng.standard_normal(5)  # every row keeps a finite entry
+        w = masked_softmax(a)
+        for row, logits in zip(w, a):
+            np.testing.assert_array_equal(row, masked_softmax(logits))
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             a = rng.standard_normal(8) * 50
             a[rng.integers(0, 8)] = -np.inf
-            assert abs(softmax_row(a).sum() - 1.0) < 1e-12
+            assert abs(masked_softmax(a).sum() - 1.0) < 1e-12
 
 
 class TestFitValueTensor:
@@ -350,7 +358,7 @@ class TestPredictMasked:
             logits = np.array(
                 [model.attn_vectors[m, n] @ z[n] + model.attn_intercepts[m, n] for n in (0, 2)]
             )
-            w = softmax_row(logits)
+            w = masked_softmax(logits)
             expect = w[0] * model.value_maps[m, 0] @ z[0] + w[1] * model.value_maps[m, 2] @ z[2]
             np.testing.assert_allclose(out[m], expect, atol=1e-12)
 

@@ -1,11 +1,13 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from lamp import FlowSpec, SnapshotSet, generate, read_model, write_dataset
 from lamp.cli import main
+from lamp.formats import MODEL_MAGIC
 
 
 def run(*argv):
@@ -209,6 +211,46 @@ class TestCompare:
         assert (out / "compare.csv").read_bytes() == (out2 / "compare.csv").read_bytes()
         for ppm in sorted(out.glob("*.ppm")):
             assert ppm.read_bytes() == (out2 / ppm.name).read_bytes()
+
+
+class TestMalformedInputs:
+    def test_model_header_larger_than_file_exits_3(self, tmp_path, laminar_path, capsys):
+        model = tmp_path / "huge.lampmd"
+        header = MODEL_MAGIC + struct.pack("<5IB4d", 2**20, 2**20, 1, 1, 1, 1, -1e-8, 1e-12, 0.0, 1.0)
+        model.write_bytes(header + bytes(66 - len(header)))
+        assert run("reconstruct", "--dataset", laminar_path, "--model", model,
+                   "--coverage", 0.25, "--out-dir", tmp_path / "x") == 3
+        assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[99, *range(1, 16)], [1, *range(1, 16)], [*range(15), -1]],
+        ids=["out-of-range", "repeated", "negative"],
+    )
+    def test_bad_power_map_index_exits_3(self, tmp_path, laminar_path, trained, indices):
+        assert run("power-map", "--model", trained, "--out-dir", tmp_path / "pm") == 0
+        rows = read_rows(tmp_path / "pm" / "power.csv")  # 16 patches
+        path = tmp_path / "edited.csv"
+        with open(path, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows({**row, "patch_index": i} for row, i in zip(rows, indices))
+        assert run("reconstruct", "--dataset", laminar_path, "--model", trained,
+                   "--coverage", 0.25, "--sensors-from", path, "--out-dir", tmp_path / "x") == 3
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            [],
+            {"command": "power-map", "config": ["--model", "m"]},
+            {"command": "power-map", "config": {"model": "m"}},
+        ],
+        ids=["list", "config-list", "no-out-dir"],
+    )
+    def test_malformed_rerun_manifest_exits_3(self, tmp_path, manifest):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run("rerun", path, "--out-dir", tmp_path / "x") == 3
 
 
 class TestUsage:

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lamp import (
 )
 from lamp.formats import (
     DATASET_MAGIC,
+    MODEL_MAGIC,
     csv_bytes,
     dataset_bytes,
     heatmap_rgb,
@@ -144,6 +146,14 @@ class TestModelFormat:
         path = tmp_path / "t.lampmd"
         path.write_bytes(model_bytes(small_model) + b"\0\0")
         with pytest.raises(FormatError, match="trailing"):
+            read_model(path)
+
+    def test_header_geometry_larger_than_file_rejected_before_allocation(self, tmp_path):
+        # H = W = 2**20 at P = 1 declares 2**40 patches in a 66-byte file
+        path = tmp_path / "huge.lampmd"
+        header = MODEL_MAGIC + struct.pack("<5IB4d", 2**20, 2**20, 1, 1, 1, 1, -1e-8, 1e-12, 0.0, 1.0)
+        path.write_bytes(header + bytes(66 - len(header)))
+        with pytest.raises(FormatError, match="truncated"):
             read_model(path)
 
     def test_size_estimate_matches_serialization(self, small_model):

@@ -8,13 +8,12 @@ from lamp import (
     FlowSpec,
     LaminarParams,
     MaskSpec,
-    NoiseSpec,
     SnapshotSet,
     ValidationError,
-    add_noise,
     generate,
     noise_sigma2,
     patchify,
+    pixel_mask,
     signal_power,
 )
 from lamp.patches import PatchGrid
@@ -113,21 +112,21 @@ class TestNoise:
 
     def test_infinite_snr_returns_input_unchanged(self):
         fields = self.unit_power_fields(4)
-        out = add_noise(fields, self.full_mask(), NoiseSpec(math.inf, seed=0), self.grid())
+        sigma2 = noise_sigma2(fields, math.inf)
+        assert sigma2 == 0.0
+        out = add_noise_fixed(fields, self.full_mask(), sigma2, seed=0, grid=self.grid())
         np.testing.assert_array_equal(out.data, fields.data)
 
     def test_variance_law_at_20db_unit_power(self):
-        sigma2 = noise_sigma2(
-            self.unit_power_fields(2), self.full_mask(), NoiseSpec(20.0), self.grid()
-        )
+        sigma2 = noise_sigma2(self.unit_power_fields(2), 20.0)
         assert sigma2 == pytest.approx(0.01, rel=1e-12)
 
     def test_empirical_variance_within_5_percent(self):
         fields = self.unit_power_fields(30)  # 245760 noised values
         mask = self.full_mask()
-        noisy = add_noise(fields, mask, NoiseSpec(10.0, seed=7), self.grid())
+        sigma2 = noise_sigma2(fields, 10.0)
+        noisy = add_noise_fixed(fields, mask, sigma2, seed=7, grid=self.grid())
         eps = noisy.data - fields.data
-        sigma2 = noise_sigma2(fields, mask, NoiseSpec(10.0), self.grid())
         assert eps.size >= 1e5
         assert abs(eps.var() / sigma2 - 1.0) < 0.05
 
@@ -136,9 +135,7 @@ class TestNoise:
         fields = SnapshotSet(rng.standard_normal((5, 64, 64, 2)))
         grid = self.grid()
         mask = MaskSpec((0, 5), grid.n_patches)
-        noisy = add_noise(fields, mask, NoiseSpec(10.0, seed=9), grid)
-        from lamp import pixel_mask
-
+        noisy = add_noise_fixed(fields, mask, noise_sigma2(fields, 10.0), seed=9, grid=grid)
         obs = pixel_mask(grid, mask)
         np.testing.assert_array_equal(noisy.data[:, ~obs, :], fields.data[:, ~obs, :])
         assert np.all(noisy.data[:, obs, :] != fields.data[:, obs, :])
@@ -146,14 +143,15 @@ class TestNoise:
     def test_deterministic_given_seed(self):
         fields = self.unit_power_fields(3)
         mask = self.full_mask()
-        a = add_noise(fields, mask, NoiseSpec(20.0, seed=3), self.grid())
-        b = add_noise(fields, mask, NoiseSpec(20.0, seed=3), self.grid())
+        sigma2 = noise_sigma2(fields, 20.0)
+        a = add_noise_fixed(fields, mask, sigma2, seed=3, grid=self.grid())
+        b = add_noise_fixed(fields, mask, sigma2, seed=3, grid=self.grid())
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_zero_signal_power_rejected(self):
         fields = SnapshotSet(np.zeros((2, 64, 64, 2)))
         with pytest.raises(ValidationError, match="zero"):
-            noise_sigma2(fields, self.full_mask(), NoiseSpec(10.0), self.grid())
+            noise_sigma2(fields, 10.0)
 
     def test_fixed_variance_injection(self):
         fields = self.unit_power_fields(30)
@@ -164,7 +162,7 @@ class TestNoise:
 
     def test_nan_snr_rejected(self):
         with pytest.raises(ValidationError):
-            NoiseSpec(float("nan"))
+            noise_sigma2(self.unit_power_fields(2), float("nan"))
 
     def test_signal_power_full_field(self):
         fields = self.unit_power_fields(2)
