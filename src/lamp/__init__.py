@@ -9,7 +9,6 @@ utilities, and binary dataset/model formats round out the toolkit.
 
 from .attention import (
     AttentionModel,
-    MaskedLatentSnapshot,
     fit_attention_tensor,
     fit_value_tensor,
     predict_masked,
@@ -66,7 +65,6 @@ __all__ = [
     "LaminarParams",
     "LatentSeries",
     "MaskSpec",
-    "MaskedLatentSnapshot",
     "NormStats",
     "NumericalError",
     "PatchGrid",

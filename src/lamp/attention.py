@@ -23,7 +23,6 @@ from .errors import NumericalError, ValidationError
 from .patches import (
     MaskSpec,
     NormStats,
-    PatchedSeries,
     PatchGrid,
     SnapshotSet,
     patchify,
@@ -40,36 +39,6 @@ RIDGE_SCALE = 1e-8
 DEFAULT_ERROR_FLOOR = 1e-12
 
 _PREDICT_CHUNK = 128  # snapshots per inference block, bounds peak memory
-
-
-@dataclass(frozen=True, eq=False)
-class MaskedLatentSnapshot:
-    """One latent snapshot with rows at masked indices set exactly to zero."""
-
-    values: np.ndarray  # (N, N_e)
-    mask: MaskSpec
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if arr.ndim != 2 or arr.shape[0] != self.mask.n_patches:
-            raise ValidationError(
-                f"latent snapshot shape {arr.shape} inconsistent with mask over "
-                f"{self.mask.n_patches} patches"
-            )
-        if not np.isfinite(arr).all():
-            raise ValidationError("latent snapshot contains NaN or Inf")
-        masked = list(self.mask.masked)
-        if masked and np.any(arr[masked] != 0.0):
-            raise ValidationError("rows at masked indices must be exactly zero")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def from_latents(cls, values: np.ndarray, mask: MaskSpec) -> "MaskedLatentSnapshot":
-        """Zero the masked rows of a full latent snapshot."""
-        arr = np.array(values, dtype=np.float64, copy=True)
-        arr[list(mask.masked)] = 0.0
-        return cls(arr, mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,41 +279,25 @@ def masked_softmax(logits: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _predict_block(
+def predict_masked(
     model: AttentionModel,
-    z: np.ndarray,
-    sources: np.ndarray,
-    targets: np.ndarray,
+    latents: np.ndarray,
+    mask: MaskSpec,
+    copy_through: bool = True,
 ) -> np.ndarray:
-    """Softmax-blended pair predictions for target rows of a latent block.
+    """Predict full (T, N, N_e) latents from the rows of unmasked patches.
 
-    z is (T, N, N_e) with masked rows already zero; output is (T, R, N_e)
-    for the requested target rows.
+    Each target row is the softmax-weighted blend of the pair predictions
+    from all unmasked sources (self excluded).  Rows of masked patches are
+    never read, so they may hold anything.  With ``copy_through`` the rows of
+    unmasked patches are the observed latents instead of predictions.
     """
-    z_src = z[:, sources, :]                                       # (T, k, e)
-    logits = (
-        np.einsum("mke,tke->tmk", model.attn_vectors[:, sources, :], z_src)
-        + model.attn_intercepts[None, :, sources]
-    )
-    if not np.isfinite(logits).all():
-        raise NumericalError("non-finite attention logit encountered")
-    if len(sources) == 1 and sources[0] in targets:  # its only source is itself
+    n, e = model.n_patches, model.latent_dim
+    z = np.asarray(latents, dtype=np.float64)
+    if z.ndim != 3 or z.shape[1:] != (n, e):
         raise ValidationError(
-            f"patches {sources.tolist()} have no unmasked prediction sources; "
-            "enable copy_through or unmask more patches"
+            f"latents shape {z.shape} does not match model (T, {n}, {e})"
         )
-    logits[:, sources, np.arange(len(sources))] = -np.inf  # self-pairs excluded
-    weights = masked_softmax(logits[:, targets, :])                # (T, R, k)
-    pair_preds = np.einsum(
-        "rkef,tkf->trke", model.value_maps[targets][:, sources], z_src
-    )
-    return np.einsum("trk,trke->tre", weights, pair_preds)
-
-
-def _predict_batch(
-    model: AttentionModel, z: np.ndarray, mask: MaskSpec, copy_through: bool
-) -> np.ndarray:
-    n = model.n_patches
     if mask.n_patches != n:
         raise ValidationError(
             f"mask over {mask.n_patches} patches does not match model with {n}"
@@ -353,31 +306,33 @@ def _predict_batch(
     if sources.size == 0:
         raise ValidationError("all patches are masked; nothing to attend to")
     targets = np.asarray(mask.masked if copy_through else range(n), dtype=np.intp)
-    out = np.zeros_like(z)
-    if copy_through:
-        out[:, sources, :] = z[:, sources, :]
-    if targets.size:
-        for lo in range(0, z.shape[0], _PREDICT_CHUNK):
-            block = slice(lo, min(lo + _PREDICT_CHUNK, z.shape[0]))
-            out[block][:, targets, :] = _predict_block(model, z[block], sources, targets)
-    return out
-
-
-def predict_masked(
-    model: AttentionModel, snapshot: MaskedLatentSnapshot, copy_through: bool = True
-) -> np.ndarray:
-    """Predict the full (N, N_e) latent snapshot from a masked one.
-
-    Each target row is the softmax-weighted blend of the pair predictions
-    from all unmasked sources (self excluded).  With ``copy_through`` the
-    rows of unmasked patches are the observed latents instead of predictions.
-    """
-    if snapshot.values.shape != (model.n_patches, model.latent_dim):
+    if len(sources) == 1 and sources[0] in targets:  # its only source is itself
         raise ValidationError(
-            f"latent snapshot shape {snapshot.values.shape} does not match model "
-            f"({model.n_patches}, {model.latent_dim})"
+            f"patches {sources.tolist()} have no unmasked prediction sources; "
+            "enable copy_through or unmask more patches"
         )
-    return _predict_batch(model, snapshot.values[None], snapshot.mask, copy_through)[0]
+    z_src = z[:, sources, :]                                       # (T, k, e)
+    if not np.isfinite(z_src).all():
+        raise ValidationError("observed latent rows contain NaN or Inf")
+    out = np.zeros(z.shape)
+    if copy_through:
+        out[:, sources, :] = z_src
+    if targets.size == 0:
+        return out
+    attn_vectors = model.attn_vectors[:, sources, :]
+    attn_intercepts = model.attn_intercepts[None, :, sources]
+    value_maps = model.value_maps[np.ix_(targets, sources)]        # (R, k, e, e)
+    self_pairs = (slice(None), sources, np.arange(len(sources)))
+    for lo in range(0, len(z), _PREDICT_CHUNK):
+        block = slice(lo, lo + _PREDICT_CHUNK)
+        logits = np.einsum("mke,tke->tmk", attn_vectors, z_src[block]) + attn_intercepts
+        if not np.isfinite(logits).all():
+            raise NumericalError("non-finite attention logit encountered")
+        logits[self_pairs] = -np.inf
+        weights = masked_softmax(logits[:, targets, :])            # (T, R, k)
+        pair_preds = np.einsum("rkef,tkf->trke", value_maps, z_src[block])
+        out[block, targets, :] = np.einsum("trk,trke->tre", weights, pair_preds)
+    return out
 
 
 def reconstruct(
@@ -388,8 +343,8 @@ def reconstruct(
 ) -> SnapshotSet:
     """Reconstruct full standardized fields from masked standardized input.
 
-    Pipeline: patchify, zero masked patch rows (their content is ignored
-    regardless), encode, predict the masked latents, decode, reassemble.
+    Pipeline: patchify, encode, predict the masked latents from the unmasked
+    ones, decode, reassemble; the content of masked patches is never read.
     Input and output are in normalized units; use the model's norm_stats to
     standardize raw data first.
     """
@@ -398,12 +353,7 @@ def reconstruct(
             f"field geometry {(fields.height, fields.width, fields.components)} "
             f"does not match model grid {model.grid}"
         )
-    series = patchify(fields, model.grid.patch_size)
-    vals = np.array(series.values, copy=True)
-    masked = list(mask.masked)
-    if masked:
-        vals[:, masked, :] = 0.0
-    latent = encode(model.pod, PatchedSeries(model.grid, vals))
-    full = _predict_batch(model, latent.values, mask, copy_through)
+    latent = encode(model.pod, patchify(fields, model.grid.patch_size))
+    full = predict_masked(model, latent.values, mask, copy_through)
     recon = decode(model.pod, LatentSeries(full))
     return unpatchify(recon, norm_stats=fields.norm_stats)

@@ -127,17 +127,34 @@ def _check_geometry(model, raw: SnapshotSet) -> None:
         )
 
 
-def _mask_for(args, grid: PatchGrid, power: PowerMap | None) -> MaskSpec:
-    if getattr(args, "sensors_from", None):
+def _eval_input(args, test_raw: SnapshotSet, grid: PatchGrid, stats, power=None):
+    """Mask (placed by power map if given, else random), raw noise variance, noisy input."""
+    if args.sensors_from:
         power = PowerMap(grid, _read_power_values(args.sensors_from, grid.n_patches))
     if power is None:
-        return MaskSpec.random(grid.n_patches, args.coverage, args.seed)
-    return place_sensors(power, sensor_count(grid.n_patches, args.coverage))
+        mask = MaskSpec.random(grid.n_patches, args.coverage, args.seed)
+    else:
+        mask = place_sensors(power, sensor_count(grid.n_patches, args.coverage))
+    sigma2 = synthetic.noise_sigma2(test_raw, _parse_snr(args.snr_db))
+    test_in = metrics.noisy_test_input(test_raw, mask, sigma2, args.seed + 1, grid, stats)
+    return mask, sigma2, test_in
+
+
+def _eval_results(mask: MaskSpec, sigma2: float, stats, image_ranges: dict) -> dict:
+    """Manifest results shared by the evaluation commands."""
+    return {
+        "noise_variance": metrics.noise_variance_normalized(sigma2, stats),
+        "unmasked": list(mask.unmasked),
+        "image_ranges": image_ranges,
+    }
 
 
 def _read_power_values(path: str, n_expected: int) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: power map is not UTF-8 text: {exc}") from exc
     if len(rows) != n_expected:
         raise ValidationError(
             f"power map {path} has {len(rows)} patches, expected {n_expected}"
@@ -256,12 +273,7 @@ def cmd_reconstruct(args) -> int:
     raw = _load_raw(args.dataset)
     _check_geometry(model, raw)
     _, test_raw = split(raw, spec)
-    snr_db = _parse_snr(args.snr_db)
-    mask = _mask_for(args, model.grid, None)
-    sigma2 = synthetic.noise_sigma2(test_raw, snr_db)
-    test_in = metrics.noisy_test_input(
-        test_raw, mask, sigma2, args.seed + 1, model.grid, model.norm_stats
-    )
+    mask, sigma2, test_in = _eval_input(args, test_raw, model.grid, model.norm_stats)
     test_norm = apply_stats(test_raw, model.norm_stats)
     recon = reconstruct(model, test_in, mask, args.copy_through)
     sq = (recon.data - test_norm.data) ** 2
@@ -287,9 +299,7 @@ def cmd_reconstruct(args) -> int:
         {
             "pred_loss_mean": float(np.mean(losses)),
             "pred_loss_median": float(np.median(losses)),
-            "noise_variance": metrics.noise_variance_normalized(sigma2, model.norm_stats),
-            "unmasked": list(mask.unmasked),
-            "image_ranges": ranges,
+            **_eval_results(mask, sigma2, model.norm_stats, ranges),
         },
     )
     return 0
@@ -428,7 +438,7 @@ def cmd_place_sensors(args) -> int:
     out = _out_dir(args)
     model = formats.read_model(args.model)
     power = predictive_power(model)
-    count = args.count or sensor_count(model.n_patches, args.coverage)
+    count = args.count if args.count is not None else sensor_count(model.n_patches, args.coverage)
     mask = place_sensors(power, count)
     formats.write_manifest(
         {
@@ -454,14 +464,11 @@ def cmd_gappy(args) -> int:
     train_norm, test_norm = split(normalized, spec)
     _, test_raw = split(raw, spec)
     model = fit_gappy(train_norm, args.rank)
-    snr_db = _parse_snr(args.snr_db)
-    mask = _mask_for(args, grid, None)
-    sigma2 = synthetic.noise_sigma2(test_raw, snr_db)
-    test_in = metrics.noisy_test_input(test_raw, mask, sigma2, args.seed + 1, grid, stats)
+    mask, sigma2, test_in = _eval_input(args, test_raw, grid, stats)
     recon = reconstruct_gappy(model, test_in, mask, grid, args.ridge_lambda)
     loss = pred_loss(recon, test_norm)
     formats.write_csv(["rank", "coverage", "snr_db", "pred_loss"],
-                      [[args.rank, args.coverage, snr_db, loss]], out / "loss.csv")
+                      [[args.rank, args.coverage, float(args.snr_db), loss]], out / "loss.csv")
     images, ranges = _emit_field_images(
         out,
         {"truth": test_norm, "input": test_in, "gappy": recon},
@@ -476,9 +483,7 @@ def cmd_gappy(args) -> int:
         ["loss.csv", *images],
         {
             "pred_loss": loss,
-            "noise_variance": metrics.noise_variance_normalized(sigma2, stats),
-            "unmasked": list(mask.unmasked),
-            "image_ranges": ranges,
+            **_eval_results(mask, sigma2, stats, ranges),
         },
     )
     return 0
@@ -498,10 +503,7 @@ def cmd_compare(args) -> int:
     rank = args.rank if args.rank is not None else model.latent_dim
     baseline = fit_gappy(train_norm, rank)
     power = predictive_power(model) if args.sensors_from is None and args.place_sensors else None
-    mask = _mask_for(args, grid, power)
-    snr_db = _parse_snr(args.snr_db)
-    sigma2 = synthetic.noise_sigma2(test_raw, snr_db)
-    test_in = metrics.noisy_test_input(test_raw, mask, sigma2, args.seed + 1, grid, stats)
+    mask, sigma2, test_in = _eval_input(args, test_raw, grid, stats, power)
     lamp_recon = reconstruct(model, test_in, mask, args.copy_through)
     gappy_recon = reconstruct_gappy(baseline, test_in, mask, grid, args.ridge_lambda)
     lamp_loss = pred_loss(lamp_recon, test_norm)
@@ -529,9 +531,7 @@ def cmd_compare(args) -> int:
             "gappy_pred_loss": gappy_loss,
             "ratio": ratio,
             "rank": rank,
-            "noise_variance": metrics.noise_variance_normalized(sigma2, stats),
-            "unmasked": list(mask.unmasked),
-            "image_ranges": ranges,
+            **_eval_results(mask, sigma2, stats, ranges),
         },
     )
     return 0

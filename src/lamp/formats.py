@@ -307,8 +307,8 @@ def write_manifest(payload: dict, path: str | Path) -> None:
 def read_manifest(path: str | Path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
 
 
 def _csv_value(value) -> str:

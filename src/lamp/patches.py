@@ -133,6 +133,8 @@ class PatchGrid:
 
 def sensor_count(n_patches: int, coverage: float) -> int:
     """Unmasked patch count for a coverage fraction: round(coverage * N), at least one."""
+    if not 0.0 < coverage <= 1.0:
+        raise ValidationError(f"coverage must be in (0, 1], got {coverage}")
     return max(1, int(round(coverage * n_patches)))
 
 
@@ -158,8 +160,6 @@ class MaskSpec:
     @classmethod
     def random(cls, n_patches: int, coverage: float, seed: int) -> "MaskSpec":
         """Draw :func:`sensor_count` unmasked patches uniformly at random."""
-        if not 0.0 < coverage <= 1.0:
-            raise ValidationError(f"coverage must be in (0, 1], got {coverage}")
         rng = np.random.default_rng(seed)
         idx = rng.choice(n_patches, size=sensor_count(n_patches, coverage), replace=False)
         return cls(tuple(int(i) for i in idx), n_patches, seed=seed)

@@ -195,17 +195,22 @@ def signal_power(fields: SnapshotSet) -> float:
 def noise_sigma2(fields: SnapshotSet, snr_db: float) -> float:
     """Noise variance of the SNR law: signal_power(fields) * 10**(-snr_db / 10).
 
-    ``fields`` is the unnormalized input the noise is scaled to; an infinite
-    snr_db means noise-free (zero variance).
+    ``fields`` is the unnormalized input the noise is scaled to; snr_db = +inf
+    means noise-free (zero variance).  A variance that is not a finite float
+    (snr_db NaN or -inf, or so low that it overflows) is rejected.
     """
-    if math.isnan(snr_db):
-        raise ValidationError("snr_db must be a number or +inf")
-    if math.isinf(snr_db):
+    if snr_db == math.inf:
         return 0.0
     power = signal_power(fields)
     if power == 0.0:
         raise ValidationError("signal power is zero; SNR-scaled noise is undefined")
-    return power * 10.0 ** (-snr_db / 10.0)
+    try:
+        sigma2 = power * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not math.isfinite(sigma2):
+        raise ValidationError(f"snr_db={snr_db} gives no finite noise variance")
+    return sigma2
 
 
 def add_noise_fixed(

@@ -5,7 +5,6 @@ from lamp import (
     AttentionModel,
     LatentSeries,
     MaskSpec,
-    MaskedLatentSnapshot,
     NormStats,
     NumericalError,
     SnapshotSet,
@@ -22,7 +21,7 @@ from lamp import (
     train_attention_model,
     unpatchify,
 )
-from lamp.attention import _predict_batch, masked_softmax
+from lamp.attention import _PREDICT_CHUNK, masked_softmax
 from lamp.patches import PatchGrid
 from lamp.pod import PatchPodModel
 
@@ -89,19 +88,6 @@ class TestMaskSpec:
         expect = np.zeros((4, 4), dtype=bool)
         expect[0:2, 2:4] = True
         np.testing.assert_array_equal(obs, expect)
-
-
-class TestMaskedLatentSnapshot:
-    def test_from_latents_zeroes_masked_rows(self):
-        rng = np.random.default_rng(0)
-        snap = MaskedLatentSnapshot.from_latents(rng.standard_normal((4, 3)), MaskSpec((1,), 4))
-        assert np.all(snap.values[[0, 2, 3]] == 0.0)
-        assert np.any(snap.values[1] != 0.0)
-
-    def test_nonzero_masked_row_rejected(self):
-        vals = np.ones((3, 2))
-        with pytest.raises(ValidationError, match="exactly zero"):
-            MaskedLatentSnapshot(vals, MaskSpec((0,), 3))
 
 
 class TestSoftmaxRow:
@@ -310,7 +296,7 @@ class TestPredictMasked:
         model = model_from_latents(latents)
         z = latents[0]
         mask = MaskSpec((1,), 3)
-        out = predict_masked(model, MaskedLatentSnapshot.from_latents(z, mask))
+        out = predict_masked(model, z[None], mask)[0]
         expect = model.value_maps[0, 1] @ z[1]
         np.testing.assert_allclose(out[0], expect, atol=1e-12)
         np.testing.assert_array_equal(out[1], z[1])  # copy-through
@@ -332,7 +318,7 @@ class TestPredictMasked:
         )
         z = latents[3]
         mask = MaskSpec((1, 2), 3)
-        out = predict_masked(forced, MaskedLatentSnapshot.from_latents(z, mask))
+        out = predict_masked(forced, z[None], mask)[0]
         expect = 0.5 * (forced.value_maps[0, 1] @ z[1] + forced.value_maps[0, 2] @ z[2])
         np.testing.assert_allclose(out[0], expect, atol=1e-12)
 
@@ -343,7 +329,7 @@ class TestPredictMasked:
         latents = np.concatenate([base, 2.0 * base], axis=1)
         model = model_from_latents(latents)
         z = latents[5]
-        out = predict_masked(model, MaskedLatentSnapshot.from_latents(z, MaskSpec((0,), 2)))
+        out = predict_masked(model, z[None], MaskSpec((0,), 2))[0]
         assert np.max(np.abs(out[1] - 2.0 * z[0])) < 1e-10
 
     def test_masked_sources_have_zero_influence(self):
@@ -352,7 +338,7 @@ class TestPredictMasked:
         model = model_from_latents(latents)
         mask = MaskSpec((0, 2), 4)
         z = latents[7]
-        out = predict_masked(model, MaskedLatentSnapshot.from_latents(z, mask))
+        out = predict_masked(model, z[None], mask)[0]
         # manual blend over unmasked sources only
         for m in mask.masked:
             logits = np.array(
@@ -365,16 +351,15 @@ class TestPredictMasked:
     def test_all_masked_rejected(self):
         rng = np.random.default_rng(19)
         model = model_from_latents(rng.standard_normal((20, 3, 4)))
-        snap = MaskedLatentSnapshot(np.zeros((3, 4)), MaskSpec((), 3))
         with pytest.raises(ValidationError, match="all patches are masked"):
-            predict_masked(model, snap)
+            predict_masked(model, np.zeros((1, 3, 4)), MaskSpec((), 3))
 
     def test_lone_self_row_without_copy_through_rejected(self):
         rng = np.random.default_rng(20)
         model = model_from_latents(rng.standard_normal((20, 3, 4)))
-        snap = MaskedLatentSnapshot.from_latents(rng.standard_normal((3, 4)), MaskSpec((1,), 3))
+        z = rng.standard_normal((1, 3, 4))
         with pytest.raises(ValidationError, match="no unmasked prediction sources"):
-            predict_masked(model, snap, copy_through=False)
+            predict_masked(model, z, MaskSpec((1,), 3), copy_through=False)
 
     def test_without_copy_through_all_rows_predicted(self):
         rng = np.random.default_rng(21)
@@ -382,10 +367,52 @@ class TestPredictMasked:
         model = model_from_latents(latents)
         z = latents[2]
         mask = MaskSpec((0, 3), 4)
-        out = predict_masked(model, MaskedLatentSnapshot.from_latents(z, mask), copy_through=False)
+        out = predict_masked(model, z[None], mask, copy_through=False)[0]
         # row 0 is predicted from source 3 only (self excluded)
         expect = model.value_maps[0, 3] @ z[3]
         np.testing.assert_allclose(out[0], expect, atol=1e-12)
+
+    @pytest.mark.parametrize("copy_through", [True, False])
+    def test_masked_rows_are_never_read(self, copy_through):
+        rng = np.random.default_rng(26)
+        latents = rng.standard_normal((30, 4, 4))
+        model = model_from_latents(latents)
+        mask = MaskSpec((0, 2), 4)
+        poisoned = np.array(latents[:5], copy=True)
+        poisoned[:, list(mask.masked), :] = np.nan
+        np.testing.assert_array_equal(
+            predict_masked(model, poisoned, mask, copy_through),
+            predict_masked(model, latents[:5], mask, copy_through),
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observed_row_rejected(self, bad):
+        rng = np.random.default_rng(27)
+        model = model_from_latents(rng.standard_normal((20, 3, 4)))
+        z = rng.standard_normal((2, 3, 4))
+        z[1, 2, 0] = bad
+        with pytest.raises(ValidationError, match="observed latent rows"):
+            predict_masked(model, z, MaskSpec((0, 2), 3))
+
+    @pytest.mark.parametrize(
+        "shape, n_mask", [((3, 4), 3), ((1, 3, 5), 3), ((1, 4, 4), 3), ((1, 3, 4), 4)]
+    )
+    def test_shape_or_mask_mismatch_rejected(self, shape, n_mask):
+        rng = np.random.default_rng(28)
+        model = model_from_latents(rng.standard_normal((20, 3, 4)))
+        with pytest.raises(ValidationError, match="does not match model"):
+            predict_masked(model, np.zeros(shape), MaskSpec((0,), n_mask))
+
+    @pytest.mark.parametrize("copy_through", [True, False])
+    def test_chunked_batch_matches_per_snapshot_calls(self, copy_through):
+        rng = np.random.default_rng(29)
+        model = model_from_latents(rng.standard_normal((30, 4, 4)))
+        mask = MaskSpec((1, 3), 4)
+        z = rng.standard_normal((2 * _PREDICT_CHUNK + 1, 4, 4))
+        batch = predict_masked(model, z, mask, copy_through)
+        for t in range(len(z)):
+            single = predict_masked(model, z[t : t + 1], mask, copy_through)
+            np.testing.assert_array_equal(batch[t], single[0])
 
     def test_reproducible_training(self):
         rng = np.random.default_rng(22)
@@ -443,9 +470,7 @@ class TestReconstruct:
         latents = rng.standard_normal((10, 4, 4))
         model = model_from_latents(latents)
         mask = MaskSpec((1, 2), 4)
-        zeroed = np.array(latents, copy=True)
-        zeroed[:, list(mask.masked), :] = 0.0
-        batch = _predict_batch(model, zeroed, mask, True)
+        batch = predict_masked(model, latents, mask)
         for t in range(10):
-            single = predict_masked(model, MaskedLatentSnapshot(zeroed[t], mask))
-            np.testing.assert_array_equal(batch[t], single)
+            single = predict_masked(model, latents[t : t + 1], mask)
+            np.testing.assert_array_equal(batch[t], single[0])

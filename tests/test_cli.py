@@ -238,18 +238,44 @@ class TestMalformedInputs:
         assert run("reconstruct", "--dataset", laminar_path, "--model", trained,
                    "--coverage", 0.25, "--sensors-from", path, "--out-dir", tmp_path / "x") == 3
 
+    def test_non_utf8_power_map_exits_3(self, tmp_path, laminar_path, trained):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("patch_index,value\n0,caf\xe9\n".encode("latin-1"))
+        assert run("reconstruct", "--dataset", laminar_path, "--model", trained,
+                   "--coverage", 0.25, "--sensors-from", path, "--out-dir", tmp_path / "x") == 3
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("reconstruct", ["--snr-db=-inf"]),
+            ("reconstruct", ["--snr-db=-4000"]),
+            ("reconstruct", ["--sensors-from", "power.csv", "--coverage", "nan"]),
+            ("reconstruct", ["--sensors-from", "power.csv", "--coverage", -1]),
+            ("place-sensors", ["--coverage", "nan"]),
+            ("place-sensors", ["--count", 0]),
+        ],
+        ids=["snr-neg-inf", "snr-overflow", "sensors-coverage-nan",
+             "sensors-coverage-negative", "place-coverage-nan", "place-count-zero"],
+    )
+    def test_bad_evaluation_value_exits_2(self, tmp_path, laminar_path, trained, command, extra):
+        assert run("power-map", "--model", trained, "--out-dir", tmp_path) == 0
+        extra = [tmp_path / a if a == "power.csv" else a for a in extra]
+        data = ["--dataset", laminar_path, "--coverage", 0.25] if command == "reconstruct" else []
+        assert run(command, "--model", trained, *data, *extra, "--out-dir", tmp_path / "x") == 2
+
     @pytest.mark.parametrize(
         "manifest",
         [
             [],
             {"command": "power-map", "config": ["--model", "m"]},
             {"command": "power-map", "config": {"model": "m"}},
+            '{"command": "caf\xe9"}'.encode("latin-1"),
         ],
-        ids=["list", "config-list", "no-out-dir"],
+        ids=["list", "config-list", "no-out-dir", "not-utf8"],
     )
     def test_malformed_rerun_manifest_exits_3(self, tmp_path, manifest):
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest))
+        path.write_bytes(manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode())
         assert run("rerun", path, "--out-dir", tmp_path / "x") == 3
 
 
