@@ -13,6 +13,7 @@ exactly zero weight.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -78,8 +79,7 @@ class AttentionModel:
                 raise ValidationError(f"{name} contains NaN or Inf")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.error_floor <= 0.0:
-            raise ValidationError(f"error_floor must be positive, got {self.error_floor}")
+        _check_error_floor(self.error_floor)
         diag = np.arange(n)
         if not np.array_equal(self.value_maps[diag, diag], np.tile(np.eye(e), (n, 1, 1))):
             raise ValidationError("diagonal value maps must be the identity")
@@ -114,9 +114,14 @@ def _resolve_ridge(
     """
     if ridge_lambda is None:
         return RIDGE_SCALE * max(float(np.trace(gram)), energy_floor) / latent_dim
-    if ridge_lambda < 0.0:
-        raise ValidationError(f"ridge_lambda must be nonnegative, got {ridge_lambda}")
+    if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
+        raise ValidationError(f"ridge_lambda must be finite and nonnegative, got {ridge_lambda}")
     return float(ridge_lambda)
+
+
+def _check_error_floor(error_floor: float) -> None:
+    if not (math.isfinite(error_floor) and error_floor > 0.0):
+        raise ValidationError(f"error_floor must be finite and positive, got {error_floor}")
 
 
 def _ridge_solve(gram: np.ndarray, lam: float, rhs: np.ndarray, system: str) -> np.ndarray:
@@ -192,8 +197,7 @@ def fit_attention_tensor(
     zero vector and the confidence ceiling -log(floor) as intercept; they are
     excluded at inference anyway.
     """
-    if error_floor <= 0.0:
-        raise ValidationError(f"error_floor must be positive, got {error_floor}")
+    _check_error_floor(error_floor)
     t, n, e = latent.values.shape
     if pair_errors.shape != (n, n, t):
         raise ValidationError(

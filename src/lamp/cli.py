@@ -1,8 +1,10 @@
 """Command-line interface: datasets, training, inference, baselines, sweeps.
 
-Every command writes a ``manifest.json`` into its output directory recording
-the fully resolved configuration and the file-format versions; ``lamp rerun
-<manifest>`` replays a manifest and reproduces all outputs byte-identically.
+Every command but ``rerun`` writes its outputs into ``--out-dir`` and returns
+their names and its results; :func:`main` then writes ``manifest.json`` there,
+recording the fully resolved configuration and the file-format versions, so a
+failed run leaves no manifest.  ``lamp rerun <manifest>`` replays a manifest
+and reproduces all outputs byte-identically.
 
 Exit codes: 0 success, 2 usage/validation, 3 I/O or file-format, 4 numerical
 failure.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -26,13 +29,14 @@ from .metrics import PowerMap, place_sensors, pred_loss, predictive_power
 from .patches import (
     MaskSpec,
     PatchGrid,
+    SnapshotSet,
     SplitSpec,
     apply_stats,
     denormalize,
-    normalize,
     patchify,
     sensor_count,
     split,
+    split_standardized,
 )
 from .pod import ae_loss
 from .synthetic import CHAOTIC, LAMINAR, ChaoticParams, FlowSpec, LaminarParams
@@ -81,28 +85,8 @@ def _split_spec(args) -> SplitSpec:
     return SplitSpec(args.train_fraction, args.test_fraction, args.gap_fraction)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _config(args, skip=("func", "command")) -> dict:
     return {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _write_run_manifest(args, out: Path, outputs: list[str], results: dict) -> None:
-    payload = {
-        "command": args.command,
-        "config": _config(args),
-        "format_versions": {
-            "dataset": formats.DATASET_FORMAT,
-            "model": formats.MODEL_FORMAT,
-        },
-        "outputs": sorted(outputs),
-        "results": _jsonable(results),
-    }
-    formats.write_manifest(payload, out / "manifest.json")
 
 
 def _load_raw(path: str) -> SnapshotSet:
@@ -111,12 +95,12 @@ def _load_raw(path: str) -> SnapshotSet:
     return denormalize(fields) if fields.norm_stats is not None else fields
 
 
-def _standardized(path: str, split_spec: SplitSpec) -> SnapshotSet:
-    """Dataset in standardized units (stats fitted on the train block)."""
+def _standardized_split(path: str, spec: SplitSpec) -> tuple[SnapshotSet, SnapshotSet]:
+    """(train, test) in standardized units; a file stored standardized keeps its stats."""
     fields = formats.read_dataset(path)
     if fields.norm_stats is not None:
-        return fields
-    return normalize(fields, split_spec.train_range(fields.snapshots))
+        return split(fields, spec)
+    return split_standardized(fields, spec)[:2]
 
 
 def _check_geometry(model, raw: SnapshotSet) -> None:
@@ -127,8 +111,27 @@ def _check_geometry(model, raw: SnapshotSet) -> None:
         )
 
 
+def _check_budget(args, fields: SnapshotSet, patch_size: int, latent_dim: int) -> int:
+    """Model file size at this geometry; more than ``--budget-bytes`` is rejected."""
+    need = formats.model_nbytes(
+        fields.height, fields.width, fields.components, patch_size, latent_dim
+    )
+    if need > args.budget_bytes:
+        raise ValidationError(
+            f"model (P={patch_size}, N_e={latent_dim}) would take {need} bytes, over "
+            f"the budget of {args.budget_bytes}; reduce patch count or latent "
+            "dimension, or raise --budget-bytes"
+        )
+    return need
+
+
 def _eval_input(args, test_raw: SnapshotSet, grid: PatchGrid, stats, power=None):
-    """Mask (placed by power map if given, else random), raw noise variance, noisy input."""
+    """Mask (placed by power map if given, else random), raw noise variance, noisy input.
+
+    The image indices are checked here too, so a bad one fails before any
+    output is written.
+    """
+    formats.check_image_index(test_raw, args.snapshot, args.component)
     if args.sensors_from:
         power = PowerMap(grid, _read_power_values(args.sensors_from, grid.n_patches))
     if power is None:
@@ -173,23 +176,33 @@ def _read_power_values(path: str, n_expected: int) -> np.ndarray:
     return out
 
 
-def _emit_field_images(
-    out: Path, named_fields: dict, snapshot: int, component: int, mask, grid
-) -> tuple[list[str], dict]:
+def _emit_field_images(out: Path, args, named_fields: dict, mask, grid) -> tuple[list[str], dict]:
     files, ranges = [], {}
     for name, fields in named_fields.items():
-        rgb, vmin, vmax = formats.render_field(fields, snapshot, component, mask, grid)
-        fname = f"{name}_c{component}.ppm"
+        rgb, vmin, vmax = formats.render_field(fields, args.snapshot, args.component, mask, grid)
+        fname = f"{name}_c{args.component}.ppm"
         formats.write_ppm(rgb, out / fname)
         files.append(fname)
         ranges[fname] = {"vmin": vmin, "vmax": vmax}
     return files, ranges
 
 
-# Commands ---------------------------------------------------------------------
+def _write_heatmap(values: np.ndarray, scale: int, path: Path) -> tuple[float, float]:
+    """PPM of a value grid, each cell a ``scale``-pixel square; NaN cells take
+    the colour of the minimum.  Returns the (vmin, vmax) of the colour map."""
+    finite = np.isfinite(values)
+    vmin = float(values[finite].min()) if finite.any() else 0.0
+    vmax = float(values[finite].max()) if finite.any() else 0.0
+    rgb = formats.heatmap_rgb(np.where(finite, values, vmin), vmin, vmax)
+    formats.write_ppm(np.repeat(np.repeat(rgb, scale, axis=0), scale, axis=1), path)
+    return vmin, vmax
 
-def cmd_generate(args) -> int:
-    out = _out_dir(args)
+
+# Commands ---------------------------------------------------------------------
+# Each writes its outputs into ``out`` and returns (output names, results).
+
+def cmd_generate(args, out: Path) -> tuple[list[str], dict]:
+    decay = {} if args.decay is None else {"decay": args.decay}
     if args.kind == LAMINAR:
         params = LaminarParams(
             speed=args.speed,
@@ -197,47 +210,27 @@ def cmd_generate(args) -> int:
             envelope_width=args.envelope_width,
             harmonics=args.harmonics,
             amplitude=args.amplitude,
-            decay=args.decay if args.decay is not None else 3.5,
+            **decay,
         )
     else:
-        params = ChaoticParams(
-            modes=args.modes,
-            decay=args.decay if args.decay is not None else 0.5,
-            packet_radius=args.packet_radius,
-        )
+        params = ChaoticParams(modes=args.modes, packet_radius=args.packet_radius, **decay)
     spec = FlowSpec(args.kind, args.height, args.width, args.snapshots, args.seed, params)
     fields = synthetic.generate(spec)
     formats.write_dataset(fields, out / "dataset.lampds")
-    _write_run_manifest(
-        args,
-        out,
-        ["dataset.lampds"],
-        {
-            "geometry": {
-                "height": fields.height,
-                "width": fields.width,
-                "components": fields.components,
-                "snapshots": fields.snapshots,
-            },
-            "signal_power": synthetic.signal_power(fields),
+    return ["dataset.lampds"], {
+        "geometry": {
+            "height": fields.height,
+            "width": fields.width,
+            "components": fields.components,
+            "snapshots": fields.snapshots,
         },
-    )
-    return 0
+        "signal_power": synthetic.signal_power(fields),
+    }
 
 
-def cmd_train(args) -> int:
-    out = _out_dir(args)
-    spec = _split_spec(args)
-    dataset = _standardized(args.dataset, spec)
-    need = formats.model_nbytes(
-        dataset.height, dataset.width, dataset.components, args.patch_size, args.latent_dim
-    )
-    if need > args.budget_bytes:
-        raise ValidationError(
-            f"model would take {need} bytes, over the budget of {args.budget_bytes}; "
-            "reduce patch count or latent dimension, or raise --budget-bytes"
-        )
-    train_set, test_set = split(dataset, spec)
+def cmd_train(args, out: Path) -> tuple[list[str], dict]:
+    train_set, test_set = _standardized_split(args.dataset, _split_spec(args))
+    need = _check_budget(args, train_set, args.patch_size, args.latent_dim)
     model = train_attention_model(
         train_set,
         args.patch_size,
@@ -248,31 +241,23 @@ def cmd_train(args) -> int:
     )
     formats.write_model(model, out / "model.lampmd")
     off_diag = model.pair_losses[~np.eye(model.n_patches, dtype=bool)]
-    _write_run_manifest(
-        args,
-        out,
-        ["model.lampmd"],
-        {
-            "ae_loss_train": ae_loss(model.pod, patchify(train_set, args.patch_size)),
-            "ae_loss_test": ae_loss(model.pod, patchify(test_set, args.patch_size)),
-            "pair_loss": {
-                "min": float(off_diag.min()),
-                "median": float(np.median(off_diag)),
-                "max": float(off_diag.max()),
-            },
-            "model_bytes": need,
+    return ["model.lampmd"], {
+        "ae_loss_train": ae_loss(model.pod, patchify(train_set, args.patch_size)),
+        "ae_loss_test": ae_loss(model.pod, patchify(test_set, args.patch_size)),
+        "pair_loss": {
+            "min": float(off_diag.min()),
+            "median": float(np.median(off_diag)),
+            "max": float(off_diag.max()),
         },
-    )
-    return 0
+        "model_bytes": need,
+    }
 
 
-def cmd_reconstruct(args) -> int:
-    out = _out_dir(args)
-    spec = _split_spec(args)
+def cmd_reconstruct(args, out: Path) -> tuple[list[str], dict]:
     model = formats.read_model(args.model)
     raw = _load_raw(args.dataset)
     _check_geometry(model, raw)
-    _, test_raw = split(raw, spec)
+    _, test_raw = split(raw, _split_spec(args))
     mask, sigma2, test_in = _eval_input(args, test_raw, model.grid, model.norm_stats)
     test_norm = apply_stats(test_raw, model.norm_stats)
     recon = reconstruct(model, test_in, mask, args.copy_through)
@@ -285,29 +270,16 @@ def cmd_reconstruct(args) -> int:
         out / "loss.csv",
     )
     images, ranges = _emit_field_images(
-        out,
-        {"truth": test_norm, "input": test_in, "recon": recon},
-        args.snapshot,
-        args.component,
-        mask,
-        model.grid,
+        out, args, {"truth": test_norm, "input": test_in, "recon": recon}, mask, model.grid
     )
-    _write_run_manifest(
-        args,
-        out,
-        ["recon.lampds", "loss.csv", *images],
-        {
-            "pred_loss_mean": float(np.mean(losses)),
-            "pred_loss_median": float(np.median(losses)),
-            **_eval_results(mask, sigma2, model.norm_stats, ranges),
-        },
-    )
-    return 0
+    return ["recon.lampds", "loss.csv", *images], {
+        "pred_loss_mean": float(np.mean(losses)),
+        "pred_loss_median": float(np.median(losses)),
+        **_eval_results(mask, sigma2, model.norm_stats, ranges),
+    }
 
 
-def cmd_sweep(args) -> int:
-    out = _out_dir(args)
-    spec = _split_spec(args)
+def cmd_sweep(args, out: Path) -> tuple[list[str], dict]:
     raw = _load_raw(args.dataset)
     axes = metrics.SweepAxes(
         patch_sizes=_int_list(args.patch_size),
@@ -316,75 +288,35 @@ def cmd_sweep(args) -> int:
         coverages=_float_list(args.coverage),
     )
     for p in axes.patch_sizes:
+        try:
+            PatchGrid(raw.height, raw.width, raw.components, p)
+        except ValidationError:
+            continue  # run_sweep records these cells as skipped
         for ne in axes.latent_dims:
-            try:
-                need = formats.model_nbytes(raw.height, raw.width, raw.components, p, ne)
-            except ValidationError:
-                continue
-            if need > args.budget_bytes:
-                raise ValidationError(
-                    f"cell (P={p}, N_e={ne}) would take {need} bytes, over the "
-                    f"budget of {args.budget_bytes}"
-                )
+            _check_budget(args, raw, p, ne)
     result = metrics.run_sweep(
         raw,
         axes,
         n_arrangements=args.arrangements,
         seed=args.seed,
-        split_spec=spec,
+        split_spec=_split_spec(args),
         ridge_lambda=args.ridge_lambda,
         error_floor=args.error_floor,
         use_intercept=args.use_intercept,
         copy_through=args.copy_through,
     )
-    rows = [
-        [
-            c.patch_size,
-            c.latent_dim,
-            c.snr_db,
-            c.coverage,
-            c.median_pred_loss,
-            c.ae_loss,
-            c.noise_variance,
-            c.n_arrangements,
-            c.seed,
-        ]
-        for c in result.cells
-    ]
+    # SweepCell's first four fields are its coordinates, its last the skip reason.
+    columns = [f.name for f in dataclasses.fields(metrics.SweepCell)][:-1]
     formats.write_csv(
-        [
-            "patch_size",
-            "latent_dim",
-            "snr_db",
-            "coverage",
-            "median_pred_loss",
-            "ae_loss",
-            "noise_variance",
-            "n_arrangements",
-            "seed",
-        ],
-        rows,
-        out / "sweep.csv",
+        columns, [[getattr(c, k) for k in columns] for c in result.cells], out / "sweep.csv"
     )
-    images = _emit_sweep_heatmaps(out, result)
     skipped = [
-        {
-            "patch_size": c.patch_size,
-            "latent_dim": c.latent_dim,
-            "snr_db": c.snr_db,
-            "coverage": c.coverage,
-            "reason": c.skip_reason,
-        }
+        {**{k: getattr(c, k) for k in columns[:4]}, "reason": c.skip_reason}
         for c in result.cells
         if c.skip_reason
     ]
-    _write_run_manifest(
-        args,
-        out,
-        ["sweep.csv", *images],
-        {"cells": len(result.cells), "skipped": skipped},
-    )
-    return 0
+    images = _emit_sweep_heatmaps(out, result)
+    return ["sweep.csv", *images], {"cells": len(result.cells), "skipped": skipped}
 
 
 def _emit_sweep_heatmaps(out: Path, result: metrics.SweepResult, scale: int = 16) -> list[str]:
@@ -399,19 +331,13 @@ def _emit_sweep_heatmaps(out: Path, result: metrics.SweepResult, scale: int = 16
                     c = result.cell(p, ne, snr, cov)
                     if c.median_pred_loss is not None:
                         cells[i, j] = math.log10(max(c.median_pred_loss, 1e-300))
-            finite = np.isfinite(cells)
-            vmin = float(cells[finite].min()) if finite.any() else 0.0
-            vmax = float(cells[finite].max()) if finite.any() else 0.0
-            rgb = formats.heatmap_rgb(np.where(finite, cells, vmin), vmin, vmax)
-            rgb = np.repeat(np.repeat(rgb, scale, axis=0), scale, axis=1)
             name = f"sweep_snr{snr:g}_cov{cov:g}.ppm"
-            formats.write_ppm(rgb, out / name)
+            _write_heatmap(cells, scale, out / name)
             files.append(name)
     return files
 
 
-def cmd_power_map(args) -> int:
-    out = _out_dir(args)
+def cmd_power_map(args, out: Path) -> tuple[list[str], dict]:
     model = formats.read_model(args.model)
     power = predictive_power(model)
     grid = model.grid
@@ -420,22 +346,11 @@ def cmd_power_map(args) -> int:
         for i in range(grid.n_patches)
     ]
     formats.write_csv(["patch_index", "row", "col", "value"], rows, out / "power.csv")
-    tile = power.as_grid()
-    vmin, vmax = float(tile.min()), float(tile.max())
-    rgb = formats.heatmap_rgb(tile, vmin, vmax)
-    rgb = np.repeat(np.repeat(rgb, grid.patch_size, axis=0), grid.patch_size, axis=1)
-    formats.write_ppm(rgb, out / "power.ppm")
-    _write_run_manifest(
-        args,
-        out,
-        ["power.csv", "power.ppm"],
-        {"vmin": vmin, "vmax": vmax},
-    )
-    return 0
+    vmin, vmax = _write_heatmap(power.as_grid(), grid.patch_size, out / "power.ppm")
+    return ["power.csv", "power.ppm"], {"vmin": vmin, "vmax": vmax}
 
 
-def cmd_place_sensors(args) -> int:
-    out = _out_dir(args)
+def cmd_place_sensors(args, out: Path) -> tuple[list[str], dict]:
     model = formats.read_model(args.model)
     power = predictive_power(model)
     count = args.count if args.count is not None else sensor_count(model.n_patches, args.coverage)
@@ -448,62 +363,39 @@ def cmd_place_sensors(args) -> int:
         },
         out / "sensors.json",
     )
-    _write_run_manifest(
-        args, out, ["sensors.json"], {"unmasked": list(mask.unmasked)}
-    )
-    return 0
+    return ["sensors.json"], {"unmasked": list(mask.unmasked)}
 
 
-def cmd_gappy(args) -> int:
-    out = _out_dir(args)
-    spec = _split_spec(args)
+def cmd_gappy(args, out: Path) -> tuple[list[str], dict]:
     raw = _load_raw(args.dataset)
     grid = PatchGrid(raw.height, raw.width, raw.components, args.patch_size)
-    normalized = normalize(raw, spec.train_range(raw.snapshots))
-    stats = normalized.norm_stats
-    train_norm, test_norm = split(normalized, spec)
-    _, test_raw = split(raw, spec)
-    model = fit_gappy(train_norm, args.rank)
+    train_norm, test_norm, test_raw = split_standardized(raw, _split_spec(args))
+    stats = train_norm.norm_stats
     mask, sigma2, test_in = _eval_input(args, test_raw, grid, stats)
+    model = fit_gappy(train_norm, args.rank)
     recon = reconstruct_gappy(model, test_in, mask, grid, args.ridge_lambda)
     loss = pred_loss(recon, test_norm)
     formats.write_csv(["rank", "coverage", "snr_db", "pred_loss"],
                       [[args.rank, args.coverage, float(args.snr_db), loss]], out / "loss.csv")
     images, ranges = _emit_field_images(
-        out,
-        {"truth": test_norm, "input": test_in, "gappy": recon},
-        args.snapshot,
-        args.component,
-        mask,
-        grid,
+        out, args, {"truth": test_norm, "input": test_in, "gappy": recon}, mask, grid
     )
-    _write_run_manifest(
-        args,
-        out,
-        ["loss.csv", *images],
-        {
-            "pred_loss": loss,
-            **_eval_results(mask, sigma2, stats, ranges),
-        },
-    )
-    return 0
+    return ["loss.csv", *images], {
+        "pred_loss": loss,
+        **_eval_results(mask, sigma2, stats, ranges),
+    }
 
 
-def cmd_compare(args) -> int:
-    out = _out_dir(args)
-    spec = _split_spec(args)
+def cmd_compare(args, out: Path) -> tuple[list[str], dict]:
     model = formats.read_model(args.model)
     raw = _load_raw(args.dataset)
     _check_geometry(model, raw)
-    grid = model.grid
-    stats = model.norm_stats
-    train_raw, test_raw = split(raw, spec)
-    train_norm = apply_stats(train_raw, stats)
-    test_norm = apply_stats(test_raw, stats)
-    rank = args.rank if args.rank is not None else model.latent_dim
-    baseline = fit_gappy(train_norm, rank)
+    grid, stats = model.grid, model.norm_stats
+    train_norm, test_norm, test_raw = split_standardized(raw, _split_spec(args), stats)
     power = predictive_power(model) if args.sensors_from is None and args.place_sensors else None
     mask, sigma2, test_in = _eval_input(args, test_raw, grid, stats, power)
+    rank = args.rank if args.rank is not None else model.latent_dim
+    baseline = fit_gappy(train_norm, rank)
     lamp_recon = reconstruct(model, test_in, mask, args.copy_through)
     gappy_recon = reconstruct_gappy(baseline, test_in, mask, grid, args.ridge_lambda)
     lamp_loss = pred_loss(lamp_recon, test_norm)
@@ -516,25 +408,18 @@ def cmd_compare(args) -> int:
     )
     images, ranges = _emit_field_images(
         out,
+        args,
         {"truth": test_norm, "input": test_in, "lamp": lamp_recon, "gappy": gappy_recon},
-        args.snapshot,
-        args.component,
         mask,
         grid,
     )
-    _write_run_manifest(
-        args,
-        out,
-        ["compare.csv", *images],
-        {
-            "lamp_pred_loss": lamp_loss,
-            "gappy_pred_loss": gappy_loss,
-            "ratio": ratio,
-            "rank": rank,
-            **_eval_results(mask, sigma2, stats, ranges),
-        },
-    )
-    return 0
+    return ["compare.csv", *images], {
+        "lamp_pred_loss": lamp_loss,
+        "gappy_pred_loss": gappy_loss,
+        "ratio": ratio,
+        "rank": rank,
+        **_eval_results(mask, sigma2, stats, ranges),
+    }
 
 
 def cmd_rerun(args) -> int:
@@ -720,7 +605,23 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        if args.command == "rerun":
+            return cmd_rerun(args)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        outputs, results = args.func(args, out)
+        payload = {
+            "command": args.command,
+            "config": _config(args),
+            "format_versions": {
+                "dataset": formats.DATASET_FORMAT,
+                "model": formats.MODEL_FORMAT,
+            },
+            "outputs": sorted(outputs),
+            "results": _jsonable(results),
+        }
+        formats.write_manifest(payload, out / "manifest.json")
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

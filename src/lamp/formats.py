@@ -272,6 +272,14 @@ def write_ppm(rgb: np.ndarray, path: str | Path) -> None:
     atomic_write_bytes(path, ppm_bytes(rgb))
 
 
+def check_image_index(fields: SnapshotSet, snapshot: int, component: int) -> None:
+    """Reject a snapshot or component index that :func:`render_field` cannot draw."""
+    if not 0 <= snapshot < fields.snapshots:
+        raise ValidationError(f"snapshot index {snapshot} out of range")
+    if not 0 <= component < fields.components:
+        raise ValidationError(f"component index {component} out of range")
+
+
 def render_field(
     fields: SnapshotSet,
     snapshot: int,
@@ -280,10 +288,7 @@ def render_field(
     grid: PatchGrid | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """Heatmap of one component of one snapshot; returns (rgb, vmin, vmax)."""
-    if not 0 <= snapshot < fields.snapshots:
-        raise ValidationError(f"snapshot index {snapshot} out of range")
-    if not 0 <= component < fields.components:
-        raise ValidationError(f"component index {component} out of range")
+    check_image_index(fields, snapshot, component)
     plane = fields.data[snapshot, :, :, component]
     vmin, vmax = float(plane.min()), float(plane.max())
     rgb = heatmap_rgb(plane, vmin, vmax)

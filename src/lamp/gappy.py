@@ -9,6 +9,7 @@ everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +108,8 @@ def reconstruct_gappy(
     gram = phi.T @ phi
     if ridge_lambda is None:
         lam = GAPPY_RIDGE_SCALE * float(np.trace(gram)) / model.rank
-    elif ridge_lambda < 0.0:
-        raise ValidationError(f"ridge_lambda must be nonnegative, got {ridge_lambda}")
+    elif not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
+        raise ValidationError(f"ridge_lambda must be finite and nonnegative, got {ridge_lambda}")
     else:
         lam = float(ridge_lambda)
     try:

@@ -7,6 +7,7 @@ configurations.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -22,9 +23,8 @@ from .patches import (
     SnapshotSet,
     SplitSpec,
     apply_stats,
-    normalize,
     patchify,
-    split,
+    split_standardized,
 )
 from .pod import ae_loss
 from .synthetic import add_noise_fixed, noise_sigma2
@@ -138,7 +138,11 @@ class SweepAxes:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One (P, N_e, SNR, coverage) combination of a sweep."""
+    """One (P, N_e, SNR, coverage) combination of a sweep.
+
+    The first four fields are the cell's coordinates; a skipped cell has
+    ``skip_reason`` set and None in place of its three measured values.
+    """
 
     patch_size: int
     latent_dim: int
@@ -208,84 +212,52 @@ def run_sweep(
     """
     if dataset.norm_stats is not None:
         raise ValidationError("run_sweep expects an unnormalized dataset")
-    t = dataset.snapshots
-    normalized = normalize(dataset, split_spec.train_range(t))
-    stats = normalized.norm_stats
-    train_norm, test_norm = split(normalized, split_spec)
-    _, test_raw = split(dataset, split_spec)
+    if n_arrangements < 1:
+        raise ValidationError(f"n_arrangements must be at least 1, got {n_arrangements}")
+    train_norm, test_norm, test_raw = split_standardized(dataset, split_spec)
+    stats = train_norm.norm_stats
 
     cells: list[SweepCell] = []
-    for p in axes.patch_sizes:
+    for p, ne in itertools.product(axes.patch_sizes, axes.latent_dims):
         try:
-            grid = PatchGrid(dataset.height, dataset.width, dataset.components, p)
-        except ValidationError as exc:
-            for ne in axes.latent_dims:
-                cells.extend(_skipped(axes, p, ne, str(exc), n_arrangements, seed))
-            continue
-        test_series = patchify(test_norm, p)
-        for ne in axes.latent_dims:
-            try:
-                model = train_attention_model(
-                    train_norm,
-                    p,
-                    ne,
-                    ridge_lambda=ridge_lambda,
-                    error_floor=error_floor,
-                    use_intercept=use_intercept,
-                )
-            except ValidationError as exc:
-                cells.extend(_skipped(axes, p, ne, str(exc), n_arrangements, seed))
-                continue
-            floor = ae_loss(model.pod, test_series)
-            for snr in axes.snr_dbs:
-                sigma2 = noise_sigma2(test_raw, snr)
-                noise_var = noise_variance_normalized(sigma2, stats)
-                for cov in axes.coverages:
-                    losses = []
-                    for arr_idx in range(n_arrangements):
-                        mask_seed = derive_seed(seed, 0, p, int(round(cov * 1e9)), arr_idx)
-                        mask = MaskSpec.random(grid.n_patches, cov, mask_seed)
-                        if math.isinf(snr):
-                            test_in = test_norm
-                        else:
-                            noise_seed = derive_seed(
-                                seed, 1, p, int(round(cov * 1e9)), arr_idx, _float_key(snr)
-                            )
-                            test_in = noisy_test_input(
-                                test_raw, mask, sigma2, noise_seed, grid, stats
-                            )
-                        recon = reconstruct(model, test_in, mask, copy_through)
-                        losses.append(pred_loss(recon, test_norm))
-                    cells.append(
-                        SweepCell(
-                            patch_size=p,
-                            latent_dim=ne,
-                            snr_db=snr,
-                            coverage=cov,
-                            median_pred_loss=float(np.median(losses)),
-                            ae_loss=floor,
-                            noise_variance=noise_var,
-                            n_arrangements=n_arrangements,
-                            seed=seed,
-                        )
-                    )
-    return SweepResult(axes=axes, n_arrangements=n_arrangements, seed=seed, cells=tuple(cells))
-
-
-def _skipped(
-    axes: SweepAxes, p: int, ne: int, reason: str, n_arrangements: int, seed: int
-):
-    for snr in axes.snr_dbs:
-        for cov in axes.coverages:
-            yield SweepCell(
-                patch_size=p,
-                latent_dim=ne,
-                snr_db=snr,
-                coverage=cov,
-                median_pred_loss=None,
-                ae_loss=None,
-                noise_variance=None,
-                n_arrangements=n_arrangements,
-                seed=seed,
-                skip_reason=reason,
+            model = train_attention_model(
+                train_norm,
+                p,
+                ne,
+                ridge_lambda=ridge_lambda,
+                error_floor=error_floor,
+                use_intercept=use_intercept,
             )
+        except ValidationError as exc:
+            cells.extend(
+                SweepCell(p, ne, snr, cov, None, None, None, n_arrangements, seed, str(exc))
+                for snr, cov in itertools.product(axes.snr_dbs, axes.coverages)
+            )
+            continue
+        floor = ae_loss(model.pod, patchify(test_norm, p))
+        for snr in axes.snr_dbs:
+            sigma2 = noise_sigma2(test_raw, snr)
+            noise_var = noise_variance_normalized(sigma2, stats)
+            for cov in axes.coverages:
+                losses = []
+                for arr_idx in range(n_arrangements):
+                    mask_seed = derive_seed(seed, 0, p, int(round(cov * 1e9)), arr_idx)
+                    mask = MaskSpec.random(model.n_patches, cov, mask_seed)
+                    if math.isinf(snr):
+                        test_in = test_norm
+                    else:
+                        noise_seed = derive_seed(
+                            seed, 1, p, int(round(cov * 1e9)), arr_idx, _float_key(snr)
+                        )
+                        test_in = noisy_test_input(
+                            test_raw, mask, sigma2, noise_seed, model.grid, stats
+                        )
+                    recon = reconstruct(model, test_in, mask, copy_through)
+                    losses.append(pred_loss(recon, test_norm))
+                cells.append(
+                    SweepCell(
+                        p, ne, snr, cov, float(np.median(losses)), floor, noise_var,
+                        n_arrangements, seed,
+                    )
+                )
+    return SweepResult(axes=axes, n_arrangements=n_arrangements, seed=seed, cells=tuple(cells))

@@ -12,6 +12,7 @@ fastest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,8 +224,8 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_fraction, self.test_fraction, self.gap_fraction)
-        if any(f < 0 for f in fracs):
-            raise ValidationError(f"split fractions must be nonnegative: {fracs}")
+        if not all(math.isfinite(f) and f >= 0 for f in fracs):
+            raise ValidationError(f"split fractions must be finite and nonnegative: {fracs}")
         if sum(fracs) > 1.0 + 1e-12:
             raise ValidationError(f"split fractions sum to more than 1: {fracs}")
 
@@ -311,3 +312,20 @@ def split(fields: SnapshotSet, spec: SplitSpec = SplitSpec()) -> tuple[SnapshotS
     train = SnapshotSet(fields.data[train_idx.start : train_idx.stop], fields.norm_stats)
     test = SnapshotSet(fields.data[test_idx.start : test_idx.stop], fields.norm_stats)
     return train, test
+
+
+def split_standardized(
+    raw: SnapshotSet, spec: SplitSpec, stats: NormStats | None = None
+) -> tuple[SnapshotSet, SnapshotSet, SnapshotSet]:
+    """Split raw fields and standardize both blocks: (train_norm, test_norm, test_raw).
+
+    Without ``stats`` they are fitted on the train block (:func:`normalize`);
+    given ``stats`` are applied frozen.  ``test_raw`` is the raw test block
+    that noisy evaluation inputs are drawn from.
+    """
+    train_raw, test_raw = split(raw, spec)
+    if stats is None:
+        train_norm = normalize(train_raw, range(train_raw.snapshots))
+    else:
+        train_norm = apply_stats(train_raw, stats)
+    return train_norm, apply_stats(test_raw, train_norm.norm_stats), test_raw

@@ -288,6 +288,13 @@ class TestFitAttentionTensor:
         with pytest.raises(ValidationError, match="error_floor"):
             fit_attention_tensor(LatentSeries(latents), np.ones((2, 2, 10)), error_floor=0.0)
 
+    @pytest.mark.parametrize("kwargs", [{"error_floor": np.nan}, {"error_floor": np.inf},
+                                        {"ridge_lambda": np.nan}, {"ridge_lambda": np.inf}])
+    def test_non_finite_floor_or_ridge_rejected(self, kwargs):
+        latents = np.random.default_rng(14).standard_normal((10, 2, 2))
+        with pytest.raises(ValidationError, match="finite"):
+            fit_attention_tensor(LatentSeries(latents), np.ones((2, 2, 10)), **kwargs)
+
 
 class TestPredictMasked:
     def test_single_candidate_is_pair_prediction(self):

@@ -57,6 +57,17 @@ class TestGenerate:
         assert run(*args, "--out-dir", tmp_path / "b") == 0
         assert (tmp_path / "a/dataset.lampds").read_bytes() == (tmp_path / "b/dataset.lampds").read_bytes()
 
+    @pytest.mark.parametrize("kind, decay",
+                             [("laminar-surrogate", 3.5), ("chaotic-surrogate", 0.5)])
+    def test_decay_defaults_come_from_params(self, tmp_path, kind, decay):
+        args = ["generate", "--kind", kind, "--height", 16, "--width", 16, "--snapshots", 4]
+        assert run(*args, "--out-dir", tmp_path / "default") == 0
+        assert run(*args, "--decay", decay, "--out-dir", tmp_path / "explicit") == 0
+        default = (tmp_path / "default/dataset.lampds").read_bytes()
+        assert default == (tmp_path / "explicit/dataset.lampds").read_bytes()
+        manifest = json.loads((tmp_path / "default/manifest.json").read_text())
+        assert manifest["config"]["decay"] is None
+
 
 class TestTrain:
     def test_model_reloads_and_is_byte_stable(self, tmp_path, laminar_path):
@@ -213,6 +224,43 @@ class TestCompare:
             assert ppm.read_bytes() == (out2 / ppm.name).read_bytes()
 
 
+class TestRunSkeleton:
+    """Every command lists exactly what it wrote, and rerun reproduces it."""
+
+    @pytest.mark.parametrize(
+        "command",
+        ["generate", "train", "reconstruct", "sweep", "power-map", "place-sensors",
+         "gappy", "compare"],
+    )
+    def test_outputs_listed_and_rerun_byte_identical(self, tmp_path, laminar_path, trained,
+                                                     command):
+        argv = {
+            "generate": ["--height", 16, "--width", 16, "--snapshots", 12],
+            "train": ["--dataset", laminar_path, "--patch-size", 8, "--latent-dim", 4],
+            "reconstruct": ["--dataset", laminar_path, "--model", trained, "--coverage", 0.25,
+                            "--snr-db", 20],
+            "sweep": ["--dataset", laminar_path, "--patch-size", "5,16", "--latent-dim", 2,
+                      "--snr-db", "inf,20", "--arrangements", 2],
+            "power-map": ["--model", trained],
+            "place-sensors": ["--model", trained, "--coverage", 0.25],
+            "gappy": ["--dataset", laminar_path, "--patch-size", 8, "--rank", 4,
+                      "--coverage", 0.5, "--snr-db", 30],
+            "compare": ["--dataset", laminar_path, "--model", trained, "--coverage", 0.25,
+                        "--place-sensors"],
+        }[command]
+        out, again = tmp_path / "run", tmp_path / "rerun"
+        assert run(command, *argv, "--out-dir", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert manifest["outputs"] == written
+        assert run("rerun", out / "manifest.json", "--out-dir", again) == 0
+        assert sorted(p.name for p in again.iterdir()) == sorted([*written, "manifest.json"])
+        for name in written:
+            assert (out / name).read_bytes() == (again / name).read_bytes(), name
+        replay = json.loads((again / "manifest.json").read_text())
+        assert replay["results"] == manifest["results"]
+
+
 class TestMalformedInputs:
     def test_model_header_larger_than_file_exits_3(self, tmp_path, laminar_path, capsys):
         model = tmp_path / "huge.lampmd"
@@ -262,6 +310,52 @@ class TestMalformedInputs:
         extra = [tmp_path / a if a == "power.csv" else a for a in extra]
         data = ["--dataset", laminar_path, "--coverage", 0.25] if command == "reconstruct" else []
         assert run(command, "--model", trained, *data, *extra, "--out-dir", tmp_path / "x") == 2
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("train", ["--ridge-lambda", "nan"]),
+            ("train", ["--ridge-lambda", "inf"]),
+            ("train", ["--error-floor", "nan"]),
+            ("train", ["--error-floor", "inf"]),
+            ("train", ["--train-fraction", "nan"]),
+            ("gappy", ["--ridge-lambda", "nan"]),
+            ("gappy", ["--ridge-lambda", "inf"]),
+            ("gappy", ["--test-fraction", "nan"]),
+            ("compare", ["--ridge-lambda", "nan"]),
+            ("compare", ["--train-fraction", "nan"]),
+        ],
+        ids=["train-ridge-nan", "train-ridge-inf", "train-floor-nan", "train-floor-inf",
+             "train-fraction-nan", "gappy-ridge-nan", "gappy-ridge-inf", "gappy-fraction-nan",
+             "compare-ridge-nan", "compare-fraction-nan"],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, laminar_path, trained, command, extra):
+        base = {
+            "train": ["--patch-size", 8, "--latent-dim", 4],
+            "gappy": ["--patch-size", 8, "--rank", 4, "--coverage", 0.5],
+            "compare": ["--model", trained, "--coverage", 0.5],
+        }[command]
+        out = tmp_path / "x"
+        assert run(command, "--dataset", laminar_path, *base, *extra, "--out-dir", out) == 2
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("arrangements", [0, -3])
+    def test_no_arrangements_exits_2(self, tmp_path, laminar_path, arrangements):
+        out = tmp_path / "sweep"
+        assert run("sweep", "--dataset", laminar_path, "--patch-size", 8, "--latent-dim", 2,
+                   "--arrangements", arrangements, "--out-dir", out) == 2
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("index", [["--snapshot", 999], ["--snapshot", -1], ["--component", 5]],
+                             ids=["snapshot-999", "snapshot-negative", "component-5"])
+    @pytest.mark.parametrize("command", ["reconstruct", "gappy", "compare"])
+    def test_bad_image_index_leaves_no_outputs(self, tmp_path, laminar_path, trained, command,
+                                               index):
+        model = ["--patch-size", 8, "--rank", 4] if command == "gappy" else ["--model", trained]
+        out = tmp_path / "x"
+        assert run(command, "--dataset", laminar_path, *model, "--coverage", 0.25, *index,
+                   "--out-dir", out) == 2
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "manifest",

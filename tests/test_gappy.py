@@ -105,6 +105,14 @@ class TestReconstructGappy:
         with pytest.raises(ValidationError, match="smaller rank"):
             reconstruct_gappy(model, train, MaskSpec((0,), grid.n_patches), grid)
 
+    @pytest.mark.parametrize("ridge_lambda", [np.nan, np.inf, -1.0])
+    def test_bad_ridge_rejected(self, ridge_lambda):
+        train = SnapshotSet(np.random.default_rng(8).standard_normal((40, 8, 8, 1)))
+        model = fit_gappy(train, 2)
+        grid = PatchGrid(8, 8, 1, 4)
+        with pytest.raises(ValidationError, match="ridge_lambda"):
+            reconstruct_gappy(model, train, MaskSpec((0, 1), grid.n_patches), grid, ridge_lambda)
+
     def test_geometry_mismatch_rejected(self):
         rng = np.random.default_rng(9)
         model = fit_gappy(SnapshotSet(rng.standard_normal((6, 4, 4, 1))), 2)

@@ -195,6 +195,12 @@ class TestRunSweep:
         bad = result.cell(16, 10_000, math.inf, 0.5)
         assert bad.skip_reason is not None
 
+    @pytest.mark.parametrize("n_arrangements", [0, -3])
+    def test_no_arrangements_rejected(self, laminar_fields, n_arrangements):
+        axes = SweepAxes(patch_sizes=(16,), latent_dims=(4,))
+        with pytest.raises(ValidationError, match="n_arrangements"):
+            run_sweep(laminar_fields, axes, n_arrangements=n_arrangements)
+
     def test_normalized_input_rejected(self, laminar_fields):
         from lamp import normalize
 

@@ -11,7 +11,7 @@ from lamp import (
     split,
     unpatchify,
 )
-from lamp.patches import PatchedSeries, PatchGrid
+from lamp.patches import NormStats, PatchedSeries, PatchGrid, split_standardized
 
 
 def rand_fields(rng, t, h, w, c):
@@ -178,3 +178,30 @@ class TestSplit:
             SplitSpec(-0.1, 0.5, 0.0)
         with pytest.raises(ValidationError, match="more than 1"):
             SplitSpec(0.8, 0.3, 0.05)
+
+    @pytest.mark.parametrize("fracs", [(np.nan, 0.2, 0.05), (0.75, np.nan, 0.05),
+                                       (0.75, 0.2, np.nan), (0.75, 0.2, -np.inf)])
+    def test_non_finite_fraction_rejected(self, fracs):
+        with pytest.raises(ValidationError, match="finite"):
+            SplitSpec(*fracs)
+
+
+class TestSplitStandardized:
+    def test_matches_normalize_then_split_bitwise(self):
+        raw = rand_fields(np.random.default_rng(20), 41, 4, 4, 2)
+        spec = SplitSpec(0.6, 0.3, 0.1)
+        train_norm, test_norm, test_raw = split_standardized(raw, spec)
+        want_train, want_test = split(normalize(raw, spec.train_range(raw.snapshots)), spec)
+        np.testing.assert_array_equal(train_norm.data, want_train.data)
+        np.testing.assert_array_equal(test_norm.data, want_test.data)
+        np.testing.assert_array_equal(train_norm.norm_stats.std, want_train.norm_stats.std)
+        assert test_norm.norm_stats is train_norm.norm_stats
+        np.testing.assert_array_equal(test_raw.data, split(raw, spec)[1].data)
+        assert test_raw.norm_stats is None
+
+    def test_given_stats_applied_frozen(self):
+        raw = rand_fields(np.random.default_rng(21), 20, 2, 2, 1)
+        stats = NormStats(np.array([3.0]), np.array([2.0]))
+        train_norm, test_norm, test_raw = split_standardized(raw, SplitSpec(), stats)
+        assert train_norm.norm_stats is stats and test_norm.norm_stats is stats
+        np.testing.assert_array_equal(test_norm.data, (test_raw.data - 3.0) / 2.0)
