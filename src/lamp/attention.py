@@ -167,6 +167,8 @@ def fit_value_tensor(
     value_maps = np.empty((n, n, e, e))
     pair_errors = np.empty((n, n, t))
     eye = np.eye(e)
+    z_t = np.ascontiguousarray(latent.values.reshape(t, n * e).T)  # (N*e, T)
+    resid = np.empty((n * e, t))     # reused: pair residuals of one source
     for src in range(n):
         lam = _resolve_ridge(grams[src, src], e, ridge_lambda, mean_energy)
         rhs = grams[:, src].transpose(2, 0, 1).reshape(e, n * e)  # G_mn^T stacked
@@ -175,9 +177,12 @@ def fit_value_tensor(
         )
         value_maps[:, src] = sol.reshape(e, n, e).transpose(1, 2, 0)
         value_maps[src, src] = eye
-        preds = np.einsum("mef,tf->tme", value_maps[:, src], latent.values[:, src, :])
-        diff = preds - latent.values
-        pair_errors[:, src, :] = np.sum(diff * diff, axis=2).T
+        # Row m*e + i of resid is prediction minus truth for component i of
+        # target m, over all snapshots: one GEMM for every target at once.
+        np.matmul(value_maps[:, src].reshape(n * e, e), z_t[src * e:(src + 1) * e], out=resid)
+        resid -= z_t
+        np.square(resid, out=resid)
+        np.sum(resid.reshape(n, e, t), axis=1, out=pair_errors[:, src, :])
         pair_errors[src, src, :] = 0.0
     return value_maps, pair_errors
 
@@ -203,13 +208,14 @@ def fit_attention_tensor(
         raise ValidationError(
             f"pair_errors shape {pair_errors.shape} != {(n, n, t)}"
         )
-    targets = -np.log(np.maximum(pair_errors, error_floor))  # (N, N, T)
     mean_energy = float(np.sum(latent.values**2)) / n
     attn_vectors = np.empty((n, n, e))
     attn_intercepts = np.zeros((n, n))
     for src in range(n):
         z = latent.values[:, src, :]          # (T, e)
-        y = targets[:, src, :].T              # (T, N) one column per target m
+        # (T, N) regression targets, one column per target m; built one
+        # source at a time so no second (N, N, T) array exists.
+        y = -np.log(np.maximum(pair_errors[:, src, :], error_floor)).T
         lam = _resolve_ridge(z.T @ z, e, ridge_lambda, mean_energy)
         if use_intercept:
             # An unpenalized intercept is the ridge fit on centred data, with

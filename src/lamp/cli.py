@@ -287,6 +287,12 @@ def cmd_sweep(args, out: Path) -> tuple[list[str], dict]:
         snr_dbs=_float_list(args.snr_db),
         coverages=_float_list(args.coverage),
     )
+    names = [_sweep_heatmap_name(snr, cov) for snr in axes.snr_dbs for cov in axes.coverages]
+    if len(set(names)) < len(names):
+        raise ValidationError(
+            "--snr-db or --coverage values equal to 6 significant digits would "
+            f"share heatmap file names: {names}"
+        )
     for p in axes.patch_sizes:
         try:
             PatchGrid(raw.height, raw.width, raw.components, p)
@@ -319,6 +325,10 @@ def cmd_sweep(args, out: Path) -> tuple[list[str], dict]:
     return ["sweep.csv", *images], {"cells": len(result.cells), "skipped": skipped}
 
 
+def _sweep_heatmap_name(snr: float, cov: float) -> str:
+    return f"sweep_snr{snr:g}_cov{cov:g}.ppm"
+
+
 def _emit_sweep_heatmaps(out: Path, result: metrics.SweepResult, scale: int = 16) -> list[str]:
     """One PPM per (snr, coverage): log10 median loss over the (P, N_e) grid."""
     axes = result.axes
@@ -331,7 +341,7 @@ def _emit_sweep_heatmaps(out: Path, result: metrics.SweepResult, scale: int = 16
                     c = result.cell(p, ne, snr, cov)
                     if c.median_pred_loss is not None:
                         cells[i, j] = math.log10(max(c.median_pred_loss, 1e-300))
-            name = f"sweep_snr{snr:g}_cov{cov:g}.ppm"
+            name = _sweep_heatmap_name(snr, cov)
             _write_heatmap(cells, scale, out / name)
             files.append(name)
     return files

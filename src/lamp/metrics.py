@@ -133,6 +133,8 @@ class SweepAxes:
             vals = tuple(getattr(self, name))
             if not vals:
                 raise ValidationError(f"{name} axis is empty")
+            if len(set(vals)) < len(vals):
+                raise ValidationError(f"{name} axis repeats a value: {vals}")
             object.__setattr__(self, name, vals)
 
 

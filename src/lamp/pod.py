@@ -124,7 +124,10 @@ def encode(model: PatchPodModel, series: PatchedSeries) -> LatentSeries:
         raise ValidationError(
             f"series grid {series.grid} does not match model grid {model.grid}"
         )
-    z = np.einsum("nde,tnd->tne", model.bases, series.values)
+    # One batched GEMM over patches, (N, T, D) @ (N, D, N_e), written through
+    # an (N, T, N_e) view of the (T, N, N_e) result to skip a transposed copy.
+    z = np.empty((series.snapshots, model.grid.n_patches, model.latent_dim))
+    np.matmul(series.values.transpose(1, 0, 2), model.bases, out=z.transpose(1, 0, 2))
     return LatentSeries(z)
 
 
@@ -135,7 +138,9 @@ def decode(model: PatchPodModel, latent: LatentSeries) -> PatchedSeries:
             f"latent shape {latent.values.shape[1:]} does not match model "
             f"(N={model.grid.n_patches}, N_e={model.latent_dim})"
         )
-    x = np.einsum("nde,tne->tnd", model.bases, latent.values)
+    x = np.empty((latent.snapshots, model.grid.n_patches, model.grid.patch_dim))
+    np.matmul(latent.values.transpose(1, 0, 2), model.bases.transpose(0, 2, 1),
+              out=x.transpose(1, 0, 2))
     return PatchedSeries(model.grid, x)
 
 

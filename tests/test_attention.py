@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,24 @@ class TestSoftmaxRow:
             assert abs(masked_softmax(a).sum() - 1.0) < 1e-12
 
 
+def check_value_fit_against_oracle(latents, lam):
+    """Every value map against the explicit-inverse oracle, and every pair
+    error against that pair's residual recomputed pair by pair."""
+    _, n, e = latents.shape
+    value_maps, pair_errors = fit_value_tensor(LatentSeries(latents), lam)
+    for m in range(n):
+        for src in range(n):
+            if m == src:
+                np.testing.assert_array_equal(value_maps[m, src], np.eye(e))
+                continue
+            oracle = value_oracle(latents, m, src, lam)
+            assert np.max(np.abs(value_maps[m, src] - oracle)) < 1e-8
+            resid = latents[:, m, :] - latents[:, src, :] @ value_maps[m, src].T
+            np.testing.assert_allclose(
+                pair_errors[m, src], np.sum(resid**2, axis=1), atol=1e-10
+            )
+
+
 class TestFitValueTensor:
     def test_scalar_hand_case(self):
         # z_n over time (1, 2), z_m = (2, 4): least squares gives W = 2 exactly
@@ -163,21 +183,21 @@ class TestFitValueTensor:
         np.testing.assert_allclose(value_maps[1, 0], np.eye(3), atol=1e-8)
 
     def test_matches_bruteforce_oracle(self):
-        rng = np.random.default_rng(4)
-        latents = rng.standard_normal((50, 4, 3))
-        lam = 1e-6
-        value_maps, pair_errors = fit_value_tensor(LatentSeries(latents), lam)
-        for m in range(4):
-            for n in range(4):
-                if m == n:
-                    np.testing.assert_array_equal(value_maps[m, n], np.eye(3))
-                    continue
-                oracle = value_oracle(latents, m, n, lam)
-                assert np.max(np.abs(value_maps[m, n] - oracle)) < 1e-8
-                resid = latents[:, m, :] - latents[:, n, :] @ value_maps[m, n].T
-                np.testing.assert_allclose(
-                    pair_errors[m, n], np.sum(resid**2, axis=1), atol=1e-10
-                )
+        latents = np.random.default_rng(4).standard_normal((50, 4, 3))
+        check_value_fit_against_oracle(latents, 1e-6)
+
+    @pytest.mark.parametrize("e", [1, 5])
+    def test_matches_oracle_over_many_targets(self, e):
+        # N*e spans many GEMM rows per source, so a mix-up of the
+        # (target, component) row layout of the residuals would show.
+        latents = np.random.default_rng(17).standard_normal((30, 12, e))
+        check_value_fit_against_oracle(latents, 1e-6)
+
+    def test_repeat_fit_bit_identical(self):
+        latents = LatentSeries(np.random.default_rng(15).standard_normal((30, 12, 5)))
+        first, second = fit_value_tensor(latents), fit_value_tensor(latents)
+        np.testing.assert_array_equal(first[0], second[0])
+        np.testing.assert_array_equal(first[1], second[1])
 
     def test_diagonal_identity_and_zero_error(self):
         rng = np.random.default_rng(5)
@@ -272,6 +292,19 @@ class TestFitAttentionTensor:
         w, _ = attention_oracle(latents, targets, 0, 1, lam, use_intercept=False)
         assert np.max(np.abs(vec[0, 1] - w)) < 1e-8
         assert icpt[0, 1] == 0.0
+
+    def test_no_full_size_temporaries(self):
+        # Targets are built one source at a time: the fit's peak allocation,
+        # outputs included, stays far below one (N, N, T) array.
+        latents = LatentSeries(np.random.default_rng(16).standard_normal((40, 32, 2)))
+        _, pair_errors = fit_value_tensor(latents)
+        tracemalloc.start()
+        try:
+            fit_attention_tensor(latents, pair_errors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pair_errors.nbytes / 2
 
     def test_diagonal_sentinel(self):
         rng = np.random.default_rng(13)

@@ -346,6 +346,22 @@ class TestMalformedInputs:
                    "--arrangements", arrangements, "--out-dir", out) == 2
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "axis",
+        [["--patch-size", "8,8"], ["--snr-db", "20,20.0"], ["--snr-db", "20,20.0000001"],
+         ["--coverage", "0.1,0.1000000001"]],
+        ids=["repeated-patch-size", "repeated-snr", "snr-alike-in-names", "coverage-alike-in-names"],
+    )
+    def test_repeated_or_alike_sweep_axis_exits_2(self, tmp_path, laminar_path, axis):
+        # Alike values would write the same heatmap twice and list it twice
+        # in the manifest's outputs, so they are rejected before any output.
+        base = {"--patch-size": 8, "--latent-dim": 2, "--snr-db": "inf", "--coverage": 0.2}
+        base[axis[0]] = axis[1]
+        out = tmp_path / "sweep"
+        assert run("sweep", "--dataset", laminar_path, *[a for kv in base.items() for a in kv],
+                   "--arrangements", 1, "--out-dir", out) == 2
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("index", [["--snapshot", 999], ["--snapshot", -1], ["--component", 5]],
                              ids=["snapshot-999", "snapshot-negative", "component-5"])
     @pytest.mark.parametrize("command", ["reconstruct", "gappy", "compare"])

@@ -201,6 +201,16 @@ class TestRunSweep:
         with pytest.raises(ValidationError, match="n_arrangements"):
             run_sweep(laminar_fields, axes, n_arrangements=n_arrangements)
 
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("patch_sizes", (8, 8)), ("latent_dims", (2, 4, 2)), ("snr_dbs", (20.0, 20.0)),
+         ("coverages", (0.1, 0.1))],
+    )
+    def test_repeated_axis_value_rejected(self, axis, values):
+        kwargs = {"patch_sizes": (8,), "latent_dims": (2,), axis: values}
+        with pytest.raises(ValidationError, match=f"{axis} axis repeats"):
+            SweepAxes(**kwargs)
+
     def test_normalized_input_rejected(self, laminar_fields):
         from lamp import normalize
 
