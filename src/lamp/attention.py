@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dgemm
 
 from .errors import NumericalError, ValidationError
 from .patches import (
@@ -79,6 +80,8 @@ class AttentionModel:
                 raise ValidationError(f"{name} contains NaN or Inf")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if self.ridge_lambda is not None:
+            _check_ridge(self.ridge_lambda)
         _check_error_floor(self.error_floor)
         diag = np.arange(n)
         if not np.array_equal(self.value_maps[diag, diag], np.tile(np.eye(e), (n, 1, 1))):
@@ -114,9 +117,13 @@ def _resolve_ridge(
     """
     if ridge_lambda is None:
         return RIDGE_SCALE * max(float(np.trace(gram)), energy_floor) / latent_dim
+    _check_ridge(ridge_lambda)
+    return float(ridge_lambda)
+
+
+def _check_ridge(ridge_lambda: float) -> None:
     if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
         raise ValidationError(f"ridge_lambda must be finite and nonnegative, got {ridge_lambda}")
-    return float(ridge_lambda)
 
 
 def _check_error_floor(error_floor: float) -> None:
@@ -321,27 +328,46 @@ def predict_masked(
             f"patches {sources.tolist()} have no unmasked prediction sources; "
             "enable copy_through or unmask more patches"
         )
-    z_src = z[:, sources, :]                                       # (T, k, e)
+    # Observed rows laid out per source, (k, T, e): each source's (T, e)
+    # block is contiguous, so the GEMMs below read it without a copy.
+    z_src = np.ascontiguousarray(z[:, sources, :].transpose(1, 0, 2))
     if not np.isfinite(z_src).all():
         raise ValidationError("observed latent rows contain NaN or Inf")
     out = np.zeros(z.shape)
     if copy_through:
-        out[:, sources, :] = z_src
+        out[:, sources, :] = z_src.transpose(1, 0, 2)
     if targets.size == 0:
         return out
-    attn_vectors = model.attn_vectors[:, sources, :]
-    attn_intercepts = model.attn_intercepts[None, :, sources]
-    value_maps = model.value_maps[np.ix_(targets, sources)]        # (R, k, e, e)
-    self_pairs = (slice(None), sources, np.arange(len(sources)))
+    r, k = len(targets), len(sources)
+    pairs = (targets[None, :], sources[:, None])  # (k, R) grid of (target, source)
+    value_maps = model.value_maps[pairs].reshape(k, r * e, e)  # source j: (R*e, e)
+    attn_vectors = model.attn_vectors[pairs]                   # (k, R, e)
+    attn_intercepts = model.attn_intercepts[pairs]             # (k, R)
+    target_row = {int(m): i for i, m in enumerate(targets)}
+    self_pairs = [(j, target_row[int(s)]) for j, s in enumerate(sources) if int(s) in target_row]
     for lo in range(0, len(z), _PREDICT_CHUNK):
-        block = slice(lo, lo + _PREDICT_CHUNK)
-        logits = np.einsum("mke,tke->tmk", attn_vectors, z_src[block]) + attn_intercepts
+        zc = z_src[:, lo : lo + _PREDICT_CHUNK]                     # (k, tc, e)
+        tc = zc.shape[1]
+        # dgemm on transposed (Fortran-ordered) views writes straight into the
+        # C-ordered buffers; unlike np.matmul it never switches to gemv for a
+        # one-row block, so every row rounds the same whatever the chunking.
+        logits = np.empty((k, tc, r))
+        for j in range(k):
+            dgemm(1.0, attn_vectors[j].T, zc[j].T, c=logits[j].T, trans_a=1, overwrite_c=1)
+            logits[j] += attn_intercepts[j]
         if not np.isfinite(logits).all():
             raise NumericalError("non-finite attention logit encountered")
-        logits[self_pairs] = -np.inf
-        weights = masked_softmax(logits[:, targets, :])            # (T, R, k)
-        pair_preds = np.einsum("rkef,tkf->trke", value_maps, z_src[block])
-        out[block, targets, :] = np.einsum("trk,trke->tre", weights, pair_preds)
+        for j, i in self_pairs:
+            logits[j, :, i] = -np.inf
+        weights = masked_softmax(logits.transpose(1, 2, 0))           # (tc, R, k)
+        pred = np.empty((tc, r * e))  # one source's pair predictions, reused
+        blend = np.zeros((tc, r, e))
+        for j in range(k):
+            dgemm(1.0, value_maps[j].T, zc[j].T, c=pred.T, trans_a=1, overwrite_c=1)
+            step = pred.reshape(tc, r, e)
+            step *= weights[:, :, j, None]
+            blend += step
+        out[lo : lo + tc, targets, :] = blend
     return out
 
 

@@ -68,14 +68,25 @@ def _f64_bytes(arr: np.ndarray, order: str = "C") -> bytes:
 
 
 class _Cursor:
-    """Sequential reader over a byte buffer with exhaustion checks."""
+    """Sequential reader over a file's bytes with exhaustion checks.
 
-    def __init__(self, buf: bytes, label: str):
-        self.buf = buf
+    The file is read once into a buffer shifted so that the byte at offset
+    ``f64_offset`` (the first f64 of the format) is 8-byte aligned; every
+    later f64 field then is too, as all fields after it are f64.  ``floats``
+    returns read-only views into that buffer, with no copy.
+    """
+
+    def __init__(self, path: str | Path, f64_offset: int):
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            raw = np.empty(size + 8, np.uint8)
+            shift = -(raw.ctypes.data + f64_offset) % 8
+            size = handle.readinto(memoryview(raw)[shift : shift + size])
+        self.buf = memoryview(raw)[shift : shift + size].toreadonly()
         self.pos = 0
-        self.label = label
+        self.label = str(path)
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         if self.pos + count > len(self.buf):
             raise FormatError(f"{self.label}: truncated file")
         out = self.buf[self.pos : self.pos + count]
@@ -86,7 +97,7 @@ class _Cursor:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(count * 8), dtype="<f8").astype(np.float64)
+        return np.frombuffer(self.take(count * 8), dtype="<f8")
 
     def finish(self) -> None:
         if self.pos != len(self.buf):
@@ -119,8 +130,8 @@ def write_dataset(fields: SnapshotSet, path: str | Path) -> None:
 
 
 def read_dataset(path: str | Path) -> SnapshotSet:
-    cur = _Cursor(Path(path).read_bytes(), str(path))
-    magic = cur.take(8)
+    cur = _Cursor(path, f64_offset=len(DATASET_MAGIC) + 4 * 4 + 1)
+    magic = bytes(cur.take(8))
     if magic != DATASET_MAGIC:
         raise FormatError(f"{path}: unknown magic {magic!r}, expected {DATASET_MAGIC!r}")
     h, w, c, t = cur.unpack("<4I")
@@ -129,13 +140,11 @@ def read_dataset(path: str | Path) -> SnapshotSet:
     (flag,) = cur.unpack("<B")
     if flag not in (0, 1):
         raise FormatError(f"{path}: invalid normalized flag {flag}")
-    stats = None
-    if flag:
-        pairs = cur.floats(2 * c).reshape(c, 2)
-        stats = NormStats(pairs[:, 0], pairs[:, 1])
+    pairs = cur.floats(2 * c).reshape(c, 2) if flag else None
     data = cur.floats(t * h * w * c).reshape(t, h, w, c)
     cur.finish()
     try:
+        stats = None if pairs is None else NormStats(pairs[:, 0], pairs[:, 1])
         return SnapshotSet(data, norm_stats=stats)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -181,8 +190,8 @@ def write_model(model: AttentionModel, path: str | Path) -> None:
 
 
 def read_model(path: str | Path) -> AttentionModel:
-    cur = _Cursor(Path(path).read_bytes(), str(path))
-    magic = cur.take(8)
+    cur = _Cursor(path, f64_offset=len(MODEL_MAGIC) + 5 * 4 + 1)
+    magic = bytes(cur.take(8))
     if magic != MODEL_MAGIC:
         raise FormatError(f"{path}: unknown magic {magic!r}, expected {MODEL_MAGIC!r}")
     h, w, c, p, e = cur.unpack("<5I")
@@ -203,9 +212,7 @@ def read_model(path: str | Path) -> AttentionModel:
         raise FormatError(f"{path}: invalid intercept flag {intercept_flag}")
     ridge, floor = cur.unpack("<2d")
     pairs = cur.floats(2 * c).reshape(c, 2)
-    bases = np.empty((n, d, e))
-    for i in range(n):
-        bases[i] = cur.floats(d * e).reshape((d, e), order="F")
+    bases = cur.floats(n * d * e).reshape(n, e, d).transpose(0, 2, 1)  # column-major blocks
     svals = cur.floats(n * e).reshape(n, e)
     value_maps = cur.floats(n * n * e * e).reshape(n, n, e, e)
     attn_vectors = cur.floats(n * n * e).reshape(n, n, e)

@@ -129,13 +129,28 @@ class SweepAxes:
     coverages: tuple[float, ...] = (0.1,)
 
     def __post_init__(self):
-        for name in ("patch_sizes", "latent_dims", "snr_dbs", "coverages"):
+        # Checked here, before any training: a patch size that does not
+        # divide the field is not an error but a skipped cell (see run_sweep).
+        valid = {
+            "patch_sizes": ("positive integers", _positive_int),
+            "latent_dims": ("positive integers", _positive_int),
+            "snr_dbs": ("finite or +inf", lambda v: math.isfinite(v) or v == math.inf),
+            "coverages": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+        }
+        for name, (rule, ok) in valid.items():
             vals = tuple(getattr(self, name))
             if not vals:
                 raise ValidationError(f"{name} axis is empty")
             if len(set(vals)) < len(vals):
                 raise ValidationError(f"{name} axis repeats a value: {vals}")
+            bad = [v for v in vals if not ok(v)]
+            if bad:
+                raise ValidationError(f"{name} must be {rule}, got {bad}")
             object.__setattr__(self, name, vals)
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,8 @@ class PatchPodModel:
             raise ValidationError(
                 f"singular values shape {svals.shape} != {(n, self.latent_dim)}"
             )
+        if not (np.isfinite(bases).all() and np.isfinite(svals).all()):
+            raise ValidationError("bases or singular values contain NaN or Inf")
         bases.setflags(write=False)
         svals.setflags(write=False)
         object.__setattr__(self, "bases", bases)

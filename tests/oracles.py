@@ -5,6 +5,8 @@ inverses, lstsq on augmented designs, symmetric eigensolver) so that
 agreement with the package is a meaningful check.
 """
 
+import math
+
 import numpy as np
 
 
@@ -40,3 +42,36 @@ def singular_values_by_eigh(mat):
     """Singular values through the dense symmetric eigensolver."""
     vals = np.linalg.eigvalsh(mat @ mat.T)
     return np.sqrt(np.clip(vals[::-1], 0.0, None))
+
+
+def predict_oracle(model, latents, unmasked, copy_through=True):
+    """Masked predict by explicit loops over (snapshot, target, source).
+
+    Each target's weights are a softmax, through ``math.exp``, of the affine
+    confidence logits of its unmasked sources (itself excluded); its
+    prediction is the weighted sum of the sources' value-map predictions.
+    """
+    t_count, n, e = latents.shape
+    sources = sorted(unmasked)
+    z = np.asarray(latents).tolist()
+    vm, av, ai = (model.value_maps.tolist(), model.attn_vectors.tolist(),
+                  model.attn_intercepts.tolist())
+    out = np.zeros((t_count, n, e))
+    for t in range(t_count):
+        for m in range(n):
+            if copy_through and m in sources:
+                out[t, m] = z[t][m]
+                continue
+            cands = [s for s in sources if s != m]
+            logits = [
+                sum(av[m][s][i] * z[t][s][i] for i in range(e)) + ai[m][s]
+                for s in cands
+            ]
+            top = max(logits)
+            weights = [math.exp(v - top) for v in logits]
+            total = sum(weights)
+            for w, s in zip(weights, cands):
+                for i in range(e):
+                    pred = sum(vm[m][s][i][f] * z[t][s][f] for f in range(e))
+                    out[t, m, i] += w / total * pred
+    return out

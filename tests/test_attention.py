@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamp import (
     AttentionModel,
@@ -28,14 +30,12 @@ from lamp.patches import PatchGrid
 from lamp.pod import PatchPodModel
 
 
-from oracles import attention_oracle, value_oracle
+from oracles import attention_oracle, predict_oracle, value_oracle
 
 
 def identity_pod(n_patches, latent_dim):
     """POD model whose bases are identity maps (D == N_e), for direct latent tests."""
-    side = int(round(latent_dim**0.5))
-    assert side * side == latent_dim
-    grid = PatchGrid(side, side * n_patches, 1, side)
+    grid = PatchGrid(1, n_patches, latent_dim, 1)  # one pixel of N_e components per patch
     bases = np.tile(np.eye(latent_dim), (n_patches, 1, 1))
     svals = np.ones((n_patches, latent_dim))
     return PatchPodModel(grid, latent_dim, bases, svals)
@@ -51,7 +51,7 @@ def model_from_latents(latents, ridge_lambda=1e-10, error_floor=1e-12):
     )
     return AttentionModel(
         pod=identity_pod(n, e),
-        norm_stats=NormStats(np.zeros(1), np.ones(1)),
+        norm_stats=NormStats(np.zeros(e), np.ones(e)),
         value_maps=value_maps,
         attn_vectors=attn_vectors,
         attn_intercepts=attn_intercepts,
@@ -59,6 +59,42 @@ def model_from_latents(latents, ridge_lambda=1e-10, error_floor=1e-12):
         ridge_lambda=ridge_lambda,
         error_floor=error_floor,
         use_intercept=True,
+    )
+
+
+def random_model(n, e, seed):
+    """Model with random value and attention tensors, for predict-kernel tests."""
+    rng = np.random.default_rng(seed)
+    value_maps = rng.standard_normal((n, n, e, e))
+    value_maps[np.arange(n), np.arange(n)] = np.eye(e)
+    pair_losses = rng.uniform(0.1, 1.0, (n, n))
+    np.fill_diagonal(pair_losses, 0.0)
+    return AttentionModel(
+        pod=identity_pod(n, e),
+        norm_stats=NormStats(np.zeros(e), np.ones(e)),
+        value_maps=value_maps,
+        attn_vectors=rng.standard_normal((n, n, e)),
+        attn_intercepts=rng.standard_normal((n, n)),
+        pair_losses=pair_losses,
+        ridge_lambda=None,
+        error_floor=1e-12,
+        use_intercept=True,
+    )
+
+
+def relabelled(model, perm):
+    """The same model with patch m renamed perm[m]."""
+    inv = np.argsort(perm)
+    return AttentionModel(
+        pod=model.pod,
+        norm_stats=model.norm_stats,
+        value_maps=model.value_maps[inv][:, inv],
+        attn_vectors=model.attn_vectors[inv][:, inv],
+        attn_intercepts=model.attn_intercepts[inv][:, inv],
+        pair_losses=model.pair_losses[inv][:, inv],
+        ridge_lambda=model.ridge_lambda,
+        error_floor=model.error_floor,
+        use_intercept=model.use_intercept,
     )
 
 
@@ -453,6 +489,56 @@ class TestPredictMasked:
         for t in range(len(z)):
             single = predict_masked(model, z[t : t + 1], mask, copy_through)
             np.testing.assert_array_equal(batch[t], single[0])
+
+    @pytest.mark.parametrize("copy_through", [True, False])
+    @pytest.mark.parametrize("e", [1, 5])
+    def test_matches_loop_oracle(self, e, copy_through):
+        # Three chunks, five sources, random tensors so the weights spread.
+        model = random_model(20, e, seed=30 + e)
+        z = np.random.default_rng(31).standard_normal((2 * _PREDICT_CHUNK + 1, 20, e))
+        mask = MaskSpec((0, 3, 7, 12, 19), 20)
+        want = predict_oracle(model, z, mask.unmasked, copy_through)
+        np.testing.assert_allclose(
+            predict_masked(model, z, mask, copy_through), want,
+            rtol=1e-12, atol=1e-12 * np.max(np.abs(want)),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 9), e=st.integers(1, 3), t=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1), copy_through=st.booleans(), data=st.data(),
+    )
+    def test_relabelling_patches_permutes_rows(self, n, e, t, seed, copy_through, data):
+        # Any relabelling that keeps the observed patches in their order: the
+        # sums over sources run in label order, so reordering them would move
+        # the rounding.
+        unmasked = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n - 1)))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        perm[unmasked] = np.sort(perm[unmasked])
+        model = random_model(n, e, seed)
+        z = np.random.default_rng(seed).standard_normal((t, n, e))
+        out = predict_masked(model, z, MaskSpec(tuple(unmasked), n), copy_through)
+        moved = predict_masked(
+            relabelled(model, perm), z[:, np.argsort(perm)],
+            MaskSpec(tuple(int(perm[s]) for s in unmasked), n), copy_through,
+        )
+        np.testing.assert_array_equal(moved[:, perm], out)
+
+    def test_no_pair_prediction_temporary(self):
+        # One GEMM per source into a reused buffer: the peak allocation stays
+        # below one (T, R, k, e) array holding every pair prediction.
+        n, e = 64, 8
+        model = random_model(n, e, seed=33)
+        mask = MaskSpec(tuple(range(0, n, 2)), n)
+        z = np.random.default_rng(34).standard_normal((_PREDICT_CHUNK, n, e))
+        pair_preds_nbytes = _PREDICT_CHUNK * len(mask.masked) * len(mask.unmasked) * e * 8
+        tracemalloc.start()
+        try:
+            predict_masked(model, z, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pair_preds_nbytes
 
     def test_reproducible_training(self):
         rng = np.random.default_rng(22)

@@ -5,9 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from lamp import FlowSpec, SnapshotSet, generate, read_model, write_dataset
+from lamp import (
+    FlowSpec, SnapshotSet, generate, normalize, read_dataset, read_model, write_dataset,
+)
 from lamp.cli import main
-from lamp.formats import MODEL_MAGIC
+from lamp.formats import MODEL_MAGIC, dataset_bytes
 
 
 def run(*argv):
@@ -361,6 +363,26 @@ class TestMalformedInputs:
         assert run("sweep", "--dataset", laminar_path, *[a for kv in base.items() for a in kv],
                    "--arrangements", 1, "--out-dir", out) == 2
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "axis",
+        ["--coverage=nan", "--coverage=0", "--coverage=1.5", "--snr-db=nan", "--snr-db=-inf",
+         "--patch-size=0", "--latent-dim=-2"],
+    )
+    def test_invalid_sweep_axis_exits_2_before_training(self, tmp_path, laminar_path, axis):
+        out = tmp_path / "sweep"
+        assert run("sweep", "--dataset", laminar_path, "--patch-size", 8, "--latent-dim", 2,
+                   "--arrangements", 1, axis, "--out-dir", out) == 2
+        assert list(out.iterdir()) == []
+
+    def test_corrupt_norm_stats_exit_3(self, tmp_path, laminar_path, trained, capsys):
+        raw = bytearray(dataset_bytes(normalize(read_dataset(laminar_path), range(0, 40))))
+        raw[33:41] = struct.pack("<d", -1.0)  # std of component 0
+        path = tmp_path / "stats.lampds"
+        path.write_bytes(bytes(raw))
+        assert run("reconstruct", "--dataset", path, "--model", trained, "--coverage", 0.25,
+                   "--out-dir", tmp_path / "x") == 3
+        assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("index", [["--snapshot", 999], ["--snapshot", -1], ["--component", 5]],
                              ids=["snapshot-999", "snapshot-negative", "component-5"])

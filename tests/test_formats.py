@@ -1,8 +1,11 @@
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lamp import (
     FormatError,
@@ -161,6 +164,98 @@ class TestModelFormat:
         assert model_nbytes(
             grid.height, grid.width, grid.components, grid.patch_size, small_model.latent_dim
         ) == len(model_bytes(small_model))
+
+
+def _standardized(shape, seed):
+    fields = SnapshotSet(1.0 + np.random.default_rng(seed).standard_normal(shape))
+    return normalize(fields, range(0, shape[0]))
+
+
+# One small valid file of each format: a standardized 3x2x2x2 dataset (std of
+# component 0 at bytes 33-40, its sign and top exponent bits in byte 40) and
+# a 4x4 model at P=2, N_e=2.
+VALID_FILES = {
+    "lampds": (dataset_bytes(_standardized((3, 2, 2, 2), 4)), read_dataset),
+    "lampmd": (model_bytes(train_attention_model(_standardized((12, 4, 4, 1), 5), 2, 2)),
+               read_model),
+}
+
+
+class TestReaders:
+    def test_model_arrays_are_read_only_and_aligned(self, small_model, tmp_path):
+        path = tmp_path / "m.lampmd"
+        write_model(small_model, path)
+        back = read_model(path)
+        arrays = [back.pod.bases, back.pod.singular_values, back.value_maps, back.attn_vectors,
+                  back.attn_intercepts, back.pair_losses, back.norm_stats.mean,
+                  back.norm_stats.std]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            assert arr.flags.aligned
+
+    @pytest.mark.parametrize("standardized", [False, True])
+    def test_dataset_arrays_are_read_only_and_aligned(self, tmp_path, standardized):
+        fields = _standardized((4, 4, 6, 2), 6)
+        if not standardized:
+            fields = SnapshotSet(fields.data)
+        path = tmp_path / "d.lampds"
+        write_dataset(fields, path)
+        back = read_dataset(path)
+        arrays = [back.data]
+        if standardized:
+            arrays += [back.norm_stats.mean, back.norm_stats.std]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            assert arr.flags.aligned
+
+    @pytest.mark.parametrize("reader", [read_dataset, read_model])
+    def test_bad_magic_shown_as_bytes(self, tmp_path, reader):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"NOTLAMP0" + b"\0" * 64)
+        with pytest.raises(FormatError, match=re.escape("unknown magic b'NOTLAMP0'")):
+            reader(path)
+
+    @pytest.mark.parametrize("std", [-1.0, 0.0, float("nan")])
+    def test_corrupt_norm_stats_name_the_file(self, tmp_path, std):
+        raw = bytearray(VALID_FILES["lampds"][0])
+        raw[33:41] = struct.pack("<d", std)
+        path = tmp_path / "stats.lampds"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=re.escape(str(path)) + ".*norm stats"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("at", [29, 61, 61 + 8 * 32], ids=["ridge", "basis", "singular-value"])
+    def test_non_finite_model_field_rejected(self, tmp_path, at):
+        # Offsets in the 4x4 C=1 model: the ridge follows the 29-byte header,
+        # the bases follow the one norm-stats pair, the singular values
+        # follow N*D*N_e = 32 basis entries.
+        raw = bytearray(VALID_FILES["lampmd"][0])
+        raw[at : at + 8] = struct.pack("<d", float("nan"))
+        path = tmp_path / "nan.lampmd"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="NaN|finite"):
+            read_model(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fmt=st.sampled_from(sorted(VALID_FILES)), at=st.integers(0, 2**16),
+           flip=st.integers(0, 255))
+    @example(fmt="lampds", at=40, flip=0x80)  # std of component 0 made negative
+    @example(fmt="lampds", at=40, flip=0x40)  # ... and infinite
+    def test_truncated_or_flipped_file_raises_only_format_error(self, tmp_path_factory, fmt,
+                                                                at, flip):
+        # flip == 0 truncates the file at byte ``at``; otherwise byte ``at``
+        # is XORed with ``flip``.  Reading either succeeds or raises FormatError.
+        payload, reader = VALID_FILES[fmt]
+        at %= len(payload)
+        raw = bytearray(payload[:at] if flip == 0 else payload)
+        if flip:
+            raw[at] ^= flip
+        path = tmp_path_factory.mktemp("corrupt") / f"f.{fmt}"
+        path.write_bytes(bytes(raw))
+        try:
+            reader(path)
+        except FormatError:
+            pass
 
 
 class TestHeatmap:

@@ -211,6 +211,18 @@ class TestRunSweep:
         with pytest.raises(ValidationError, match=f"{axis} axis repeats"):
             SweepAxes(**kwargs)
 
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("coverages", (math.nan,)), ("coverages", (0.0,)), ("coverages", (0.1, 1.5)),
+         ("coverages", (-0.2,)), ("snr_dbs", (math.nan,)), ("snr_dbs", (20.0, -math.inf)),
+         ("patch_sizes", (0,)), ("patch_sizes", (8, -4)), ("patch_sizes", (8.0,)),
+         ("latent_dims", (0,)), ("latent_dims", (-2,)), ("latent_dims", (True,))],
+    )
+    def test_invalid_axis_value_rejected(self, axis, values):
+        kwargs = {"patch_sizes": (8,), "latent_dims": (2,), axis: values}
+        with pytest.raises(ValidationError, match=f"{axis} must be"):
+            SweepAxes(**kwargs)
+
     def test_normalized_input_rejected(self, laminar_fields):
         from lamp import normalize
 
