@@ -81,6 +81,17 @@ def _parse_snr(text) -> float:
         raise ValidationError(f"invalid --snr-db value: {text!r}")
 
 
+def _seed(text: str) -> int:
+    """``--seed`` value: numpy seeds only from non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _split_spec(args) -> SplitSpec:
     return SplitSpec(args.train_fraction, args.test_fraction, args.gap_fraction)
 
@@ -111,14 +122,19 @@ def _check_geometry(model, raw: SnapshotSet) -> None:
         )
 
 
-def _check_budget(args, fields: SnapshotSet, patch_size: int, latent_dim: int) -> int:
-    """Model file size at this geometry; more than ``--budget-bytes`` is rejected."""
-    need = formats.model_nbytes(
-        fields.height, fields.width, fields.components, patch_size, latent_dim
+def _check_budget(args, fields: SnapshotSet, patch_size: int, latent_dims: tuple[int, ...]) -> int:
+    """Total file size of the models of one patch size, held in memory together.
+
+    More than ``--budget-bytes`` is rejected.
+    """
+    need = sum(
+        formats.model_nbytes(fields.height, fields.width, fields.components, patch_size, ne)
+        for ne in latent_dims
     )
     if need > args.budget_bytes:
+        dims = ",".join(str(ne) for ne in latent_dims)
         raise ValidationError(
-            f"model (P={patch_size}, N_e={latent_dim}) would take {need} bytes, over "
+            f"models (P={patch_size}, N_e={dims}) would take {need} bytes, over "
             f"the budget of {args.budget_bytes}; reduce patch count or latent "
             "dimension, or raise --budget-bytes"
         )
@@ -230,7 +246,7 @@ def cmd_generate(args, out: Path) -> tuple[list[str], dict]:
 
 def cmd_train(args, out: Path) -> tuple[list[str], dict]:
     train_set, test_set = _standardized_split(args.dataset, _split_spec(args))
-    need = _check_budget(args, train_set, args.patch_size, args.latent_dim)
+    need = _check_budget(args, train_set, args.patch_size, (args.latent_dim,))
     model = train_attention_model(
         train_set,
         args.patch_size,
@@ -298,8 +314,7 @@ def cmd_sweep(args, out: Path) -> tuple[list[str], dict]:
             PatchGrid(raw.height, raw.width, raw.components, p)
         except ValidationError:
             continue  # run_sweep records these cells as skipped
-        for ne in axes.latent_dims:
-            _check_budget(args, raw, p, ne)
+        _check_budget(args, raw, p, axes.latent_dims)  # run_sweep holds them at once
     result = metrics.run_sweep(
         raw,
         axes,
@@ -486,7 +501,7 @@ def _add_eval_flags(sub):
                      help="fraction of patches left unmasked")
     sub.add_argument("--snr-db", default="inf",
                      help="signal-to-noise ratio in dB (inf = noise-free)")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--sensors-from", default=None, metavar="POWERMAP",
                      help="place unmasked patches at the top values of this power-map CSV")
     sub.add_argument("--snapshot", type=int, default=0,
@@ -508,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--height", type=int, default=64)
     gen.add_argument("--width", type=int, default=64)
     gen.add_argument("--snapshots", type=int, default=160)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--speed", type=float, default=1.0)
     gen.add_argument("--wavelength", type=float, default=32.0)
     gen.add_argument("--envelope-width", type=float, default=None)
@@ -549,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--snr-db", default="inf", help="comma-separated list")
     sweep.add_argument("--coverage", default="0.1", help="comma-separated list")
     sweep.add_argument("--arrangements", type=int, default=25)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=_seed, default=0)
     sweep.add_argument("--ridge-lambda", type=float, default=None)
     sweep.add_argument("--error-floor", type=float, default=1e-12)
     sweep.add_argument("--no-intercept", dest="use_intercept", action="store_false")

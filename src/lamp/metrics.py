@@ -10,12 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionModel, reconstruct, train_attention_model
-from .errors import ValidationError
+from .attention import AttentionModel, predict_masked, reconstruct, train_attention_model
+from .errors import NumericalError, ValidationError
 from .patches import (
     MaskSpec,
     NormStats,
@@ -23,11 +24,12 @@ from .patches import (
     SnapshotSet,
     SplitSpec,
     apply_stats,
+    patch_vectors,
     patchify,
     split_standardized,
 )
-from .pod import ae_loss
-from .synthetic import add_noise_fixed, noise_sigma2
+from .pod import ae_loss, encode
+from .synthetic import add_noise_fixed, draw_noise, noise_sigma2
 
 
 def pred_loss(recon: SnapshotSet, truth: SnapshotSet) -> float:
@@ -225,56 +227,111 @@ def run_sweep(
 
     ``dataset`` is expected in unnormalized units; it is standardized here
     with statistics frozen on the train block.  Mask and noise seeds are
-    derived deterministically from ``seed`` and the cell coordinates.
+    derived deterministically from ``seed`` and the cell coordinates; neither
+    depends on N_e, so the models of one patch size are trained together and
+    scored on the same masks and noise (see :func:`_sweep_patch_size`).
     """
     if dataset.norm_stats is not None:
         raise ValidationError("run_sweep expects an unnormalized dataset")
     if n_arrangements < 1:
         raise ValidationError(f"n_arrangements must be at least 1, got {n_arrangements}")
     train_norm, test_norm, test_raw = split_standardized(dataset, split_spec)
-    stats = train_norm.norm_stats
+    sigma2s = {snr: noise_sigma2(test_raw, snr) for snr in axes.snr_dbs}
 
     cells: list[SweepCell] = []
-    for p, ne in itertools.product(axes.patch_sizes, axes.latent_dims):
-        try:
-            model = train_attention_model(
-                train_norm,
-                p,
-                ne,
-                ridge_lambda=ridge_lambda,
-                error_floor=error_floor,
-                use_intercept=use_intercept,
-            )
-        except ValidationError as exc:
-            cells.extend(
-                SweepCell(p, ne, snr, cov, None, None, None, n_arrangements, seed, str(exc))
-                for snr, cov in itertools.product(axes.snr_dbs, axes.coverages)
-            )
-            continue
-        floor = ae_loss(model.pod, patchify(test_norm, p))
-        for snr in axes.snr_dbs:
-            sigma2 = noise_sigma2(test_raw, snr)
-            noise_var = noise_variance_normalized(sigma2, stats)
-            for cov in axes.coverages:
-                losses = []
-                for arr_idx in range(n_arrangements):
-                    mask_seed = derive_seed(seed, 0, p, int(round(cov * 1e9)), arr_idx)
-                    mask = MaskSpec.random(model.n_patches, cov, mask_seed)
-                    if math.isinf(snr):
-                        test_in = test_norm
-                    else:
-                        noise_seed = derive_seed(
-                            seed, 1, p, int(round(cov * 1e9)), arr_idx, _float_key(snr)
-                        )
-                        test_in = noisy_test_input(
-                            test_raw, mask, sigma2, noise_seed, model.grid, stats
-                        )
-                    recon = reconstruct(model, test_in, mask, copy_through)
-                    losses.append(pred_loss(recon, test_norm))
-                cells.append(
-                    SweepCell(
-                        p, ne, snr, cov, float(np.median(losses)), floor, noise_var,
-                        n_arrangements, seed,
-                    )
+    for p in axes.patch_sizes:
+        models, skipped = {}, {}
+        for ne in axes.latent_dims:
+            try:
+                models[ne] = train_attention_model(
+                    train_norm,
+                    p,
+                    ne,
+                    ridge_lambda=ridge_lambda,
+                    error_floor=error_floor,
+                    use_intercept=use_intercept,
                 )
+            except ValidationError as exc:
+                skipped[ne] = str(exc)
+        if models:
+            floors, medians = _sweep_patch_size(
+                p, models, test_norm, test_raw, sigma2s, axes, n_arrangements, seed, copy_through
+            )
+        for ne, snr, cov in itertools.product(axes.latent_dims, axes.snr_dbs, axes.coverages):
+            reason = skipped.get(ne)
+            measured = (None, None, None) if reason else (
+                medians[ne, snr, cov], floors[ne],
+                noise_variance_normalized(sigma2s[snr], train_norm.norm_stats),
+            )
+            cells.append(SweepCell(p, ne, snr, cov, *measured, n_arrangements, seed, reason))
     return SweepResult(axes=axes, n_arrangements=n_arrangements, seed=seed, cells=tuple(cells))
+
+
+#: Largest relative gap allowed between a latent-space loss and the same
+#: evaluation scored in pixel space; rounding alone stays below ~1e-11.
+LATENT_LOSS_RTOL = 1e-6
+
+
+def _sweep_patch_size(
+    p: int, models: dict[int, AttentionModel], test_norm: SnapshotSet, test_raw: SnapshotSet,
+    sigma2s: dict[float, float], axes: SweepAxes, n_arrangements: int, seed: int,
+    copy_through: bool,
+) -> tuple[dict, dict]:
+    """Score the models of one patch size in latent space, without decoding.
+
+    The clean test split is encoded once per model.  Each mask is drawn once
+    per (coverage, arrangement) and each noise field once per SNR on top of
+    it, then shared by every N_e.  Encoding is linear, so a noisy input's
+    observed latents are the clean ones plus the encoded noise/std of the
+    observed patches.  The bases are orthonormal, so the pixel-space error
+    ||U z_hat - x||^2 equals ||z_hat - U^T x||^2 + ||(I - U U^T) x||^2, whose
+    second term is the autoencoding floor.
+
+    The first evaluation of each model is also decoded and scored in pixel
+    space (:func:`noisy_test_input`, :func:`reconstruct`, :func:`pred_loss`,
+    drawing its noise a second time if the first SNR is finite); a gap over
+    ``LATENT_LOSS_RTOL`` raises NumericalError.
+
+    Returns ({N_e: floor}, {(N_e, SNR, coverage): median loss}).
+    """
+    series = patchify(test_norm, p)
+    grid, size = series.grid, series.values.size
+    stats = test_norm.norm_stats
+    clean = {ne: encode(m.pod, series).values for ne, m in models.items()}
+    floor_sums = {ne: ae_loss(m.pod, series, per_element=False) for ne, m in models.items()}
+    std = np.tile(stats.std, p * p)  # per patch-vector entry; components vary fastest
+    losses = defaultdict(list)
+    for cov in axes.coverages:
+        cov_key = int(round(cov * 1e9))
+        for arr_idx in range(n_arrangements):
+            mask = MaskSpec.random(grid.n_patches, cov, derive_seed(seed, 0, p, cov_key, arr_idx))
+            sources = np.asarray(mask.unmasked, dtype=np.intp)
+            for snr in axes.snr_dbs:
+                sigma2 = sigma2s[snr]
+                noise_seed = derive_seed(seed, 1, p, cov_key, arr_idx, _float_key(snr))
+                noise = None  # (k, T, D) standardized noise of the observed patches
+                if sigma2 > 0.0:
+                    eps = draw_noise(test_raw.data.shape, sigma2, noise_seed)
+                    noise = patch_vectors(eps, grid, sources) / std
+                first = (cov, arr_idx, snr) == (axes.coverages[0], 0, axes.snr_dbs[0])
+                if first:
+                    test_in = noisy_test_input(test_raw, mask, sigma2, noise_seed, grid, stats)
+                for ne, model in models.items():
+                    z = clean[ne]
+                    if noise is not None:
+                        z = z.copy()
+                        shift = np.matmul(noise, model.pod.bases[sources])  # (k, T, N_e)
+                        z[:, sources] += shift.transpose(1, 0, 2)
+                    err = predict_masked(model, z, mask, copy_through) - clean[ne]
+                    loss = (float(np.sum(err * err)) + floor_sums[ne]) / size
+                    if first:
+                        recon = reconstruct(model, test_in, mask, copy_through)
+                        pixel = pred_loss(recon, test_norm)
+                        if not math.isclose(loss, pixel, rel_tol=LATENT_LOSS_RTOL, abs_tol=1e-12):
+                            raise NumericalError(
+                                f"latent-space loss {loss!r} disagrees with pixel-space loss "
+                                f"{pixel!r} at P={p}, N_e={ne}"
+                            )
+                    losses[ne, snr, cov].append(loss)
+    floors = {ne: total / size for ne, total in floor_sums.items()}
+    return floors, {key: float(np.median(v)) for key, v in losses.items()}

@@ -285,10 +285,27 @@ def patchify(fields: SnapshotSet, patch_size: int) -> PatchedSeries:
     a pure reindexing, so :func:`unpatchify` inverts it bit-exactly.
     """
     grid = PatchGrid(fields.height, fields.width, fields.components, patch_size)
-    t, p, c = fields.snapshots, grid.patch_size, grid.components
-    blocks = fields.data.reshape(t, grid.rows, p, grid.cols, p, c)
-    values = blocks.transpose(0, 1, 3, 2, 4, 5).reshape(t, grid.n_patches, grid.patch_dim)
+    blocks = _patch_blocks(fields.data, grid)
+    values = blocks.reshape(fields.snapshots, grid.n_patches, grid.patch_dim)
     return PatchedSeries(grid, values)
+
+
+def patch_vectors(data: np.ndarray, grid: PatchGrid, patches: np.ndarray) -> np.ndarray:
+    """Flattened vectors of the listed patches of a (T, H, W, C) array, (k, T, D).
+
+    The same ordering as :func:`patchify`, patch-major, with no copy of the
+    other patches and no check of the values.
+    """
+    blocks = _patch_blocks(data, grid).transpose(1, 2, 0, 3, 4, 5)  # (rows, cols, T, P, P, C)
+    return blocks[patches // grid.cols, patches % grid.cols].reshape(
+        len(patches), len(data), grid.patch_dim
+    )
+
+
+def _patch_blocks(data: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """(T, H, W, C) as a (T, rows, cols, P, P, C) view of the patches."""
+    t, p, c = data.shape[0], grid.patch_size, grid.components
+    return data.reshape(t, grid.rows, p, grid.cols, p, c).transpose(0, 1, 3, 2, 4, 5)
 
 
 def unpatchify(series: PatchedSeries, norm_stats: NormStats | None = None) -> SnapshotSet:

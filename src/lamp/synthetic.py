@@ -46,8 +46,10 @@ class LaminarParams:
     decay: float = 3.5
 
     def __post_init__(self):
-        if self.speed <= 0 or self.wavelength <= 0:
-            raise ValidationError("speed and wavelength must be positive")
+        for name in ("speed", "wavelength"):
+            _check_positive(name, getattr(self, name))
+        if self.envelope_width is not None:
+            _check_positive("envelope_width", self.envelope_width)
         if not 1 <= self.harmonics <= 6:
             raise ValidationError(
                 f"harmonics must be in [1, 6], got {self.harmonics}"
@@ -79,6 +81,15 @@ class ChaoticParams:
             lo, hi = getattr(self, name)
             if not 0 < lo <= hi:
                 raise ValidationError(f"invalid {name}: {(lo, hi)}")
+        if self.packet_radius is not None:
+            _check_positive("packet_radius", self.packet_radius)
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Length and rate parameters must be finite and positive; a zero radius
+    divides by zero and a negative one would silently act as its absolute value."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -213,6 +224,15 @@ def noise_sigma2(fields: SnapshotSet, snr_db: float) -> float:
     return sigma2
 
 
+def draw_noise(shape: tuple[int, ...], sigma2: float, seed: int) -> np.ndarray:
+    """The noise protocol's one draw: i.i.d. N(0, sigma2) of ``shape`` from ``seed``.
+
+    Every noisy input in the package comes from here, so the sweep's latent
+    noise and :func:`add_noise_fixed`'s pixel noise are the same numbers.
+    """
+    return np.random.default_rng(seed).normal(0.0, math.sqrt(sigma2), size=shape)
+
+
 def add_noise_fixed(
     fields: SnapshotSet, mask: MaskSpec, sigma2: float, seed: int, grid: PatchGrid
 ) -> SnapshotSet:
@@ -225,8 +245,7 @@ def add_noise_fixed(
         raise ValidationError(f"noise variance must be nonnegative, got {sigma2}")
     if sigma2 == 0.0:
         return fields
-    rng = np.random.default_rng(seed)
-    eps = rng.normal(0.0, math.sqrt(sigma2), size=fields.data.shape)
+    eps = draw_noise(fields.data.shape, sigma2, seed)
     observed = pixel_mask(grid, mask)
     data = fields.data + np.where(observed[None, :, :, None], eps, 0.0)
     return SnapshotSet(data, norm_stats=fields.norm_stats)

@@ -75,3 +75,37 @@ def predict_oracle(model, latents, unmasked, copy_through=True):
                     pred = sum(vm[m][s][i][f] * z[t][s][f] for f in range(e))
                     out[t, m, i] += w / total * pred
     return out
+
+
+def sweep_cell_oracle(dataset, patch_size, latent_dim, snr_db, coverage, n_arrangements,
+                      seed, copy_through=True, split_spec=None):
+    """One sweep cell scored in pixel space, arrangement by arrangement.
+
+    Trains the (P, N_e) model on its own, then for each arrangement draws the
+    mask and the noise from the sweep's seeds, builds the noisy input with
+    ``noisy_test_input``, decodes the full reconstruction and takes
+    ``pred_loss`` against the clean standardized test split.  Returns
+    ``(median loss, None)``, or ``(None, reason)`` when training is rejected.
+    """
+    from lamp import MaskSpec, SplitSpec, ValidationError, pred_loss, reconstruct
+    from lamp import train_attention_model
+    from lamp.metrics import _float_key, derive_seed, noisy_test_input
+    from lamp.patches import split_standardized
+    from lamp.synthetic import noise_sigma2
+
+    train_norm, test_norm, test_raw = split_standardized(dataset, split_spec or SplitSpec())
+    try:
+        model = train_attention_model(train_norm, patch_size, latent_dim)
+    except ValidationError as exc:
+        return None, str(exc)
+    sigma2 = noise_sigma2(test_raw, snr_db)
+    cov_key = int(round(coverage * 1e9))
+    losses = []
+    for arr in range(n_arrangements):
+        mask = MaskSpec.random(model.n_patches, coverage,
+                               derive_seed(seed, 0, patch_size, cov_key, arr))
+        noise_seed = derive_seed(seed, 1, patch_size, cov_key, arr, _float_key(snr_db))
+        test_in = noisy_test_input(test_raw, mask, sigma2, noise_seed, model.grid,
+                                   train_norm.norm_stats)
+        losses.append(pred_loss(reconstruct(model, test_in, mask, copy_through), test_norm))
+    return float(np.median(losses)), None

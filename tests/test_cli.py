@@ -9,7 +9,7 @@ from lamp import (
     FlowSpec, SnapshotSet, generate, normalize, read_dataset, read_model, write_dataset,
 )
 from lamp.cli import main
-from lamp.formats import MODEL_MAGIC, dataset_bytes
+from lamp.formats import MODEL_MAGIC, dataset_bytes, model_nbytes
 
 
 def run(*argv):
@@ -373,6 +373,53 @@ class TestMalformedInputs:
         out = tmp_path / "sweep"
         assert run("sweep", "--dataset", laminar_path, "--patch-size", 8, "--latent-dim", 2,
                    "--arrangements", 1, axis, "--out-dir", out) == 2
+        assert list(out.iterdir()) == []
+
+    def test_sweep_budget_counts_the_models_of_one_patch_size(self, tmp_path, laminar_path,
+                                                              capsys):
+        # run_sweep holds every N_e model of a patch size at once, so the
+        # budget applies to their sum, not to each model alone.
+        sizes = [model_nbytes(32, 32, 2, 8, ne) for ne in (2, 4)]
+        out = tmp_path / "sweep"
+        assert run("sweep", "--dataset", laminar_path, "--patch-size", 8, "--latent-dim", "2,4",
+                   "--arrangements", 1, "--budget-bytes", sum(sizes) - 1,
+                   "--out-dir", out) == 2
+        assert "budget" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert run("sweep", "--dataset", laminar_path, "--patch-size", 8, "--latent-dim", "2,4",
+                   "--arrangements", 1, "--budget-bytes", sum(sizes), "--out-dir", out) == 0
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("generate", []),
+            ("reconstruct", ["--model", "MODEL", "--coverage", 0.25]),
+            ("gappy", ["--patch-size", 8, "--rank", 4, "--coverage", 0.5]),
+            ("compare", ["--model", "MODEL", "--coverage", 0.25]),
+            ("sweep", ["--patch-size", 8, "--latent-dim", 2, "--arrangements", 1]),
+        ],
+    )
+    def test_negative_seed_exits_2_without_output(self, tmp_path, laminar_path, trained, command,
+                                                  extra, capsys):
+        extra = [trained if a == "MODEL" else a for a in extra]
+        data = [] if command == "generate" else ["--dataset", laminar_path]
+        out = tmp_path / "x"
+        assert run(command, *data, *extra, "--seed", -1, "--out-dir", out) == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--kind", "chaotic-surrogate", "--packet-radius", 0],
+         ["--kind", "chaotic-surrogate", "--packet-radius", -1],
+         ["--envelope-width=-2"], ["--speed", "nan"], ["--wavelength", "inf"]],
+        ids=["radius-0", "radius-negative", "width-negative", "speed-nan", "wavelength-inf"],
+    )
+    def test_bad_generator_length_exits_2(self, tmp_path, extra, capsys):
+        out = tmp_path / "gen"
+        assert run("generate", "--height", 16, "--width", 16, "--snapshots", 4, *extra,
+                   "--out-dir", out) == 2
+        assert "finite and positive" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_corrupt_norm_stats_exit_3(self, tmp_path, laminar_path, trained, capsys):

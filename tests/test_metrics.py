@@ -17,9 +17,11 @@ from lamp import (
     predictive_power,
     run_sweep,
 )
+from lamp import NumericalError, metrics
 from lamp.metrics import PowerMap, derive_seed
 from lamp.patches import PatchGrid
 from lamp.pod import PatchPodModel
+from oracles import sweep_cell_oracle
 
 
 def toy_model(pair_losses, error_floor=1e-12):
@@ -237,6 +239,75 @@ class TestRunSweep:
         shuffled = np.array(losses)
         rng.shuffle(shuffled)
         assert np.median(losses) == np.median(shuffled)
+
+
+@pytest.fixture(scope="module")
+def small_laminar():
+    return generate(FlowSpec("laminar-surrogate", 32, 32, 80, seed=1))
+
+
+class TestSweepEngine:
+    """The latent-space sweep against the pixel-space loop it replaced."""
+
+    AXES = SweepAxes(patch_sizes=(8, 16), latent_dims=(2, 4), snr_dbs=(math.inf, 20.0),
+                     coverages=(0.5, 0.75))
+
+    @pytest.mark.parametrize("copy_through", [True, False])
+    def test_cells_match_pixel_space_oracle(self, small_laminar, copy_through):
+        result = run_sweep(small_laminar, self.AXES, n_arrangements=3, seed=5,
+                           copy_through=copy_through)
+        assert len(result.cells) == 16
+        for cell in result.cells:
+            want, reason = sweep_cell_oracle(
+                small_laminar, cell.patch_size, cell.latent_dim, cell.snr_db, cell.coverage,
+                3, 5, copy_through,
+            )
+            assert reason is None and cell.skip_reason is None
+            assert cell.median_pred_loss == pytest.approx(want, rel=1e-9, abs=0), cell
+
+    def test_skip_reasons_match_pixel_space_oracle(self, small_laminar):
+        axes = SweepAxes(patch_sizes=(5, 16), latent_dims=(2, 10_000), coverages=(0.5,))
+        result = run_sweep(small_laminar, axes, n_arrangements=2, seed=1)
+        for cell in result.cells:
+            want, reason = sweep_cell_oracle(
+                small_laminar, cell.patch_size, cell.latent_dim, cell.snr_db, cell.coverage, 2, 1
+            )
+            assert cell.skip_reason == reason
+            if reason is None:
+                assert cell.median_pred_loss == pytest.approx(want, rel=1e-9, abs=0)
+            else:
+                assert cell.median_pred_loss is None
+        assert sum(c.skip_reason is not None for c in result.cells) == 3
+
+    def test_noise_drawn_once_per_patch_size(self, small_laminar, monkeypatch):
+        # Every noise draw is one Generator.normal call; masks use choice.
+        draws = []
+        real = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self._rng = real(seed)
+
+            def normal(self, *args, **kwargs):
+                draws.append(kwargs.get("size"))
+                return self._rng.normal(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        axes = SweepAxes(patch_sizes=(8, 16), latent_dims=(2, 4, 6),
+                         snr_dbs=(math.inf, 20.0, 10.0), coverages=(0.5, 0.75))
+        run_sweep(small_laminar, axes, n_arrangements=3, seed=2)
+        finite_snrs = 2
+        assert len(draws) == len(axes.patch_sizes) * finite_snrs * len(axes.coverages) * 3
+
+    def test_pixel_path_disagreement_raises(self, small_laminar, monkeypatch):
+        original = metrics.pred_loss
+        monkeypatch.setattr(metrics, "pred_loss", lambda r, t: original(r, t) * (1 + 1e-4))
+        axes = SweepAxes(patch_sizes=(8,), latent_dims=(2,), coverages=(0.5,))
+        with pytest.raises(NumericalError, match="pixel-space loss"):
+            run_sweep(small_laminar, axes, n_arrangements=2)
 
 
 class TestDeriveSeed:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamp import (
     SnapshotSet,
@@ -11,7 +13,7 @@ from lamp import (
     split,
     unpatchify,
 )
-from lamp.patches import NormStats, PatchedSeries, PatchGrid, split_standardized
+from lamp.patches import NormStats, PatchedSeries, PatchGrid, patch_vectors, split_standardized
 
 
 def rand_fields(rng, t, h, w, c):
@@ -139,6 +141,25 @@ class TestUnpatchify:
         series = PatchedSeries(grid, rng.standard_normal((3, grid.n_patches, grid.patch_dim)))
         again = patchify(unpatchify(series), 4)
         np.testing.assert_array_equal(again.values, series.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.integers(1, 4), rows=st.integers(1, 4), cols=st.integers(1, 4),
+        c=st.integers(1, 3), p=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_bit_exact_property(self, t, rows, cols, c, p, seed):
+        fields = rand_fields(np.random.default_rng(seed), t, rows * p, cols * p, c)
+        series = patchify(fields, p)
+        assert series.values.shape == (t, rows * cols, c * p * p)
+        np.testing.assert_array_equal(unpatchify(series).data, fields.data)
+
+    def test_patch_vectors_are_patchify_rows(self):
+        rng = np.random.default_rng(9)
+        fields = rand_fields(rng, 3, 8, 12, 2)
+        series = patchify(fields, 4)
+        picked = np.array([5, 0, 3])
+        got = patch_vectors(fields.data, series.grid, picked)
+        np.testing.assert_array_equal(got, series.values[:, picked].transpose(1, 0, 2))
 
     def test_inconsistent_values_rejected(self):
         grid = PatchGrid(8, 8, 1, 4)

@@ -17,7 +17,7 @@ from lamp import (
     signal_power,
 )
 from lamp.patches import PatchGrid
-from lamp.synthetic import add_noise_fixed
+from lamp.synthetic import add_noise_fixed, draw_noise
 
 
 def effective_rank(mat, energy=0.99):
@@ -96,6 +96,29 @@ class TestFlowSpec:
             FlowSpec("laminar-surrogate", 32, 32, 10, seed=0, params=ChaoticParams())
 
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            lambda: ChaoticParams(packet_radius=0.0),
+            lambda: ChaoticParams(packet_radius=-1.0),
+            lambda: ChaoticParams(packet_radius=math.nan),
+            lambda: ChaoticParams(packet_radius=math.inf),
+            lambda: LaminarParams(envelope_width=-2.0),
+            lambda: LaminarParams(envelope_width=0.0),
+            lambda: LaminarParams(envelope_width=math.nan),
+            lambda: LaminarParams(speed=math.nan),
+            lambda: LaminarParams(speed=math.inf),
+            lambda: LaminarParams(wavelength=math.inf),
+            lambda: LaminarParams(wavelength=-32.0),
+        ],
+        ids=["radius-0", "radius-neg", "radius-nan", "radius-inf", "width-neg", "width-0",
+             "width-nan", "speed-nan", "speed-inf", "wavelength-inf", "wavelength-neg"],
+    )
+    def test_lengths_and_rates_must_be_finite_and_positive(self, params):
+        with pytest.raises(ValidationError, match="must be finite and positive"):
+            params()
+
+
 class TestNoise:
     def grid(self):
         return PatchGrid(64, 64, 2, 16)
@@ -147,6 +170,18 @@ class TestNoise:
         a = add_noise_fixed(fields, mask, sigma2, seed=3, grid=self.grid())
         b = add_noise_fixed(fields, mask, sigma2, seed=3, grid=self.grid())
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_added_noise_is_the_protocol_draw(self):
+        fields = self.unit_power_fields(3)
+        grid = self.grid()
+        mask = MaskSpec((1, 6, 11), grid.n_patches)
+        noisy = add_noise_fixed(fields, mask, 0.04, seed=5, grid=grid)
+        eps = draw_noise(fields.data.shape, 0.04, 5)
+        np.testing.assert_array_equal(
+            eps, np.random.default_rng(5).normal(0.0, 0.2, size=fields.data.shape)
+        )
+        obs = pixel_mask(grid, mask)
+        np.testing.assert_array_equal(noisy.data[:, obs], fields.data[:, obs] + eps[:, obs])
 
     def test_zero_signal_power_rejected(self):
         fields = SnapshotSet(np.zeros((2, 64, 64, 2)))
