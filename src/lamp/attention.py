@@ -81,8 +81,8 @@ class AttentionModel:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.ridge_lambda is not None:
-            _check_ridge(self.ridge_lambda)
-        _check_error_floor(self.error_floor)
+            check_ridge(self.ridge_lambda)
+        check_error_floor(self.error_floor)
         diag = np.arange(n)
         if not np.array_equal(self.value_maps[diag, diag], np.tile(np.eye(e), (n, 1, 1))):
             raise ValidationError("diagonal value maps must be the identity")
@@ -117,16 +117,16 @@ def _resolve_ridge(
     """
     if ridge_lambda is None:
         return RIDGE_SCALE * max(float(np.trace(gram)), energy_floor) / latent_dim
-    _check_ridge(ridge_lambda)
+    check_ridge(ridge_lambda)
     return float(ridge_lambda)
 
 
-def _check_ridge(ridge_lambda: float) -> None:
+def check_ridge(ridge_lambda: float) -> None:
     if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
         raise ValidationError(f"ridge_lambda must be finite and nonnegative, got {ridge_lambda}")
 
 
-def _check_error_floor(error_floor: float) -> None:
+def check_error_floor(error_floor: float) -> None:
     if not (math.isfinite(error_floor) and error_floor > 0.0):
         raise ValidationError(f"error_floor must be finite and positive, got {error_floor}")
 
@@ -209,7 +209,7 @@ def fit_attention_tensor(
     zero vector and the confidence ceiling -log(floor) as intercept; they are
     excluded at inference anyway.
     """
-    _check_error_floor(error_floor)
+    check_error_floor(error_floor)
     t, n, e = latent.values.shape
     if pair_errors.shape != (n, n, t):
         raise ValidationError(
@@ -246,19 +246,25 @@ def train_attention_model(
     ridge_lambda: float | None = None,
     error_floor: float = DEFAULT_ERROR_FLOOR,
     use_intercept: bool = True,
+    pod: PatchPodModel | None = None,
 ) -> AttentionModel:
     """Full training pipeline on standardized training snapshots.
 
     ``train_fields`` must carry normalization stats (see
     :func:`lamp.patches.normalize`); the stats are recorded in the model so
     raw inference inputs can be standardized consistently.
+
+    ``pod``, if given, is a compression already fitted to these snapshots at
+    this patch size with at least ``latent_dim`` modes.  Its leading modes
+    (:meth:`PatchPodModel.truncate`) replace a new fit, with bit-identical
+    results, so models of several latent dimensions can share one SVD.
     """
     if train_fields.norm_stats is None:
         raise ValidationError(
             "training snapshots must be normalized (norm_stats missing)"
         )
     series = patchify(train_fields, patch_size)
-    pod = fit_patch_pod(series, latent_dim)
+    pod = fit_patch_pod(series, latent_dim) if pod is None else pod.truncate(latent_dim)
     latent = encode(pod, series)
     value_maps, pair_errors = fit_value_tensor(latent, ridge_lambda)
     attn_vectors, attn_intercepts = fit_attention_tensor(

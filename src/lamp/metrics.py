@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionModel, predict_masked, reconstruct, train_attention_model
+from .attention import (
+    AttentionModel,
+    check_error_floor,
+    check_ridge,
+    predict_masked,
+    reconstruct,
+    train_attention_model,
+)
 from .errors import NumericalError, ValidationError
 from .patches import (
     MaskSpec,
@@ -223,7 +230,12 @@ def run_sweep(
     over ``n_arrangements`` random mask draws and keep the median.  Each cell
     also records the test autoencoding floor and the normalized noise
     variance (zero when noise-free).  Invalid combinations become skipped
-    cells with a reason instead of failing the sweep.
+    cells with a reason instead of failing the sweep; invalid training
+    options fail it before any training.
+
+    The POD of each patch size is fitted once, at its largest N_e in range;
+    the smaller N_e train on its leading modes, which equal their own fits
+    bit for bit (:meth:`lamp.pod.PatchPodModel.truncate`).
 
     ``dataset`` is expected in unnormalized units; it is standardized here
     with statistics frozen on the train block.  Mask and noise seeds are
@@ -235,13 +247,17 @@ def run_sweep(
         raise ValidationError("run_sweep expects an unnormalized dataset")
     if n_arrangements < 1:
         raise ValidationError(f"n_arrangements must be at least 1, got {n_arrangements}")
+    if ridge_lambda is not None:
+        check_ridge(ridge_lambda)
+    check_error_floor(error_floor)
     train_norm, test_norm, test_raw = split_standardized(dataset, split_spec)
     sigma2s = {snr: noise_sigma2(test_raw, snr) for snr in axes.snr_dbs}
 
     cells: list[SweepCell] = []
     for p in axes.patch_sizes:
         models, skipped = {}, {}
-        for ne in axes.latent_dims:
+        pod = None  # fitted at the largest N_e in range; the others take its leading modes
+        for ne in sorted(axes.latent_dims, reverse=True):
             try:
                 models[ne] = train_attention_model(
                     train_norm,
@@ -250,9 +266,13 @@ def run_sweep(
                     ridge_lambda=ridge_lambda,
                     error_floor=error_floor,
                     use_intercept=use_intercept,
+                    pod=pod,
                 )
             except ValidationError as exc:
                 skipped[ne] = str(exc)
+                continue
+            if pod is None:
+                pod = models[ne].pod
         if models:
             floors, medians = _sweep_patch_size(
                 p, models, test_norm, test_raw, sigma2s, axes, n_arrangements, seed, copy_through

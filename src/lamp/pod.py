@@ -49,6 +49,24 @@ class PatchPodModel:
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "singular_values", svals)
 
+    def truncate(self, latent_dim: int) -> PatchPodModel:
+        """The model of the leading ``latent_dim`` modes of every patch.
+
+        Bit-identical to refitting the same series at ``latent_dim``: the SVD
+        does not depend on the truncation, and :func:`_fix_signs` flips each
+        column on its own.
+        """
+        if not 1 <= latent_dim <= self.latent_dim:
+            raise ValidationError(
+                f"cannot truncate {self.latent_dim} modes to latent_dim {latent_dim}"
+            )
+        return PatchPodModel(
+            self.grid,
+            int(latent_dim),
+            self.bases[:, :, :latent_dim],
+            self.singular_values[:, :latent_dim],
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class LatentSeries:

@@ -50,6 +50,9 @@ class LaminarParams:
             _check_positive(name, getattr(self, name))
         if self.envelope_width is not None:
             _check_positive("envelope_width", self.envelope_width)
+        # A negative amplitude is a sign flip; zero gives an all-zero field.
+        if not (math.isfinite(self.amplitude) and self.amplitude != 0.0):
+            raise ValidationError(f"amplitude must be finite and nonzero, got {self.amplitude}")
         if not 1 <= self.harmonics <= 6:
             raise ValidationError(
                 f"harmonics must be in [1, 6], got {self.harmonics}"

@@ -524,6 +524,29 @@ class TestPredictMasked:
         )
         np.testing.assert_array_equal(moved[:, perm], out)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 9), e=st.integers(1, 3), t=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1), copy_through=st.booleans(),
+        fill=st.sampled_from(["nan", "random"]), data=st.data(),
+    )
+    def test_masked_rows_never_read_property(self, n, e, t, seed, copy_through, fill, data):
+        # Without copy-through a lone source would have to predict itself.
+        min_sources = 1 if copy_through else 2
+        unmasked = data.draw(st.sets(st.integers(0, n - 1), min_size=min_sources, max_size=n - 1))
+        mask = MaskSpec(tuple(sorted(unmasked)), n)
+        model = random_model(n, e, seed)
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((t, n, e))
+        overwritten = z.copy()
+        masked = list(mask.masked)
+        shape = overwritten[:, masked].shape
+        overwritten[:, masked] = np.nan if fill == "nan" else 1e3 * rng.standard_normal(shape)
+        np.testing.assert_array_equal(
+            predict_masked(model, overwritten, mask, copy_through),
+            predict_masked(model, z, mask, copy_through),
+        )
+
     def test_no_pair_prediction_temporary(self):
         # One GEMM per source into a reused buffer: the peak allocation stays
         # below one (T, R, k, e) array holding every pair prediction.
@@ -551,6 +574,15 @@ class TestPredictMasked:
         np.testing.assert_array_equal(a.attn_intercepts, b.attn_intercepts)
         np.testing.assert_array_equal(a.pair_losses, b.pair_losses)
         np.testing.assert_array_equal(a.pod.bases, b.pod.bases)
+
+    def test_mismatched_pod_rejected(self):
+        fields = SnapshotSet(np.random.default_rng(35).standard_normal((24, 8, 8, 2)))
+        norm = normalize(fields, range(0, 24))
+        pod = train_attention_model(norm, 4, 3).pod
+        with pytest.raises(ValidationError, match="does not match model grid"):
+            train_attention_model(norm, 2, 3, pod=pod)
+        with pytest.raises(ValidationError, match="cannot truncate 3 modes to latent_dim 4"):
+            train_attention_model(norm, 4, 4, pod=pod)
 
 
 class TestReconstruct:

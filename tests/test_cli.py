@@ -326,16 +326,22 @@ class TestMalformedInputs:
             ("gappy", ["--test-fraction", "nan"]),
             ("compare", ["--ridge-lambda", "nan"]),
             ("compare", ["--train-fraction", "nan"]),
+            ("sweep", ["--ridge-lambda", "nan"]),
+            ("sweep", ["--ridge-lambda", -1]),
+            ("sweep", ["--error-floor", "nan"]),
+            ("sweep", ["--error-floor", 0]),
         ],
         ids=["train-ridge-nan", "train-ridge-inf", "train-floor-nan", "train-floor-inf",
              "train-fraction-nan", "gappy-ridge-nan", "gappy-ridge-inf", "gappy-fraction-nan",
-             "compare-ridge-nan", "compare-fraction-nan"],
+             "compare-ridge-nan", "compare-fraction-nan", "sweep-ridge-nan",
+             "sweep-ridge-negative", "sweep-floor-nan", "sweep-floor-0"],
     )
     def test_non_finite_number_exits_2(self, tmp_path, laminar_path, trained, command, extra):
         base = {
             "train": ["--patch-size", 8, "--latent-dim", 4],
             "gappy": ["--patch-size", 8, "--rank", 4, "--coverage", 0.5],
             "compare": ["--model", trained, "--coverage", 0.5],
+            "sweep": ["--patch-size", 8, "--latent-dim", 2, "--arrangements", 1],
         }[command]
         out = tmp_path / "x"
         assert run(command, "--dataset", laminar_path, *base, *extra, "--out-dir", out) == 2
@@ -420,6 +426,14 @@ class TestMalformedInputs:
         assert run("generate", "--height", 16, "--width", 16, "--snapshots", 4, *extra,
                    "--out-dir", out) == 2
         assert "finite and positive" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_zero_amplitude_exits_2(self, tmp_path, capsys):
+        # An all-zero dataset would only fail later, at training ("zero variance").
+        out = tmp_path / "gen"
+        assert run("generate", "--height", 16, "--width", 16, "--snapshots", 4,
+                   "--amplitude", 0, "--out-dir", out) == 2
+        assert "amplitude must be finite and nonzero" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_corrupt_norm_stats_exit_3(self, tmp_path, laminar_path, trained, capsys):

@@ -17,9 +17,9 @@ from lamp import (
     predictive_power,
     run_sweep,
 )
-from lamp import NumericalError, metrics
+from lamp import NumericalError, SplitSpec, attention, metrics
 from lamp.metrics import PowerMap, derive_seed
-from lamp.patches import PatchGrid
+from lamp.patches import PatchGrid, split_standardized
 from lamp.pod import PatchPodModel
 from oracles import sweep_cell_oracle
 
@@ -308,6 +308,66 @@ class TestSweepEngine:
         axes = SweepAxes(patch_sizes=(8,), latent_dims=(2,), coverages=(0.5,))
         with pytest.raises(NumericalError, match="pixel-space loss"):
             run_sweep(small_laminar, axes, n_arrangements=2)
+
+
+class TestOnePodPerPatchSize:
+    """Each patch size's POD is fitted once and shared by its latent dims."""
+
+    # 6 does not divide 32; 10**6 exceeds min(D, T) at every patch size.
+    AXES = SweepAxes(patch_sizes=(4, 6, 8), latent_dims=(1, 2, 3, 10**6), coverages=(0.5,))
+
+    def test_one_svd_per_patch_size(self, small_laminar, monkeypatch):
+        calls, svds = [], []
+        fit, svd = attention.fit_patch_pod, np.linalg.svd
+
+        def counting_fit(series, latent_dim):
+            calls.append((series.grid.patch_size, latent_dim))
+            return fit(series, latent_dim)
+
+        def counting_svd(a, *args, **kwargs):
+            svds.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(attention, "fit_patch_pod", counting_fit)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        run_sweep(small_laminar, self.AXES, n_arrangements=1)
+        # The out-of-range N_e is tried first and rejected by the range check,
+        # before any SVD; then one fit at N_e=3 serves N_e = 3, 2 and 1.
+        assert calls == [(4, 10**6), (4, 3), (8, 10**6), (8, 3)]
+        assert len(svds) == 2
+
+    def test_models_equal_standalone_training(self, small_laminar, monkeypatch):
+        trained = {}
+        train = metrics.train_attention_model
+
+        def recording(fields, p, ne, **kwargs):
+            trained[p, ne] = train(fields, p, ne, **kwargs)
+            return trained[p, ne]
+
+        monkeypatch.setattr(metrics, "train_attention_model", recording)
+        result = run_sweep(small_laminar, self.AXES, n_arrangements=1)
+        train_norm, _, _ = split_standardized(small_laminar, SplitSpec())
+        assert sorted(trained) == [(p, ne) for p in (4, 8) for ne in (1, 2, 3)]
+        for (p, ne), model in trained.items():
+            want = train(train_norm, p, ne)
+            for name in ("bases", "singular_values"):
+                np.testing.assert_array_equal(getattr(model.pod, name), getattr(want.pod, name))
+            for name in ("value_maps", "attn_vectors", "attn_intercepts", "pair_losses"):
+                np.testing.assert_array_equal(getattr(model, name), getattr(want, name))
+            assert result.cell(p, ne, math.inf, 0.5).skip_reason is None
+
+    def test_skip_reasons_equal_standalone_training(self, small_laminar):
+        result = run_sweep(small_laminar, self.AXES, n_arrangements=1)
+        train_norm, _, _ = split_standardized(small_laminar, SplitSpec())
+        skipped = [c for c in result.cells if c.skip_reason is not None]
+        assert [(c.patch_size, c.latent_dim) for c in skipped] == (
+            [(4, 10**6)] + [(6, ne) for ne in self.AXES.latent_dims] + [(8, 10**6)]
+        )
+        for cell in skipped:
+            with pytest.raises(ValidationError) as exc:
+                metrics.train_attention_model(train_norm, cell.patch_size, cell.latent_dim)
+            assert cell.skip_reason == str(exc.value)
+            assert cell.median_pred_loss is None
 
 
 class TestDeriveSeed:

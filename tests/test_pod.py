@@ -84,6 +84,21 @@ class TestFit:
         np.testing.assert_array_equal(a.bases, b.bases)
         np.testing.assert_array_equal(a.singular_values, b.singular_values)
 
+    def test_truncate_equals_refit(self):
+        series = rand_series(np.random.default_rng(16))
+        full = fit_patch_pod(series, 8)
+        for ne in range(1, 9):
+            cut, fit = full.truncate(ne), fit_patch_pod(series, ne)
+            assert cut.latent_dim == ne
+            np.testing.assert_array_equal(cut.bases, fit.bases)
+            np.testing.assert_array_equal(cut.singular_values, fit.singular_values)
+
+    @pytest.mark.parametrize("ne", [0, 4])
+    def test_truncate_beyond_fitted_modes_rejected(self, ne):
+        model = fit_patch_pod(rand_series(np.random.default_rng(17)), 3)
+        with pytest.raises(ValidationError, match="cannot truncate 3 modes"):
+            model.truncate(ne)
+
 
 class TestEncodeDecode:
     def test_basis_column_maps_to_unit_vector(self):

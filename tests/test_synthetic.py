@@ -118,6 +118,18 @@ class TestFlowSpec:
         with pytest.raises(ValidationError, match="must be finite and positive"):
             params()
 
+    @pytest.mark.parametrize("amplitude", [0.0, -0.0, math.nan, math.inf])
+    def test_amplitude_must_be_finite_and_nonzero(self, amplitude):
+        with pytest.raises(ValidationError, match="amplitude must be finite and nonzero"):
+            LaminarParams(amplitude=amplitude)
+
+    def test_negative_amplitude_flips_the_sign(self):
+        def field(amplitude):
+            params = LaminarParams(amplitude=amplitude)
+            return generate(FlowSpec("laminar-surrogate", 16, 16, 6, seed=0, params=params)).data
+
+        np.testing.assert_array_equal(field(-1.0), -field(1.0))
+
 
 class TestNoise:
     def grid(self):
