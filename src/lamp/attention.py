@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.linalg.blas import dgemm
 
 from .errors import NumericalError, ValidationError
@@ -41,6 +41,11 @@ RIDGE_SCALE = 1e-8
 DEFAULT_ERROR_FLOOR = 1e-12
 
 _PREDICT_CHUNK = 128  # snapshots per inference block, bounds peak memory
+
+#: Bytes of one block of target latents in the value fit.  The block and its
+#: residual buffer (the same size) are reread once per source patch, so
+#: together they should stay in a core's L2 cache.
+_VALUE_BLOCK_BYTES = 600 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,23 +136,37 @@ def check_error_floor(error_floor: float) -> None:
         raise ValidationError(f"error_floor must be finite and positive, got {error_floor}")
 
 
-def _ridge_solve(gram: np.ndarray, lam: float, rhs: np.ndarray, system: str) -> np.ndarray:
-    """Solve (gram + lam I) x = rhs by Cholesky; ``system`` names it in errors."""
+def _source_grams(
+    latent: LatentSeries, ridge_lambda: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each source patch's latents (N, N_e, T), Gram matrix and ridge."""
+    n, e = latent.n_patches, latent.latent_dim
+    z = np.ascontiguousarray(latent.values.transpose(1, 2, 0))
+    grams = z @ z.transpose(0, 2, 1)
+    mean_energy = float(np.sum(latent.values**2)) / n  # mean per-patch gram trace
+    lams = np.array([_resolve_ridge(g, e, ridge_lambda, mean_energy) for g in grams])
+    return z, grams, lams
+
+
+def _source_cholesky(grams: np.ndarray, lams: np.ndarray, system: str) -> np.ndarray:
+    """Lower Cholesky factors of grams[n] + lams[n] I for every source n.
+
+    All sources are factored in one batched call; if any is not positive
+    definite, they are refactored one by one so the error names the first
+    singular source patch (``system`` names the kind of matrix).
+    """
+    mats = grams + lams[:, None, None] * np.eye(grams.shape[-1])
     try:
-        factor = cho_factor(gram + lam * np.eye(len(gram)))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"{system} is singular; pass a positive ridge_lambda"
-        ) from exc
-    return cho_solve(factor, rhs)
-
-
-def _cross_grams(values: np.ndarray) -> np.ndarray:
-    """All pairwise latent Gram blocks: G[m, n] = sum_t z_m(t) z_n(t)^T."""
-    t, n, e = values.shape
-    flat = values.reshape(t, n * e)
-    full = flat.T @ flat
-    return full.reshape(n, e, n, e).transpose(0, 2, 1, 3)
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        for src, mat in enumerate(mats):
+            try:
+                np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"{system} of source patch {src} is singular; pass a positive ridge_lambda"
+                ) from exc
+        raise
 
 
 def fit_value_tensor(
@@ -169,28 +188,31 @@ def fit_value_tensor(
             "are underdetermined and rely on the ridge term",
             stacklevel=2,
         )
-    grams = _cross_grams(latent.values)
-    mean_energy = float(np.sum(latent.values**2)) / n  # mean per-patch gram trace
+    z_src, grams, lams = _source_grams(latent, ridge_lambda)      # z_src: (N, e, T)
+    z = z_src.reshape(n * e, t)
+    factors = _source_cholesky(grams, lams, "normal matrix")
+    # W_mn = Z_m Z_n^T (G_nn + lambda I)^-1 = Z_m Y_n^T with Y_n the scaled source.
+    scaled = cho_solve((factors, True), z_src)                    # (N, e, T)
     value_maps = np.empty((n, n, e, e))
     pair_errors = np.empty((n, n, t))
-    eye = np.eye(e)
-    z_t = np.ascontiguousarray(latent.values.reshape(t, n * e).T)  # (N*e, T)
-    resid = np.empty((n * e, t))     # reused: pair residuals of one source
-    for src in range(n):
-        lam = _resolve_ridge(grams[src, src], e, ridge_lambda, mean_energy)
-        rhs = grams[:, src].transpose(2, 0, 1).reshape(e, n * e)  # G_mn^T stacked
-        sol = _ridge_solve(                                        # (e, n*e)
-            grams[src, src], lam, rhs, f"normal matrix of source patch {src}"
-        )
-        value_maps[:, src] = sol.reshape(e, n, e).transpose(1, 2, 0)
-        value_maps[src, src] = eye
-        # Row m*e + i of resid is prediction minus truth for component i of
-        # target m, over all snapshots: one GEMM for every target at once.
-        np.matmul(value_maps[:, src].reshape(n * e, e), z_t[src * e:(src + 1) * e], out=resid)
-        resid -= z_t
-        np.square(resid, out=resid)
-        np.sum(resid.reshape(n, e, t), axis=1, out=pair_errors[:, src, :])
-        pair_errors[src, src, :] = 0.0
+    block = max(1, _VALUE_BLOCK_BYTES // (8 * e * t))             # targets per block
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        targets = z[lo * e : hi * e]                              # (B*e, T)
+        maps = np.empty((len(targets), e))                        # W_{block, src}
+        resid = np.empty((len(targets), t))
+        for src in range(n):
+            np.matmul(targets, scaled[src].T, out=maps)
+            value_maps[lo:hi, src] = maps.reshape(hi - lo, e, e)
+            # Row i of resid is prediction minus truth for one (target,
+            # component) of the block, over all snapshots.
+            np.matmul(maps, z_src[src], out=resid)
+            resid -= targets
+            np.square(resid, out=resid)
+            np.sum(resid.reshape(hi - lo, e, t), axis=1, out=pair_errors[lo:hi, src])
+    diag = np.arange(n)
+    value_maps[diag, diag] = np.eye(e)
+    pair_errors[diag, diag] = 0.0
     return value_maps, pair_errors
 
 
@@ -215,26 +237,32 @@ def fit_attention_tensor(
         raise ValidationError(
             f"pair_errors shape {pair_errors.shape} != {(n, n, t)}"
         )
-    mean_energy = float(np.sum(latent.values**2)) / n
-    attn_vectors = np.empty((n, n, e))
-    attn_intercepts = np.zeros((n, n))
+    z, grams, lams = _source_grams(latent, ridge_lambda)          # z: (N, e, T)
+    if use_intercept:
+        # An unpenalized intercept is the ridge fit on centred data, with
+        # intercept y_mean - z_mean . w (lambda stays the uncentred one).
+        # Centred z has zero sums over time, so Zc^T (Y - y_mean) = Zc^T Y.
+        z_mean = z.mean(axis=2)                                   # (N, e)
+        z = z - z_mean[:, :, None]
+        grams = z @ z.transpose(0, 2, 1)
+    factors = _source_cholesky(grams, lams, "attention system")
+    rhs = np.empty((n, e, n))   # source n: Z_n^T Y_n, one column per target
+    y_mean = np.empty((n, n))   # [source, target]
+    y = np.empty((n, t))        # one source's targets, reused: row m is target m
     for src in range(n):
-        z = latent.values[:, src, :]          # (T, e)
-        # (T, N) regression targets, one column per target m; built one
-        # source at a time so no second (N, N, T) array exists.
-        y = -np.log(np.maximum(pair_errors[:, src, :], error_floor)).T
-        lam = _resolve_ridge(z.T @ z, e, ridge_lambda, mean_energy)
-        if use_intercept:
-            # An unpenalized intercept is the ridge fit on centred data, with
-            # intercept y_mean - z_mean . w (lambda stays the uncentred one).
-            z_mean, y_mean = z.mean(axis=0), y.mean(axis=0)
-            z, y = z - z_mean, y - y_mean
-        w = _ridge_solve(z.T @ z, lam, z.T @ y, f"attention system of source patch {src}")
-        attn_vectors[:, src, :] = w.T
-        if use_intercept:
-            attn_intercepts[:, src] = y_mean - z_mean @ w
-        attn_vectors[src, src, :] = 0.0
-        attn_intercepts[src, src] = -np.log(error_floor)
+        np.maximum(pair_errors[:, src], error_floor, out=y)
+        np.log(y, out=y)
+        np.negative(y, out=y)
+        np.matmul(z[src], y.T, out=rhs[src])
+        y_mean[src] = y.mean(axis=1)
+    w = cho_solve((factors, True), rhs)                           # (N, e, N)
+    attn_vectors = np.ascontiguousarray(w.transpose(2, 0, 1))
+    attn_intercepts = np.zeros((n, n))
+    if use_intercept:
+        attn_intercepts = (y_mean - (z_mean[:, None, :] @ w)[:, 0, :]).T.copy()
+    diag = np.arange(n)
+    attn_vectors[diag, diag] = 0.0
+    attn_intercepts[diag, diag] = -np.log(error_floor)
     return attn_vectors, attn_intercepts
 
 

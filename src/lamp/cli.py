@@ -659,6 +659,10 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        # Same exit code as a request over --budget-bytes.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def console() -> None:

@@ -57,6 +57,7 @@ class LaminarParams:
             raise ValidationError(
                 f"harmonics must be in [1, 6], got {self.harmonics}"
             )
+        _check_finite("decay", self.decay)
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,14 @@ class ChaoticParams:
                 raise ValidationError(f"invalid {name}: {(lo, hi)}")
         if self.packet_radius is not None:
             _check_positive("packet_radius", self.packet_radius)
+        _check_finite("decay", self.decay)
+
+
+def _check_finite(name: str, value: float) -> None:
+    """Exponents may have either sign; an infinite one keeps only the first
+    harmonic or mode, and a NaN one poisons the whole field."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
 
 
 def _check_positive(name: str, value: float) -> None:

@@ -25,6 +25,7 @@ from lamp import (
     train_attention_model,
     unpatchify,
 )
+from lamp import attention
 from lamp.attention import _PREDICT_CHUNK, masked_softmax
 from lamp.patches import PatchGrid
 from lamp.pod import PatchPodModel
@@ -229,6 +230,28 @@ class TestFitValueTensor:
         latents = np.random.default_rng(17).standard_normal((30, 12, e))
         check_value_fit_against_oracle(latents, 1e-6)
 
+    @pytest.mark.parametrize("e", [1, 5])
+    @pytest.mark.parametrize("n", [9, 3], ids=["2B+1", "below-B"])
+    def test_matches_oracle_across_target_blocks(self, monkeypatch, e, n):
+        # Blocks of B=4 targets: a ragged last block, or one partial block.
+        t = 30
+        monkeypatch.setattr(attention, "_VALUE_BLOCK_BYTES", 4 * 8 * e * t)
+        latents = np.random.default_rng(18).standard_normal((t, n, e))
+        check_value_fit_against_oracle(latents, 1e-6)
+
+    def test_no_full_latent_gram(self):
+        # Peak allocation beyond the two outputs stays far below one
+        # (N*N_e)^2 array: no Gram of all patches against all is formed.
+        t, n, e = 20, 64, 8
+        latents = LatentSeries(np.random.default_rng(19).standard_normal((t, n, e)))
+        tracemalloc.start()
+        try:
+            value_maps, pair_errors = fit_value_tensor(latents)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - value_maps.nbytes - pair_errors.nbytes < (n * e) ** 2 * 8 / 2
+
     def test_repeat_fit_bit_identical(self):
         latents = LatentSeries(np.random.default_rng(15).standard_normal((30, 12, 5)))
         first, second = fit_value_tensor(latents), fit_value_tensor(latents)
@@ -246,6 +269,10 @@ class TestFitValueTensor:
         latents = np.zeros((5, 2, 2))
         latents[:, 0, 0] = 1.0  # source patch 1 stays identically zero
         with pytest.raises(NumericalError, match="ridge_lambda"):
+            fit_value_tensor(LatentSeries(latents), 0.0)
+        latents = np.random.default_rng(20).standard_normal((10, 4, 3))
+        latents[:, 2, :] = 0.0  # only source patch 2 is singular
+        with pytest.raises(NumericalError, match="source patch 2 is singular"):
             fit_value_tensor(LatentSeries(latents), 0.0)
 
     def test_underdetermined_warns(self):

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import math
 import struct
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from lamp import (
     FlowSpec, SnapshotSet, generate, normalize, read_dataset, read_model, write_dataset,
 )
-from lamp.cli import main
+from lamp.cli import _seed, build_parser, main
 from lamp.formats import MODEL_MAGIC, dataset_bytes, model_nbytes
 
 
@@ -436,6 +438,26 @@ class TestMalformedInputs:
         assert "amplitude must be finite and nonzero" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("kind", ["laminar-surrogate", "chaotic-surrogate"])
+    @pytest.mark.parametrize("decay", ["nan", "inf", "-inf"])
+    def test_non_finite_decay_exits_2(self, tmp_path, kind, decay, capsys):
+        out = tmp_path / "gen"
+        assert run("generate", "--kind", kind, "--height", 16, "--width", 16, "--snapshots", 4,
+                   f"--decay={decay}", "--out-dir", out) == 2
+        assert "decay must be finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["laminar-surrogate", "chaotic-surrogate"])
+    def test_out_of_memory_exits_2(self, tmp_path, kind, capsys):
+        # 8.5 PiB for the laminar field, over any 64-bit address space, so the
+        # allocation fails at once without touching memory.
+        out = tmp_path / "gen"
+        assert run("generate", "--kind", kind, "--height", 10**7, "--width", 10**7,
+                   "--snapshots", 2, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
+
     def test_corrupt_norm_stats_exit_3(self, tmp_path, laminar_path, trained, capsys):
         raw = bytearray(dataset_bytes(normalize(read_dataset(laminar_path), range(0, 40))))
         raw[33:41] = struct.pack("<d", -1.0)  # std of component 0
@@ -484,3 +506,103 @@ class TestUsage:
     def test_missing_required_flag_exits_2(self, capsys):
         assert main(["train", "--patch-size", "8"]) == 2
         capsys.readouterr()
+
+
+# Every numeric flag of every command, given each edge value --------------------
+
+EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0"]
+
+# Flags typed as text that the command reads as numbers.
+TEXT_NUMBERS = {
+    "reconstruct": {"snr_db"},
+    "gappy": {"snr_db"},
+    "compare": {"snr_db"},
+    "sweep": {"patch_size", "latent_dim", "snr_db", "coverage"},
+}
+
+
+def numeric_flags():
+    """(command, flag) for every option the parser reads as a number."""
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, action.option_strings[0])
+        for command, sub in subs.choices.items()
+        for action in sub._actions
+        if action.option_strings
+        and (action.type in (int, float, _seed) or action.dest in TEXT_NUMBERS.get(command, ()))
+    ]
+
+
+def assert_outputs_finite(out):
+    """Manifest results, datasets, models and CSVs of a finished run hold no NaN or Inf."""
+    manifest = json.loads((out / "manifest.json").read_text())
+
+    def walk(value):
+        if isinstance(value, dict):
+            for v in value.values():
+                walk(v)
+        elif isinstance(value, list):
+            for v in value:
+                walk(v)
+        elif isinstance(value, float):
+            assert math.isfinite(value)
+        else:  # the manifest spells non-finite floats as their repr
+            assert value not in ("nan", "inf", "-inf")
+
+    walk(manifest["results"])
+    for name in manifest["outputs"]:
+        path = out / name
+        if path.suffix == ".lampds":
+            assert np.isfinite(read_dataset(path).data).all()
+        elif path.suffix == ".lampmd":
+            read_model(path)  # rejects non-finite arrays
+        elif path.suffix == ".csv":
+            for row in read_rows(path):
+                for column, cell in row.items():
+                    if column != "snr_db" and cell:  # inf is a valid SNR coordinate
+                        assert math.isfinite(float(cell)), (name, column, cell)
+
+
+@pytest.fixture(scope="module")
+def small_chaotic(tmp_path_factory):
+    """A 16x16 chaotic dataset and a P=4, N_e=4 model trained on it."""
+    root = tmp_path_factory.mktemp("small")
+    data = root / "chaotic.lampds"
+    write_dataset(generate(FlowSpec("chaotic-surrogate", 16, 16, 60, seed=2)), data)
+    assert run("train", "--dataset", data, "--patch-size", 4, "--latent-dim", 4,
+               "--out-dir", root / "model") == 0
+    return data, root / "model" / "model.lampmd"
+
+
+class TestNumericFlags:
+    def test_every_command_with_numbers_is_covered(self):
+        assert {c for c, _ in numeric_flags()} == {
+            "generate", "train", "reconstruct", "sweep", "place-sensors", "gappy", "compare"}
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    @pytest.mark.parametrize("command, flag", numeric_flags())
+    def test_edge_value_exits_0_2_or_3(self, tmp_path, small_chaotic, command, flag, value,
+                                       capsys):
+        data, model = small_chaotic
+        base = {
+            "generate": ["--height", 16, "--width", 16, "--snapshots", 8],
+            "train": ["--dataset", data, "--patch-size", 4, "--latent-dim", 4],
+            "reconstruct": ["--dataset", data, "--model", model, "--coverage", 0.25],
+            "sweep": ["--dataset", data, "--patch-size", 4, "--latent-dim", 2,
+                      "--arrangements", 1],
+            "place-sensors": ["--model", model],
+            "gappy": ["--dataset", data, "--patch-size", 4, "--rank", 4, "--coverage", 0.25],
+            "compare": ["--dataset", data, "--model", model, "--coverage", 0.25],
+        }[command]
+        kinds = ["laminar-surrogate", "chaotic-surrogate"] if command == "generate" else [None]
+        for kind in kinds:
+            out = tmp_path / str(kind)
+            argv = [command, *(["--kind", kind] if kind else []), *base]
+            code = run(*argv, f"{flag}={value}", "--out-dir", out)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), (kind, code, err)
+            assert "Traceback" not in err
+            if code == 0:
+                assert_outputs_finite(out)
+            else:
+                assert not (out / "manifest.json").exists()

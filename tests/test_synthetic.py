@@ -123,6 +123,18 @@ class TestFlowSpec:
         with pytest.raises(ValidationError, match="amplitude must be finite and nonzero"):
             LaminarParams(amplitude=amplitude)
 
+    @pytest.mark.parametrize("params", [LaminarParams, ChaoticParams])
+    @pytest.mark.parametrize("decay", [math.nan, math.inf, -math.inf])
+    def test_decay_must_be_finite(self, params, decay):
+        with pytest.raises(ValidationError, match="decay must be finite"):
+            params(decay=decay)
+
+    @pytest.mark.parametrize("kind, params", [("laminar-surrogate", LaminarParams),
+                                              ("chaotic-surrogate", ChaoticParams)])
+    def test_negative_decay_is_valid(self, kind, params):
+        fields = generate(FlowSpec(kind, 16, 16, 6, seed=0, params=params(decay=-1.0)))
+        assert np.isfinite(fields.data).all()
+
     def test_negative_amplitude_flips_the_sign(self):
         def field(amplitude):
             params = LaminarParams(amplitude=amplitude)
