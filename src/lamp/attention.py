@@ -192,7 +192,9 @@ def fit_value_tensor(
     z = z_src.reshape(n * e, t)
     factors = _source_cholesky(grams, lams, "normal matrix")
     # W_mn = Z_m Z_n^T (G_nn + lambda I)^-1 = Z_m Y_n^T with Y_n the scaled source.
-    scaled = cho_solve((factors, True), z_src)                    # (N, e, T)
+    scaled = np.empty_like(z_src)                                 # (N, e, T)
+    for src in range(n):
+        scaled[src] = cho_solve((factors[src], True), z_src[src])
     value_maps = np.empty((n, n, e, e))
     pair_errors = np.empty((n, n, t))
     block = max(1, _VALUE_BLOCK_BYTES // (8 * e * t))             # targets per block
@@ -246,16 +248,15 @@ def fit_attention_tensor(
         z = z - z_mean[:, :, None]
         grams = z @ z.transpose(0, 2, 1)
     factors = _source_cholesky(grams, lams, "attention system")
-    rhs = np.empty((n, e, n))   # source n: Z_n^T Y_n, one column per target
+    w = np.empty((n, e, n))     # source n: one column of weights per target
     y_mean = np.empty((n, n))   # [source, target]
     y = np.empty((n, t))        # one source's targets, reused: row m is target m
     for src in range(n):
         np.maximum(pair_errors[:, src], error_floor, out=y)
         np.log(y, out=y)
         np.negative(y, out=y)
-        np.matmul(z[src], y.T, out=rhs[src])
+        w[src] = cho_solve((factors[src], True), z[src] @ y.T)
         y_mean[src] = y.mean(axis=1)
-    w = cho_solve((factors, True), rhs)                           # (N, e, N)
     attn_vectors = np.ascontiguousarray(w.transpose(2, 0, 1))
     attn_intercepts = np.zeros((n, n))
     if use_intercept:

@@ -57,7 +57,7 @@ class LaminarParams:
             raise ValidationError(
                 f"harmonics must be in [1, 6], got {self.harmonics}"
             )
-        _check_finite("decay", self.decay)
+        _check_decay(self.decay, self.harmonics)
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,22 @@ class ChaoticParams:
                 raise ValidationError(f"invalid {name}: {(lo, hi)}")
         if self.packet_radius is not None:
             _check_positive("packet_radius", self.packet_radius)
-        _check_finite("decay", self.decay)
+        _check_decay(self.decay, self.modes)
 
 
-def _check_finite(name: str, value: float) -> None:
-    """Exponents may have either sign; an infinite one keeps only the first
-    harmonic or mode, and a NaN one poisons the whole field."""
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
+def _check_decay(decay: float, terms: int) -> None:
+    """Term k = 1..terms is scaled by k**-decay, so either sign is valid, but
+    the extreme factor terms**-decay must be a finite nonzero float: one that
+    overflows breaks the synthesis, one that underflows to zero silently keeps
+    only the first harmonic or mode, and a NaN decay poisons the whole field."""
+    try:
+        last = float(terms) ** -decay if math.isfinite(decay) else math.nan
+    except OverflowError:
+        last = math.inf
+    if not (math.isfinite(last) and last != 0.0):
+        raise ValidationError(
+            f"decay must be finite and keep {terms}**-decay a finite nonzero float, got {decay}"
+        )
 
 
 def _check_positive(name: str, value: float) -> None:

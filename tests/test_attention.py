@@ -275,6 +275,20 @@ class TestFitValueTensor:
         with pytest.raises(NumericalError, match="source patch 2 is singular"):
             fit_value_tensor(LatentSeries(latents), 0.0)
 
+    def test_solves_one_source_at_a_time(self, monkeypatch):
+        # SciPy before 1.15 rejects a stack of factors in cho_solve, so both
+        # fits must hand it one (N_e, N_e) factor per call.
+        solve = attention.cho_solve
+
+        def two_dimensional_only(factor, b):
+            assert factor[0].ndim == 2 and b.ndim == 2
+            return solve(factor, b)
+
+        monkeypatch.setattr(attention, "cho_solve", two_dimensional_only)
+        latents = LatentSeries(np.random.default_rng(21).standard_normal((20, 5, 3)))
+        _, pair_errors = fit_value_tensor(latents)
+        fit_attention_tensor(latents, pair_errors)
+
     def test_underdetermined_warns(self):
         rng = np.random.default_rng(6)
         with pytest.warns(UserWarning, match="underdetermined"):

@@ -439,7 +439,7 @@ class TestMalformedInputs:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("kind", ["laminar-surrogate", "chaotic-surrogate"])
-    @pytest.mark.parametrize("decay", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("decay", ["nan", "inf", "-inf", "-1000", "1e6"])
     def test_non_finite_decay_exits_2(self, tmp_path, kind, decay, capsys):
         out = tmp_path / "gen"
         assert run("generate", "--kind", kind, "--height", 16, "--width", 16, "--snapshots", 4,
@@ -510,7 +510,8 @@ class TestUsage:
 
 # Every numeric flag of every command, given each edge value --------------------
 
-EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0"]
+# -1000 and 1e6 overflow and underflow exponents such as --decay.
+EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0", "-1000", "1e6"]
 
 # Flags typed as text that the command reads as numbers.
 TEXT_NUMBERS = {

@@ -124,10 +124,16 @@ class TestFlowSpec:
             LaminarParams(amplitude=amplitude)
 
     @pytest.mark.parametrize("params", [LaminarParams, ChaoticParams])
-    @pytest.mark.parametrize("decay", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("decay", [math.nan, math.inf, -math.inf, -1000.0, 1e6])
     def test_decay_must_be_finite(self, params, decay):
+        # -1000 overflows the last amplitude factor, 1e6 underflows it to zero.
         with pytest.raises(ValidationError, match="decay must be finite"):
             params(decay=decay)
+
+    def test_any_finite_decay_is_valid_with_one_harmonic(self):
+        # The only factor is 1**-decay == 1.
+        assert LaminarParams(harmonics=1, decay=1e6).decay == 1e6
+        assert ChaoticParams(modes=1, decay=-1000.0).decay == -1000.0
 
     @pytest.mark.parametrize("kind, params", [("laminar-surrogate", LaminarParams),
                                               ("chaotic-surrogate", ChaoticParams)])
