@@ -1,9 +1,9 @@
 """Masked flow-field reconstruction with patch-wise POD and latent attention.
 
 The pipeline: snapshots are standardized, cut into non-overlapping patches,
-compressed patch-by-patch with truncated SVD, and a single closed-form
-attention layer predicts the latent codes of masked patches from the
-observed ones.  A gappy-POD baseline, synthetic wake surrogates, sweep
+compressed patch-by-patch with POD (by the method of snapshots, a Gram
+eigendecomposition), and a single closed-form attention layer predicts the
+latent codes of masked patches from the observed ones.  A gappy-POD baseline, synthetic wake surrogates, sweep
 utilities, and binary dataset/model formats round out the toolkit.
 """
 

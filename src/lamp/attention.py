@@ -285,8 +285,9 @@ def train_attention_model(
 
     ``pod``, if given, is a compression already fitted to these snapshots at
     this patch size with at least ``latent_dim`` modes.  Its leading modes
-    (:meth:`PatchPodModel.truncate`) replace a new fit, with bit-identical
-    results, so models of several latent dimensions can share one SVD.
+    (:meth:`PatchPodModel.truncate`) replace a new fit, bit for bit under
+    the condition stated there, so models of several latent dimensions can
+    share one POD.
     """
     if train_fields.norm_stats is None:
         raise ValidationError(

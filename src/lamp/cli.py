@@ -232,6 +232,7 @@ def cmd_generate(args, out: Path) -> tuple[list[str], dict]:
         params = ChaoticParams(modes=args.modes, packet_radius=args.packet_radius, **decay)
     spec = FlowSpec(args.kind, args.height, args.width, args.snapshots, args.seed, params)
     fields = synthetic.generate(spec)
+    power = synthetic.signal_power(fields)  # before any output: it can overflow
     formats.write_dataset(fields, out / "dataset.lampds")
     return ["dataset.lampds"], {
         "geometry": {
@@ -240,7 +241,7 @@ def cmd_generate(args, out: Path) -> tuple[list[str], dict]:
             "components": fields.components,
             "snapshots": fields.snapshots,
         },
-        "signal_power": synthetic.signal_power(fields),
+        "signal_power": power,
     }
 
 

@@ -1,10 +1,10 @@
 """Gappy POD baseline: global modes fitted to the observed pixels.
 
-Reference reconstruction method for head-to-head comparison.  A global
-truncated SVD of the (unpatched) training snapshots gives r orthonormal
-modes; reconstruction solves a least-squares fit of the mode coefficients
-restricted to the pixels of unmasked patches, then evaluates the modes
-everywhere.
+Reference reconstruction method for head-to-head comparison.  A global POD
+of the (unpatched) training snapshots gives r orthonormal modes, by the same
+Gram-eigh kernel as the patch-wise bases; reconstruction solves a
+least-squares fit of the mode coefficients restricted to the pixels of
+unmasked patches, then evaluates the modes everywhere.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError, ValidationError
 from .patches import MaskSpec, NormStats, PatchGrid, SnapshotSet, pixel_mask
+from .pod import _leading_modes
 
 #: Relative ridge scale for the observed-pixel normal equations.  Smaller
 #: than the attention module's scale so that full observation reproduces the
@@ -51,10 +52,11 @@ class GappyPodModel:
 
 
 def fit_gappy(train: SnapshotSet, rank: int) -> GappyPodModel:
-    """Global truncated SVD of the training snapshot matrix.
+    """Global POD of the training snapshot matrix, r leading modes.
 
-    Uses the same deterministic sign convention as the patch-wise bases
-    (largest-magnitude entry of each mode nonnegative).
+    :func:`lamp.pod._leading_modes` on the one (H*W*C, T) matrix, so the
+    modes carry the patch-wise bases' sign convention (largest-magnitude
+    entry of each mode nonnegative).
     """
     t = train.snapshots
     dim = train.height * train.width * train.components
@@ -62,15 +64,12 @@ def fit_gappy(train: SnapshotSet, rank: int) -> GappyPodModel:
         raise ValidationError(
             f"rank must be in [1, min(H*W*C={dim}, T={t})], got {rank}"
         )
-    snapshots = train.data.reshape(t, dim).T  # (dim, T), columns are snapshots
+    snapshots = train.data.reshape(1, t, dim).transpose(0, 2, 1)  # columns are snapshots
     try:
-        u, s, _ = np.linalg.svd(snapshots, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("SVD of the global snapshot matrix failed") from exc
-    u = u[:, :rank]
-    idx = np.argmax(np.abs(u), axis=0)
-    signs = np.where(u[idx, np.arange(rank)] < 0.0, -1.0, 1.0)
-    return GappyPodModel(u * signs, s[:rank], train.norm_stats)
+        u, s = _leading_modes(snapshots, rank)
+    except NumericalError as exc:
+        raise NumericalError("POD of the global snapshot matrix did not converge") from exc
+    return GappyPodModel(u[0], s[0], train.norm_stats)
 
 
 def reconstruct_gappy(

@@ -235,7 +235,8 @@ def run_sweep(
 
     The POD of each patch size is fitted once, at its largest N_e in range;
     the smaller N_e train on its leading modes, which equal their own fits
-    bit for bit (:meth:`lamp.pod.PatchPodModel.truncate`).
+    bit for bit unless a patch's POD route depends on N_e
+    (:meth:`lamp.pod.PatchPodModel.truncate`).
 
     ``dataset`` is expected in unnormalized units; it is standardized here
     with statistics frozen on the train block.  Mask and noise seeds are

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .patches import MaskSpec, PatchGrid, SnapshotSet, pixel_mask
 
 LAMINAR = "laminar-surrogate"
@@ -87,6 +87,13 @@ class ChaoticParams:
                 raise ValidationError(f"invalid {name}: {(lo, hi)}")
         if self.packet_radius is not None:
             _check_positive("packet_radius", self.packet_radius)
+            # The envelope divides by 2 * radius**2, which must neither
+            # overflow nor underflow to zero.
+            if not 0.0 < 2.0 * self.packet_radius * self.packet_radius < math.inf:
+                raise ValidationError(
+                    "packet_radius must keep 2 * radius**2 a finite nonzero float, "
+                    f"got {self.packet_radius}"
+                )
         _check_decay(self.decay, self.modes)
 
 
@@ -219,8 +226,15 @@ def generate(spec: FlowSpec) -> SnapshotSet:
 
 
 def signal_power(fields: SnapshotSet) -> float:
-    """Mean squared value across snapshots, pixels and components."""
-    return float(np.mean(fields.data**2))
+    """Mean squared value across snapshots, pixels and components.
+
+    Raises NumericalError when it overflows float64 (values near 1e154 and up).
+    """
+    with np.errstate(over="ignore"):
+        power = float(np.mean(fields.data**2))
+    if not math.isfinite(power):
+        raise NumericalError("signal power (mean square of the field) overflows float64")
+    return power
 
 
 def noise_sigma2(fields: SnapshotSet, snr_db: float) -> float:

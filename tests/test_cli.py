@@ -438,6 +438,26 @@ class TestMalformedInputs:
         assert "amplitude must be finite and nonzero" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "extra, code",
+        [(["--kind", "chaotic-surrogate", "--packet-radius", "1e300"], 2),
+         (["--kind", "chaotic-surrogate", "--packet-radius", "1e-300"], 2),
+         (["--amplitude", "1e300"], 4),
+         (["--amplitude=-1e300"], 4),
+         (["--kind", "chaotic-surrogate", "--decay=-100"], 4)],
+        ids=["radius-1e300", "radius-1e-300", "amplitude-1e300", "amplitude--1e300",
+             "decay--100"],
+    )
+    def test_overflowing_generator_value_writes_nothing(self, tmp_path, extra, code, capsys):
+        # The radius is rejected with the params; an infinite signal power
+        # only shows once the field exists, before anything is written.
+        out = tmp_path / "gen"
+        assert run("generate", "--height", 16, "--width", 16, "--snapshots", 4, *extra,
+                   "--out-dir", out) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("kind", ["laminar-surrogate", "chaotic-surrogate"])
     @pytest.mark.parametrize("decay", ["nan", "inf", "-inf", "-1000", "1e6"])
     def test_non_finite_decay_exits_2(self, tmp_path, kind, decay, capsys):

@@ -316,25 +316,26 @@ class TestOnePodPerPatchSize:
     # 6 does not divide 32; 10**6 exceeds min(D, T) at every patch size.
     AXES = SweepAxes(patch_sizes=(4, 6, 8), latent_dims=(1, 2, 3, 10**6), coverages=(0.5,))
 
-    def test_one_svd_per_patch_size(self, small_laminar, monkeypatch):
-        calls, svds = [], []
-        fit, svd = attention.fit_patch_pod, np.linalg.svd
+    def test_one_gram_eigh_per_patch_size(self, small_laminar, monkeypatch):
+        calls, eighs = [], []
+        fit, eigh = attention.fit_patch_pod, np.linalg.eigh
 
         def counting_fit(series, latent_dim):
             calls.append((series.grid.patch_size, latent_dim))
             return fit(series, latent_dim)
 
-        def counting_svd(a, *args, **kwargs):
-            svds.append(a.shape)
-            return svd(a, *args, **kwargs)
+        def counting_eigh(a, *args, **kwargs):
+            eighs.append(a.shape)
+            return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(attention, "fit_patch_pod", counting_fit)
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         run_sweep(small_laminar, self.AXES, n_arrangements=1)
         # The out-of-range N_e is tried first and rejected by the range check,
-        # before any SVD; then one fit at N_e=3 serves N_e = 3, 2 and 1.
+        # before any decomposition; then one fit at N_e=3 serves N_e = 3, 2
+        # and 1, with one batched Gram eigh over all patches of its P.
         assert calls == [(4, 10**6), (4, 3), (8, 10**6), (8, 3)]
-        assert len(svds) == 2
+        assert [shape[0] for shape in eighs] == [64, 16]
 
     def test_models_equal_standalone_training(self, small_laminar, monkeypatch):
         trained = {}

@@ -3,6 +3,7 @@ import pytest
 
 from lamp import (
     LatentSeries,
+    NumericalError,
     SnapshotSet,
     ValidationError,
     ae_loss,
@@ -12,6 +13,7 @@ from lamp import (
     patchify,
 )
 from lamp.patches import PatchedSeries, PatchGrid
+from lamp.pod import _fix_signs, _leading_modes
 
 
 from oracles import singular_values_by_eigh
@@ -85,19 +87,79 @@ class TestFit:
         np.testing.assert_array_equal(a.singular_values, b.singular_values)
 
     def test_truncate_equals_refit(self):
-        series = rand_series(np.random.default_rng(16))
-        full = fit_patch_pod(series, 8)
-        for ne in range(1, 9):
-            cut, fit = full.truncate(ne), fit_patch_pod(series, ne)
-            assert cut.latent_dim == ne
-            np.testing.assert_array_equal(cut.bases, fit.bases)
-            np.testing.assert_array_equal(cut.singular_values, fit.singular_values)
+        rng = np.random.default_rng(16)
+        # D=8 <= T=12 (eigenvectors of X X^T), then D=32 > T=6 (lifted from X^T X).
+        for series in (rand_series(rng), rand_series(rng, t=6, h=8, w=8, p=4)):
+            k = min(series.grid.patch_dim, series.snapshots)
+            full = fit_patch_pod(series, k)
+            for ne in range(1, k + 1):
+                cut, fit = full.truncate(ne), fit_patch_pod(series, ne)
+                assert cut.latent_dim == ne
+                np.testing.assert_array_equal(cut.bases, fit.bases)
+                np.testing.assert_array_equal(cut.singular_values, fit.singular_values)
 
     @pytest.mark.parametrize("ne", [0, 4])
     def test_truncate_beyond_fitted_modes_rejected(self, ne):
         model = fit_patch_pod(rand_series(np.random.default_rng(17)), 3)
         with pytest.raises(ValidationError, match="cannot truncate 3 modes"):
             model.truncate(ne)
+
+
+def svd_modes(mats, k):
+    """The leading modes the way a batched SVD of the whole stack gives them."""
+    u, s, _ = np.linalg.svd(mats, full_matrices=False)
+    return _fix_signs(u[:, :, :k]), s[:, :k]
+
+
+class TestGramKernel:
+    @pytest.mark.parametrize("d, t", [(8, 20), (32, 12)], ids=["D<=T", "D>T"])
+    def test_gram_route_agrees_with_svd(self, d, t, monkeypatch):
+        mats = np.random.default_rng(30).standard_normal((6, d, t))
+        k = min(d, t)
+        want_u, want_s = svd_modes(mats, k)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a resolved spectrum must not reach the SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        u, s = _leading_modes(mats, k)
+        np.testing.assert_allclose(u, want_u, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(s, want_s, rtol=1e-10)
+
+    @pytest.mark.parametrize("t, h, p", [(12, 4, 2), (6, 8, 4)], ids=["D<=T", "D>T"])
+    def test_dead_patches_get_the_svd_bit_for_bit(self, t, h, p):
+        series = rand_series(np.random.default_rng(31), t=t, h=h, w=h, p=p)
+        vals = series.values.copy()
+        vals[:, ::2] *= 1e-60                       # patches 0 and 2 carry no signal
+        series = PatchedSeries(series.grid, vals)
+        model = fit_patch_pod(series, 3)
+        want_u, want_s = svd_modes(vals.transpose(1, 2, 0), 3)
+        np.testing.assert_array_equal(model.bases[::2], want_u[::2])
+        np.testing.assert_array_equal(model.singular_values[::2], want_s[::2])
+        np.testing.assert_allclose(model.bases[1::2], want_u[1::2], rtol=0, atol=1e-10)
+
+    def test_retained_null_modes_get_the_svd_bit_for_bit(self):
+        # Rank 2 per patch, 4 modes kept: modes 3 and 4 are rounding-defined.
+        rng = np.random.default_rng(32)
+        mats = rng.standard_normal((4, 16, 2)) @ rng.standard_normal((4, 2, 10))
+        u, s = _leading_modes(mats, 4)
+        want_u, want_s = svd_modes(mats, 4)
+        np.testing.assert_array_equal(u, want_u)
+        np.testing.assert_array_equal(s, want_s)
+
+    def test_eigh_failure_names_the_patch(self, monkeypatch):
+        eigh, calls = np.linalg.eigh, []
+
+        def failing(a, *args, **kwargs):
+            calls.append(a.shape)
+            # The batched call fails, then the redo fails on its third patch.
+            if a.ndim == 3 or len(calls) == 4:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NumericalError, match="patch 2"):
+            fit_patch_pod(rand_series(np.random.default_rng(33)), 2)
 
 
 class TestEncodeDecode:

@@ -8,6 +8,7 @@ from lamp import (
     FlowSpec,
     LaminarParams,
     MaskSpec,
+    NumericalError,
     SnapshotSet,
     ValidationError,
     generate,
@@ -117,6 +118,12 @@ class TestFlowSpec:
     def test_lengths_and_rates_must_be_finite_and_positive(self, params):
         with pytest.raises(ValidationError, match="must be finite and positive"):
             params()
+
+    @pytest.mark.parametrize("radius", [1e300, 1e-300])
+    def test_packet_radius_square_must_be_finite_and_nonzero(self, radius):
+        # 1e300**2 overflows; 1e-300**2 underflows to a zero divisor.
+        with pytest.raises(ValidationError, match="finite nonzero"):
+            ChaoticParams(packet_radius=radius)
 
     @pytest.mark.parametrize("amplitude", [0.0, -0.0, math.nan, math.inf])
     def test_amplitude_must_be_finite_and_nonzero(self, amplitude):
@@ -228,6 +235,11 @@ class TestNoise:
     def test_nan_snr_rejected(self):
         with pytest.raises(ValidationError):
             noise_sigma2(self.unit_power_fields(2), float("nan"))
+
+    def test_overflowing_signal_power_rejected(self):
+        fields = SnapshotSet(np.full((2, 4, 4, 2), -1e300))
+        with pytest.raises(NumericalError, match="overflows"):
+            signal_power(fields)
 
     def test_signal_power_full_field(self):
         fields = self.unit_power_fields(2)
