@@ -47,6 +47,11 @@ _PREDICT_CHUNK = 128  # snapshots per inference block, bounds peak memory
 #: together they should stay in a core's L2 cache.
 _VALUE_BLOCK_BYTES = 600 * 1024
 
+#: Bytes of the (N, S, T) pair errors of one block of S sources in training:
+#: the block's value maps and confidence models are fitted from them, then
+#: they are dropped, so no (N, N, T) array is held.
+_SOURCE_BLOCK_BYTES = 8 * 1024**2
+
 
 @dataclass(frozen=True, eq=False)
 class AttentionModel:
@@ -136,30 +141,46 @@ def check_error_floor(error_floor: float) -> None:
         raise ValidationError(f"error_floor must be finite and positive, got {error_floor}")
 
 
+def _source_range(latent: LatentSeries, sources: range | None) -> range:
+    """The source patches a fit covers: all of them, or one contiguous block."""
+    n = latent.n_patches
+    if sources is None:
+        return range(n)
+    if not (isinstance(sources, range) and sources.step == 1
+            and 0 <= sources.start < sources.stop <= n):
+        raise ValidationError(
+            f"sources must be a nonempty range of step 1 within [0, {n}), got {sources!r}"
+        )
+    return sources
+
+
 def _source_grams(
-    latent: LatentSeries, ridge_lambda: float | None
+    latent: LatentSeries, ridge_lambda: float | None, sources: range
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each source patch's latents (N, N_e, T), Gram matrix and ridge."""
-    n, e = latent.n_patches, latent.latent_dim
-    z = np.ascontiguousarray(latent.values.transpose(1, 2, 0))
+    """Each source patch's latents (S, N_e, T), Gram matrix and ridge; the
+    ridge floor is the mean Gram trace over all N patches."""
+    z = latent.by_patch[sources.start : sources.stop]
     grams = z @ z.transpose(0, 2, 1)
-    mean_energy = float(np.sum(latent.values**2)) / n  # mean per-patch gram trace
-    lams = np.array([_resolve_ridge(g, e, ridge_lambda, mean_energy) for g in grams])
+    e, floor = latent.latent_dim, latent.mean_energy
+    lams = np.array([_resolve_ridge(g, e, ridge_lambda, floor) for g in grams])
     return z, grams, lams
 
 
-def _source_cholesky(grams: np.ndarray, lams: np.ndarray, system: str) -> np.ndarray:
-    """Lower Cholesky factors of grams[n] + lams[n] I for every source n.
+def _source_cholesky(
+    grams: np.ndarray, lams: np.ndarray, system: str, sources: range
+) -> np.ndarray:
+    """Lower Cholesky factors of grams[j] + lams[j] I for every source j.
 
     All sources are factored in one batched call; if any is not positive
     definite, they are refactored one by one so the error names the first
-    singular source patch (``system`` names the kind of matrix).
+    singular source patch (``system`` names the kind of matrix, ``sources``
+    the patch of each matrix).
     """
     mats = grams + lams[:, None, None] * np.eye(grams.shape[-1])
     try:
         return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
-        for src, mat in enumerate(mats):
+        for src, mat in zip(sources, mats):
             try:
                 np.linalg.cholesky(mat)
             except np.linalg.LinAlgError as exc:
@@ -170,7 +191,7 @@ def _source_cholesky(grams: np.ndarray, lams: np.ndarray, system: str) -> np.nda
 
 
 def fit_value_tensor(
-    latent: LatentSeries, ridge_lambda: float | None = None
+    latent: LatentSeries, ridge_lambda: float | None = None, sources: range | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fit all pair-wise value maps by ridge-regularized least squares.
 
@@ -180,7 +201,13 @@ def fit_value_tensor(
 
     Returns (value_maps, pair_errors) where pair_errors[m, n, t] is the
     per-snapshot squared error, the regression target of the attention fit.
+
+    ``sources``, a ``range`` of step 1 within [0, N), fits only the maps from
+    that block of S source patches: the outputs are then (N, S, N_e, N_e)
+    and (N, S, T), column j holding source ``sources[j]``, bit for bit the
+    same as that column of the full fit.  None fits all N sources.
     """
+    sources = _source_range(latent, sources)
     t, n, e = latent.values.shape
     if t < e:
         warnings.warn(
@@ -188,22 +215,23 @@ def fit_value_tensor(
             "are underdetermined and rely on the ridge term",
             stacklevel=2,
         )
-    z_src, grams, lams = _source_grams(latent, ridge_lambda)      # z_src: (N, e, T)
-    z = z_src.reshape(n * e, t)
-    factors = _source_cholesky(grams, lams, "normal matrix")
+    s = len(sources)
+    z_src, grams, lams = _source_grams(latent, ridge_lambda, sources)  # z_src: (S, e, T)
+    z = latent.by_patch.reshape(n * e, t)
+    factors = _source_cholesky(grams, lams, "normal matrix", sources)
     # W_mn = Z_m Z_n^T (G_nn + lambda I)^-1 = Z_m Y_n^T with Y_n the scaled source.
-    scaled = np.empty_like(z_src)                                 # (N, e, T)
-    for src in range(n):
+    scaled = np.empty_like(z_src)                                 # (S, e, T)
+    for src in range(s):
         scaled[src] = cho_solve((factors[src], True), z_src[src])
-    value_maps = np.empty((n, n, e, e))
-    pair_errors = np.empty((n, n, t))
+    value_maps = np.empty((n, s, e, e))
+    pair_errors = np.empty((n, s, t))
     block = max(1, _VALUE_BLOCK_BYTES // (8 * e * t))             # targets per block
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         targets = z[lo * e : hi * e]                              # (B*e, T)
         maps = np.empty((len(targets), e))                        # W_{block, src}
         resid = np.empty((len(targets), t))
-        for src in range(n):
+        for src in range(s):
             np.matmul(targets, scaled[src].T, out=maps)
             value_maps[lo:hi, src] = maps.reshape(hi - lo, e, e)
             # Row i of resid is prediction minus truth for one (target,
@@ -212,9 +240,9 @@ def fit_value_tensor(
             resid -= targets
             np.square(resid, out=resid)
             np.sum(resid.reshape(hi - lo, e, t), axis=1, out=pair_errors[lo:hi, src])
-    diag = np.arange(n)
-    value_maps[diag, diag] = np.eye(e)
-    pair_errors[diag, diag] = 0.0
+    diag = (np.arange(sources.start, sources.stop), np.arange(s))
+    value_maps[diag] = np.eye(e)
+    pair_errors[diag] = 0.0
     return value_maps, pair_errors
 
 
@@ -224,6 +252,7 @@ def fit_attention_tensor(
     ridge_lambda: float | None = None,
     error_floor: float = DEFAULT_ERROR_FLOOR,
     use_intercept: bool = True,
+    sources: range | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fit the per-pair confidence model on negative log pair errors.
 
@@ -232,38 +261,46 @@ def fit_attention_tensor(
     through the origin when ``use_intercept`` is off).  Diagonal pairs get a
     zero vector and the confidence ceiling -log(floor) as intercept; they are
     excluded at inference anyway.
+
+    ``sources``, a ``range`` of step 1 within [0, N), fits only the pairs
+    from that block of S source patches: ``pair_errors`` is then the
+    (N, S, T) block :func:`fit_value_tensor` returns for the same
+    ``sources``, and the outputs are (N, S, N_e) and (N, S), bit for bit
+    those columns of the full fit.  None fits all N sources.
     """
     check_error_floor(error_floor)
+    sources = _source_range(latent, sources)
     t, n, e = latent.values.shape
-    if pair_errors.shape != (n, n, t):
+    s = len(sources)
+    if pair_errors.shape != (n, s, t):
         raise ValidationError(
-            f"pair_errors shape {pair_errors.shape} != {(n, n, t)}"
+            f"pair_errors shape {pair_errors.shape} != {(n, s, t)} for sources {sources!r}"
         )
-    z, grams, lams = _source_grams(latent, ridge_lambda)          # z: (N, e, T)
+    z, grams, lams = _source_grams(latent, ridge_lambda, sources)  # z: (S, e, T)
     if use_intercept:
         # An unpenalized intercept is the ridge fit on centred data, with
         # intercept y_mean - z_mean . w (lambda stays the uncentred one).
         # Centred z has zero sums over time, so Zc^T (Y - y_mean) = Zc^T Y.
-        z_mean = z.mean(axis=2)                                   # (N, e)
+        z_mean = z.mean(axis=2)                                   # (S, e)
         z = z - z_mean[:, :, None]
         grams = z @ z.transpose(0, 2, 1)
-    factors = _source_cholesky(grams, lams, "attention system")
-    w = np.empty((n, e, n))     # source n: one column of weights per target
-    y_mean = np.empty((n, n))   # [source, target]
+    factors = _source_cholesky(grams, lams, "attention system", sources)
+    w = np.empty((s, e, n))     # source j: one column of weights per target
+    y_mean = np.empty((s, n))   # [source, target]
     y = np.empty((n, t))        # one source's targets, reused: row m is target m
-    for src in range(n):
+    for src in range(s):
         np.maximum(pair_errors[:, src], error_floor, out=y)
         np.log(y, out=y)
         np.negative(y, out=y)
         w[src] = cho_solve((factors[src], True), z[src] @ y.T)
         y_mean[src] = y.mean(axis=1)
     attn_vectors = np.ascontiguousarray(w.transpose(2, 0, 1))
-    attn_intercepts = np.zeros((n, n))
+    attn_intercepts = np.zeros((n, s))
     if use_intercept:
         attn_intercepts = (y_mean - (z_mean[:, None, :] @ w)[:, 0, :]).T.copy()
-    diag = np.arange(n)
-    attn_vectors[diag, diag] = 0.0
-    attn_intercepts[diag, diag] = -np.log(error_floor)
+    diag = (np.arange(sources.start, sources.stop), np.arange(s))
+    attn_vectors[diag] = 0.0
+    attn_intercepts[diag] = -np.log(error_floor)
     return attn_vectors, attn_intercepts
 
 
@@ -296,17 +333,29 @@ def train_attention_model(
     series = patchify(train_fields, patch_size)
     pod = fit_patch_pod(series, latent_dim) if pod is None else pod.truncate(latent_dim)
     latent = encode(pod, series)
-    value_maps, pair_errors = fit_value_tensor(latent, ridge_lambda)
-    attn_vectors, attn_intercepts = fit_attention_tensor(
-        latent, pair_errors, ridge_lambda, error_floor, use_intercept
-    )
+    del series  # the patch vectors are not read again
+    t, n, e = latent.values.shape
+    value_maps = np.empty((n, n, e, e))
+    attn_vectors = np.empty((n, n, e))
+    attn_intercepts = np.empty((n, n))
+    pair_losses = np.empty((n, n))
+    per_block = max(1, _SOURCE_BLOCK_BYTES // (8 * n * t))
+    for lo in range(0, n, per_block):
+        block = range(lo, min(lo + per_block, n))
+        cols = slice(block.start, block.stop)
+        value_maps[:, cols], errors = fit_value_tensor(latent, ridge_lambda, sources=block)
+        attn_vectors[:, cols], attn_intercepts[:, cols] = fit_attention_tensor(
+            latent, errors, ridge_lambda, error_floor, use_intercept, sources=block
+        )
+        pair_losses[:, cols] = errors.mean(axis=2)
+        del errors  # before the next block's are allocated
     return AttentionModel(
         pod=pod,
         norm_stats=train_fields.norm_stats,
         value_maps=value_maps,
         attn_vectors=attn_vectors,
         attn_intercepts=attn_intercepts,
-        pair_losses=pair_errors.mean(axis=2),
+        pair_losses=pair_losses,
         ridge_lambda=ridge_lambda,
         error_floor=error_floor,
         use_intercept=use_intercept,

@@ -122,23 +122,25 @@ def _check_geometry(model, raw: SnapshotSet) -> None:
         )
 
 
-def _check_budget(args, fields: SnapshotSet, patch_size: int, latent_dims: tuple[int, ...]) -> int:
-    """Total file size of the models of one patch size, held in memory together.
+def _within_budget(args, need: int, what: str, remedy: str) -> int:
+    """``need`` bytes for ``what``; more than ``--budget-bytes`` is rejected."""
+    if need > args.budget_bytes:
+        raise ValidationError(
+            f"{what} would take {need} bytes, over the budget of {args.budget_bytes}; "
+            f"{remedy}, or raise --budget-bytes"
+        )
+    return need
 
-    More than ``--budget-bytes`` is rejected.
-    """
+
+def _check_budget(args, fields: SnapshotSet, patch_size: int, latent_dims: tuple[int, ...]) -> int:
+    """Total file size of the models of one patch size, held in memory together."""
     need = sum(
         formats.model_nbytes(fields.height, fields.width, fields.components, patch_size, ne)
         for ne in latent_dims
     )
-    if need > args.budget_bytes:
-        dims = ",".join(str(ne) for ne in latent_dims)
-        raise ValidationError(
-            f"models (P={patch_size}, N_e={dims}) would take {need} bytes, over "
-            f"the budget of {args.budget_bytes}; reduce patch count or latent "
-            "dimension, or raise --budget-bytes"
-        )
-    return need
+    dims = ",".join(str(ne) for ne in latent_dims)
+    return _within_budget(args, need, f"models (P={patch_size}, N_e={dims})",
+                          "reduce patch count or latent dimension")
 
 
 def _eval_input(args, test_raw: SnapshotSet, grid: PatchGrid, stats, power=None):
@@ -231,6 +233,8 @@ def cmd_generate(args, out: Path) -> tuple[list[str], dict]:
     else:
         params = ChaoticParams(modes=args.modes, packet_radius=args.packet_radius, **decay)
     spec = FlowSpec(args.kind, args.height, args.width, args.snapshots, args.seed, params)
+    _within_budget(args, synthetic.generate_nbytes(spec), "generating the dataset",
+                   "reduce height, width or snapshots")
     fields = synthetic.generate(spec)
     power = synthetic.signal_power(fields)  # before any output: it can overflow
     formats.write_dataset(fields, out / "dataset.lampds")
@@ -534,6 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="amplitude decay exponent (defaults per kind)")
     gen.add_argument("--modes", type=int, default=40)
     gen.add_argument("--packet-radius", type=float, default=None)
+    gen.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES)
     gen.add_argument("--out-dir", required=True)
     gen.set_defaults(func=cmd_generate)
 

@@ -14,6 +14,7 @@ cannot resolve (dead patches, null modes) are decomposed by an SVD instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,6 +115,18 @@ class LatentSeries:
     @property
     def latent_dim(self) -> int:
         return self.values.shape[2]
+
+    @cached_property
+    def by_patch(self) -> np.ndarray:
+        """The codes laid out per patch, (N, N_e, T), contiguous and read-only."""
+        arr = np.ascontiguousarray(self.values.transpose(1, 2, 0))
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def mean_energy(self) -> float:
+        """Mean over patches of the squared norm of a patch's code series."""
+        return float(np.sum(self.values**2)) / self.n_patches
 
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:

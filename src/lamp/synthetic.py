@@ -219,6 +219,17 @@ def _chaotic(spec: FlowSpec) -> np.ndarray:
     return np.stack(components, axis=-1)
 
 
+def generate_nbytes(spec: FlowSpec) -> int:
+    """A lower bound on the bytes :func:`generate` holds at once.
+
+    Both generators hold the two (T, H, W) components together with the
+    (T, H, W, 2) field they are stacked into, and a (2K, H*W) mode matrix
+    of K harmonics or modes.
+    """
+    terms = spec.params.harmonics if spec.kind == LAMINAR else spec.params.modes
+    return 8 * spec.height * spec.width * (4 * spec.snapshots + 2 * terms)
+
+
 def generate(spec: FlowSpec) -> SnapshotSet:
     """Generate the unnormalized (T, H, W, 2) dataset described by the spec."""
     data = _laminar(spec) if spec.kind == LAMINAR else _chaotic(spec)

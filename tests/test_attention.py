@@ -406,6 +406,97 @@ class TestFitAttentionTensor:
             fit_attention_tensor(LatentSeries(latents), np.ones((2, 2, 10)), **kwargs)
 
 
+class TestSourceBlocks:
+    @pytest.mark.parametrize("use_intercept", [True, False])
+    def test_block_is_the_columns_of_the_full_fit(self, use_intercept):
+        latents = LatentSeries(np.random.default_rng(40).standard_normal((30, 7, 3)))
+        maps, errors = fit_value_tensor(latents, 1e-6)
+        vec, icpt = fit_attention_tensor(latents, errors, 1e-6, use_intercept=use_intercept)
+        for block in (range(0, 7), range(2, 5), range(6, 7)):
+            cols = slice(block.start, block.stop)
+            block_maps, block_errors = fit_value_tensor(latents, 1e-6, sources=block)
+            np.testing.assert_array_equal(block_maps, maps[:, cols])
+            np.testing.assert_array_equal(block_errors, errors[:, cols])
+            block_vec, block_icpt = fit_attention_tensor(
+                latents, block_errors, 1e-6, use_intercept=use_intercept, sources=block
+            )
+            np.testing.assert_array_equal(block_vec, vec[:, cols])
+            np.testing.assert_array_equal(block_icpt, icpt[:, cols])
+
+    @pytest.mark.parametrize("sources", [range(0), range(3, 3), range(0, 4, 2), range(-1, 2),
+                                         range(2, 6), [0, 1]],
+                             ids=["empty", "empty-offset", "step-2", "negative", "past-end",
+                                  "list"])
+    def test_bad_sources_rejected(self, sources):
+        latents = LatentSeries(np.random.default_rng(41).standard_normal((10, 5, 2)))
+        with pytest.raises(ValidationError, match="sources must be"):
+            fit_value_tensor(latents, sources=sources)
+        with pytest.raises(ValidationError, match="sources must be"):
+            fit_attention_tensor(latents, np.ones((5, 2, 10)), sources=sources)
+
+    def test_pair_errors_must_match_sources(self):
+        latents = LatentSeries(np.random.default_rng(42).standard_normal((10, 5, 2)))
+        _, errors = fit_value_tensor(latents, sources=range(1, 3))
+        with pytest.raises(ValidationError, match="pair_errors shape"):
+            fit_attention_tensor(latents, errors)
+        with pytest.raises(ValidationError, match="pair_errors shape"):
+            fit_attention_tensor(latents, errors, sources=range(1, 4))
+
+    def test_singular_source_named_by_its_global_index(self):
+        latents = np.random.default_rng(43).standard_normal((10, 6, 3))
+        latents[:, 4, :] = 0.0  # second entry of the block below
+        series = LatentSeries(latents)
+        block = range(3, 6)
+        with pytest.raises(NumericalError, match="normal matrix of source patch 4 is singular"):
+            fit_value_tensor(series, 0.0, sources=block)
+        with pytest.raises(NumericalError, match="attention system of source patch 4 is singular"):
+            fit_attention_tensor(series, np.ones((6, 3, 10)), 0.0, sources=block)
+
+
+class TestTrainInSourceBlocks:
+    def test_ragged_blocks_match_full_fits(self, monkeypatch):
+        # N=16 sources in blocks of 3: five full blocks and a ragged one.
+        t, side, p, e = 24, 16, 4, 3
+        fields = SnapshotSet(np.random.default_rng(44).standard_normal((t, side, side, 2)))
+        norm = normalize(fields, range(0, t))
+        n = (side // p) ** 2
+        monkeypatch.setattr(attention, "_SOURCE_BLOCK_BYTES", 3 * 8 * n * t)
+        seen = []
+        fit = attention.fit_value_tensor
+
+        def recording(latent, ridge_lambda=None, sources=None):
+            seen.append(sources)
+            return fit(latent, ridge_lambda, sources=sources)
+
+        monkeypatch.setattr(attention, "fit_value_tensor", recording)
+        model = train_attention_model(norm, p, e)
+        assert seen == [range(lo, min(lo + 3, n)) for lo in range(0, n, 3)]
+
+        latent = encode(model.pod, patchify(norm, p))
+        value_maps, pair_errors = fit(latent)
+        attn_vectors, attn_intercepts = fit_attention_tensor(latent, pair_errors)
+        np.testing.assert_array_equal(model.value_maps, value_maps)
+        np.testing.assert_array_equal(model.attn_vectors, attn_vectors)
+        np.testing.assert_array_equal(model.attn_intercepts, attn_intercepts)
+        np.testing.assert_array_equal(model.pair_losses, pair_errors.mean(axis=2))
+
+    def test_no_pair_error_tensor(self):
+        # N=64 patches and T=1024 snapshots: the default block holds the errors
+        # of 16 sources, so the peak stays well below half of one (N, N, T)
+        # array beyond the model's value maps.
+        t, side, p, e = 1024, 16, 2, 4
+        fields = SnapshotSet(np.random.default_rng(45).standard_normal((t, side, side, 2)))
+        norm = normalize(fields, range(0, t))
+        n = (side // p) ** 2
+        tracemalloc.start()
+        try:
+            model = train_attention_model(norm, p, e)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < model.value_maps.nbytes + n * n * t * 8 / 2
+
+
 class TestPredictMasked:
     def test_single_candidate_is_pair_prediction(self):
         rng = np.random.default_rng(15)

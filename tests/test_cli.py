@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from lamp import (
-    FlowSpec, SnapshotSet, generate, normalize, read_dataset, read_model, write_dataset,
+    FlowSpec, SnapshotSet, generate, normalize, read_dataset, read_model, synthetic,
+    write_dataset,
 )
 from lamp.cli import _seed, build_parser, main
 from lamp.formats import MODEL_MAGIC, dataset_bytes, model_nbytes
@@ -470,13 +471,35 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("kind", ["laminar-surrogate", "chaotic-surrogate"])
     def test_out_of_memory_exits_2(self, tmp_path, kind, capsys):
         # 8.5 PiB for the laminar field, over any 64-bit address space, so the
-        # allocation fails at once without touching memory.
+        # allocation fails at once without touching memory.  The budget is
+        # raised past the request so that the allocation is reached.
         out = tmp_path / "gen"
         assert run("generate", "--kind", kind, "--height", 10**7, "--width", 10**7,
-                   "--snapshots", 2, "--out-dir", out) == 2
+                   "--snapshots", 2, "--budget-bytes", 10**18, "--out-dir", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("kind", ["laminar-surrogate", "chaotic-surrogate"])
+    def test_generate_over_budget_exits_2_before_allocating(self, tmp_path, kind, monkeypatch,
+                                                            capsys):
+        def never(spec):
+            raise AssertionError("generate was called")
+
+        monkeypatch.setattr(synthetic, "generate", never)
+        out = tmp_path / "gen"
+        assert run("generate", "--kind", kind, "--height", 10**9, "--width", 10**9,
+                   "--snapshots", 2, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert "budget" in err and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_generate_budget_counts_field_and_mode_matrix(self, tmp_path, capsys):
+        # 16x16, T=4, 6 harmonics: 8 * 256 * (4*4 + 2*6) = 57344 bytes.
+        base = ["generate", "--height", 16, "--width", 16, "--snapshots", 4]
+        assert run(*base, "--budget-bytes", 57343, "--out-dir", tmp_path / "a") == 2
+        assert "57344 bytes" in capsys.readouterr().err
+        assert run(*base, "--budget-bytes", 57344, "--out-dir", tmp_path / "b") == 0
 
     def test_corrupt_norm_stats_exit_3(self, tmp_path, laminar_path, trained, capsys):
         raw = bytearray(dataset_bytes(normalize(read_dataset(laminar_path), range(0, 40))))
