@@ -1,0 +1,107 @@
+"""Compare a git revision with the working tree on one benchmark workload.
+
+    python3 scripts/bench_pairs.py --workload serve-cli --pairs 10 --seed 100 --rev HEAD
+
+The revision is exported with ``git archive`` into a temporary directory.
+Each pair runs ``perfbench/run.py`` once on the revision and once on the
+working tree with the same seed (seeds ``--seed`` .. ``--seed + pairs - 1``);
+the order inside a pair alternates, so slow drift of the machine does not
+favour either side.  For every end-to-end metric of ``BENCHMARK.json`` it
+prints the medians and quartiles of both sides, the parent's interquartile
+range, the relative change of the medians and in how many pairs the working
+tree was better.  Run it from the repository root; nothing under
+``perfbench/`` is modified.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _export(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"run failed in {tree} (seed {seed}):\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    return {"correct": result["correct"], "failed": result["failed"],
+            **{k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def _summary(name: str, better: str, base: list[float], head: list[float]) -> str:
+    b, h = np.array(base), np.array(head)
+    bq1, bmed, bq3 = np.percentile(b, [25, 50, 75])
+    hq1, hmed, hq3 = np.percentile(h, [25, 50, 75])
+    wins = int(np.sum(h < b) if better == "lower" else np.sum(h > b))
+    change = (hmed - bmed) / bmed * 100 if bmed else float("nan")
+    return (f"{name:<16} base {bmed:11.4g} [{bq1:.4g}, {bq3:.4g}] IQR {bq3 - bq1:.4g}   "
+            f"head {hmed:11.4g} [{hq1:.4g}, {hq3:.4g}]   {change:+6.1f} %   "
+            f"wins {wins}/{len(b)} ({better} is better)")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
+    parser.add_argument("--rev", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--json", type=Path, help="also write every run's metrics here")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    runs: dict[str, list[dict]] = {"base": [], "head": []}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        base_tree = Path(tmp)
+        _export(args.rev, base_tree)
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = ("base", "head") if i % 2 == 0 else ("head", "base")
+            for side in order:
+                tree = base_tree if side == "base" else ROOT
+                runs[side].append(_run(tree, args.workload, seed, args.seconds))
+            print(f"pair {i + 1}/{args.pairs} seed {seed}: " + "  ".join(
+                f"{side} op_p50 {runs[side][-1]['op_p50_ms']:.1f} ms" for side in ("base", "head")),
+                flush=True)
+
+    print(f"\n{args.workload}: {args.rev} (base) vs working tree (head), {args.pairs} pairs, "
+          f"seeds {args.seed}..{args.seed + args.pairs - 1}; medians [quartiles]")
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        print(_summary(name, metric["better"], [r[name] for r in runs["base"]],
+                       [r[name] for r in runs["head"]]))
+    for side in ("base", "head"):
+        bad = sum(not r["correct"] for r in runs[side])
+        failed = sum(r["failed"] for r in runs[side])
+        print(f"{side}: {bad} incorrect runs, {failed} failed ops")
+    if args.json:
+        args.json.write_text(json.dumps({"args": {**vars(args), "json": str(args.json)}, **runs},
+                                        indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,6 +27,7 @@ from .patches import (
     NormStats,
     PatchGrid,
     SnapshotSet,
+    patch_vectors,
     patchify,
     unpatchify,
 )
@@ -464,8 +465,8 @@ def reconstruct(
 ) -> SnapshotSet:
     """Reconstruct full standardized fields from masked standardized input.
 
-    Pipeline: patchify, encode, predict the masked latents from the unmasked
-    ones, decode, reassemble; the content of masked patches is never read.
+    Pipeline: encode the unmasked patches, predict the masked latents from
+    them, decode, reassemble; the content of masked patches is never read.
     Input and output are in normalized units; use the model's norm_stats to
     standardize raw data first.
     """
@@ -474,7 +475,15 @@ def reconstruct(
             f"field geometry {(fields.height, fields.width, fields.components)} "
             f"does not match model grid {model.grid}"
         )
-    latent = encode(model.pod, patchify(fields, model.grid.patch_size))
-    full = predict_masked(model, latent.values, mask, copy_through)
+    if mask.n_patches != model.n_patches:
+        raise ValidationError(
+            f"mask over {mask.n_patches} patches does not match model with {model.n_patches}"
+        )
+    # Only the observed rows are encoded, as encode would: z_n = U_n^T x_n.
+    sources = np.asarray(mask.unmasked, dtype=np.intp)
+    observed = np.matmul(patch_vectors(fields.data, model.grid, sources), model.pod.bases[sources])
+    z = np.zeros((fields.snapshots, model.n_patches, model.latent_dim))
+    z[:, sources] = observed.transpose(1, 0, 2)
+    full = predict_masked(model, z, mask, copy_through)
     recon = decode(model.pod, LatentSeries(full))
     return unpatchify(recon, norm_stats=fields.norm_stats)

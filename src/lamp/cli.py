@@ -143,7 +143,7 @@ def _check_budget(args, fields: SnapshotSet, patch_size: int, latent_dims: tuple
                           "reduce patch count or latent dimension")
 
 
-def _eval_input(args, test_raw: SnapshotSet, grid: PatchGrid, stats, power=None):
+def _eval_input(args, test_raw: SnapshotSet, test_norm: SnapshotSet, grid: PatchGrid, power=None):
     """Mask (placed by power map if given, else random), raw noise variance, noisy input.
 
     The image indices are checked here too, so a bad one fails before any
@@ -157,7 +157,7 @@ def _eval_input(args, test_raw: SnapshotSet, grid: PatchGrid, stats, power=None)
     else:
         mask = place_sensors(power, sensor_count(grid.n_patches, args.coverage))
     sigma2 = synthetic.noise_sigma2(test_raw, _parse_snr(args.snr_db))
-    test_in = metrics.noisy_test_input(test_raw, mask, sigma2, args.seed + 1, grid, stats)
+    test_in = metrics.noisy_test_input(test_raw, test_norm, mask, sigma2, args.seed + 1, grid)
     return mask, sigma2, test_in
 
 
@@ -279,10 +279,11 @@ def cmd_reconstruct(args, out: Path) -> tuple[list[str], dict]:
     raw = _load_raw(args.dataset)
     _check_geometry(model, raw)
     _, test_raw = split(raw, _split_spec(args))
-    mask, sigma2, test_in = _eval_input(args, test_raw, model.grid, model.norm_stats)
     test_norm = apply_stats(test_raw, model.norm_stats)
+    mask, sigma2, test_in = _eval_input(args, test_raw, test_norm, model.grid)
     recon = reconstruct(model, test_in, mask, args.copy_through)
-    sq = (recon.data - test_norm.data) ** 2
+    sq = recon.data - test_norm.data
+    sq *= sq
     losses = [float(v) for v in sq.mean(axis=(1, 2, 3))]
     formats.write_dataset(denormalize(recon), out / "recon.lampds")
     formats.write_csv(
@@ -401,7 +402,7 @@ def cmd_gappy(args, out: Path) -> tuple[list[str], dict]:
     grid = PatchGrid(raw.height, raw.width, raw.components, args.patch_size)
     train_norm, test_norm, test_raw = split_standardized(raw, _split_spec(args))
     stats = train_norm.norm_stats
-    mask, sigma2, test_in = _eval_input(args, test_raw, grid, stats)
+    mask, sigma2, test_in = _eval_input(args, test_raw, test_norm, grid)
     model = fit_gappy(train_norm, args.rank)
     recon = reconstruct_gappy(model, test_in, mask, grid, args.ridge_lambda)
     loss = pred_loss(recon, test_norm)
@@ -423,7 +424,7 @@ def cmd_compare(args, out: Path) -> tuple[list[str], dict]:
     grid, stats = model.grid, model.norm_stats
     train_norm, test_norm, test_raw = split_standardized(raw, _split_spec(args), stats)
     power = predictive_power(model) if args.sensors_from is None and args.place_sensors else None
-    mask, sigma2, test_in = _eval_input(args, test_raw, grid, stats, power)
+    mask, sigma2, test_in = _eval_input(args, test_raw, test_norm, grid, power)
     rank = args.rank if args.rank is not None else model.latent_dim
     baseline = fit_gappy(train_norm, rank)
     lamp_recon = reconstruct(model, test_in, mask, args.copy_through)

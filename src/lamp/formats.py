@@ -18,7 +18,8 @@ LAMP-MODEL v1 (magic ``LAMPMD01``)
 
 Readers reject unknown magic bytes and any trailing or missing bytes.
 Writers are deterministic, so save/load/save round-trips are byte-identical.
-All files are written atomically (temp file + rename).
+All files are written atomically (temp file + rename); datasets and models
+are streamed to the temp file array by array, with no in-memory copy.
 
 PPM heatmaps use a piecewise-linear blue-white-red colormap with anchors
 (0,0,255) at t=0, (255,255,255) at t=0.5, (255,0,0) at t=1, where t maps
@@ -34,13 +35,14 @@ import json
 import os
 import struct
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
 from .attention import RIDGE_SCALE, AttentionModel
 from .errors import FormatError, ValidationError
-from .patches import MaskSpec, NormStats, PatchGrid, SnapshotSet
+from .patches import MaskSpec, NormStats, PatchGrid, SnapshotSet, pixel_mask
 from .pod import PatchPodModel
 
 DATASET_MAGIC = b"LAMPDS01"
@@ -49,13 +51,15 @@ DATASET_FORMAT = "LAMP-DS v1"
 MODEL_FORMAT = "LAMP-MODEL v1"
 
 
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+def _atomic_write(path: str | Path, chunks: Iterable) -> None:
+    """Stream bytes-like chunks to a temp file in the same directory, then
+    rename it into place; on any error neither the temp file nor ``path`` is left."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -63,8 +67,9 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
         raise
 
 
-def _f64_bytes(arr: np.ndarray, order: str = "C") -> bytes:
-    return np.asarray(arr, dtype="<f8").tobytes(order=order)
+def _f64(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as contiguous little-endian f64, a chunk for :func:`_atomic_write`."""
+    return np.ascontiguousarray(arr, dtype="<f8")
 
 
 class _Cursor:
@@ -108,25 +113,19 @@ class _Cursor:
 
 # Datasets -------------------------------------------------------------------
 
-def dataset_bytes(fields: SnapshotSet) -> bytes:
-    out = io.BytesIO()
-    out.write(DATASET_MAGIC)
-    out.write(
-        struct.pack(
-            "<4I", fields.height, fields.width, fields.components, fields.snapshots
-        )
-    )
+def _dataset_chunks(fields: SnapshotSet):
     stats = fields.norm_stats
-    out.write(struct.pack("<B", 1 if stats is not None else 0))
+    yield DATASET_MAGIC + struct.pack(
+        "<4IB", fields.height, fields.width, fields.components, fields.snapshots,
+        1 if stats is not None else 0,
+    )
     if stats is not None:
-        for c in range(fields.components):
-            out.write(struct.pack("<2d", stats.mean[c], stats.std[c]))
-    out.write(_f64_bytes(fields.data))
-    return out.getvalue()
+        yield _f64(np.stack([stats.mean, stats.std], axis=1))  # (mean, std) pairs
+    yield _f64(fields.data)
 
 
 def write_dataset(fields: SnapshotSet, path: str | Path) -> None:
-    atomic_write_bytes(path, dataset_bytes(fields))
+    _atomic_write(path, _dataset_chunks(fields))
 
 
 def read_dataset(path: str | Path) -> SnapshotSet:
@@ -160,33 +159,23 @@ def model_nbytes(height: int, width: int, components: int, patch_size: int, late
     return header + 8 * (n * d * e + n * e + n * n * e * e + n * n * e + 2 * n * n)
 
 
-def model_bytes(model: AttentionModel) -> bytes:
-    grid = model.grid
-    out = io.BytesIO()
-    out.write(MODEL_MAGIC)
-    out.write(
-        struct.pack(
-            "<5I", grid.height, grid.width, grid.components, grid.patch_size,
-            model.latent_dim,
-        )
-    )
-    out.write(struct.pack("<B", 1 if model.use_intercept else 0))
+def _model_chunks(model: AttentionModel):
+    grid, stats = model.grid, model.norm_stats
     ridge = -RIDGE_SCALE if model.ridge_lambda is None else model.ridge_lambda
-    out.write(struct.pack("<2d", ridge, model.error_floor))
-    for c in range(grid.components):
-        out.write(struct.pack("<2d", model.norm_stats.mean[c], model.norm_stats.std[c]))
-    for n in range(grid.n_patches):
-        out.write(_f64_bytes(model.pod.bases[n], order="F"))
-    out.write(_f64_bytes(model.pod.singular_values))
-    out.write(_f64_bytes(model.value_maps))
-    out.write(_f64_bytes(model.attn_vectors))
-    out.write(_f64_bytes(model.attn_intercepts))
-    out.write(_f64_bytes(model.pair_losses))
-    return out.getvalue()
+    yield MODEL_MAGIC + struct.pack(
+        "<5IB2d", grid.height, grid.width, grid.components, grid.patch_size,
+        model.latent_dim, 1 if model.use_intercept else 0, ridge, model.error_floor,
+    )
+    yield _f64(np.stack([stats.mean, stats.std], axis=1))  # (mean, std) pairs
+    for basis in model.pod.bases:
+        yield _f64(basis.T)  # column-major block
+    for arr in (model.pod.singular_values, model.value_maps, model.attn_vectors,
+                model.attn_intercepts, model.pair_losses):
+        yield _f64(arr)
 
 
 def write_model(model: AttentionModel, path: str | Path) -> None:
-    atomic_write_bytes(path, model_bytes(model))
+    _atomic_write(path, _model_chunks(model))
 
 
 def read_model(path: str | Path) -> AttentionModel:
@@ -257,14 +246,10 @@ def outline_masked(rgb: np.ndarray, grid: PatchGrid, mask: MaskSpec) -> np.ndarr
     """Black 1-pixel borders around every masked patch."""
     if mask.n_patches != grid.n_patches:
         raise ValidationError("mask does not fit the patch grid")
+    edge = np.ones((grid.patch_size, grid.patch_size), dtype=bool)
+    edge[1:-1, 1:-1] = False  # a patch's 1-pixel border
     out = rgb.copy()
-    p = grid.patch_size
-    for idx in mask.masked:
-        r, c = (idx // grid.cols) * p, (idx % grid.cols) * p
-        out[r, c : c + p] = 0
-        out[r + p - 1, c : c + p] = 0
-        out[r : r + p, c] = 0
-        out[r : r + p, c + p - 1] = 0
+    out[~pixel_mask(grid, mask) & np.tile(edge, (grid.rows, grid.cols))] = 0
     return out
 
 
@@ -276,7 +261,7 @@ def ppm_bytes(rgb: np.ndarray) -> bytes:
 
 
 def write_ppm(rgb: np.ndarray, path: str | Path) -> None:
-    atomic_write_bytes(path, ppm_bytes(rgb))
+    _atomic_write(path, (ppm_bytes(rgb),))
 
 
 def check_image_index(fields: SnapshotSet, snapshot: int, component: int) -> None:
@@ -313,7 +298,7 @@ def manifest_bytes(payload: dict) -> bytes:
 
 
 def write_manifest(payload: dict, path: str | Path) -> None:
-    atomic_write_bytes(path, manifest_bytes(payload))
+    _atomic_write(path, (manifest_bytes(payload),))
 
 
 def read_manifest(path: str | Path) -> dict:
@@ -341,4 +326,4 @@ def csv_bytes(header: list[str], rows: list[list]) -> bytes:
 
 
 def write_csv(header: list[str], rows: list[list], path: str | Path) -> None:
-    atomic_write_bytes(path, csv_bytes(header, rows))
+    _atomic_write(path, (csv_bytes(header, rows),))

@@ -51,20 +51,23 @@ def pred_loss(recon: SnapshotSet, truth: SnapshotSet) -> float:
 
 def noisy_test_input(
     test_raw: SnapshotSet,
+    test_norm: SnapshotSet,
     mask: MaskSpec,
     sigma2: float,
     seed: int,
     grid: PatchGrid,
-    stats: NormStats,
 ) -> SnapshotSet:
     """Evaluation input under the noise protocol, in standardized units.
 
-    ``sigma2`` comes from :func:`lamp.synthetic.noise_sigma2` on the whole
-    raw test split, so one run has one noise level whichever patches the mask
-    observes.  Noise drawn from ``seed`` goes onto the pixels of observed
-    patches only, then the frozen training stats standardize the result.
+    ``test_norm`` is ``test_raw`` standardized with the frozen training
+    stats.  ``sigma2`` comes from :func:`lamp.synthetic.noise_sigma2` on the
+    whole raw test split, so one run has one noise level whichever patches
+    the mask observes.  Noise drawn from ``seed`` goes onto the pixels of
+    observed patches only, then the same stats standardize the result; with
+    no noise that is ``test_norm`` itself.
     """
-    return apply_stats(add_noise_fixed(test_raw, mask, sigma2, seed, grid), stats)
+    noisy = add_noise_fixed(test_raw, mask, sigma2, seed, grid)
+    return test_norm if noisy is test_raw else apply_stats(noisy, test_norm.norm_stats)
 
 
 def noise_variance_normalized(sigma2: float, stats: NormStats) -> float:
@@ -336,7 +339,7 @@ def _sweep_patch_size(
                     noise = patch_vectors(eps, grid, sources) / std
                 first = (cov, arr_idx, snr) == (axes.coverages[0], 0, axes.snr_dbs[0])
                 if first:
-                    test_in = noisy_test_input(test_raw, mask, sigma2, noise_seed, grid, stats)
+                    test_in = noisy_test_input(test_raw, test_norm, mask, sigma2, noise_seed, grid)
                 for ne, model in models.items():
                     z = clean[ne]
                     if noise is not None:

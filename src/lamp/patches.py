@@ -70,6 +70,14 @@ class SnapshotSet:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
+    def _rows(self, rows: range) -> SnapshotSet:
+        """Snapshots ``rows`` as a view, not checked again: a slice of
+        checked data is finite and frozen already."""
+        out = object.__new__(SnapshotSet)
+        object.__setattr__(out, "data", self.data[rows.start : rows.stop])
+        object.__setattr__(out, "norm_stats", self.norm_stats)
+        return out
+
     @property
     def snapshots(self) -> int:
         return self.data.shape[0]
@@ -267,15 +275,30 @@ def apply_stats(fields: SnapshotSet, stats: NormStats) -> SnapshotSet:
     """Standardize with previously fitted statistics (frozen, no refit)."""
     if len(stats.mean) != fields.components:
         raise ValidationError("norm stats do not match component count")
-    return SnapshotSet((fields.data - stats.mean) / stats.std, norm_stats=stats)
+    rows, mean, std = _pixel_rows(fields, stats)
+    data = rows - mean
+    data /= std
+    return SnapshotSet(data.reshape(fields.data.shape), norm_stats=stats)
 
 
 def denormalize(fields: SnapshotSet) -> SnapshotSet:
     """Invert :func:`normalize`, returning data in original units."""
     if fields.norm_stats is None:
         raise ValidationError("snapshot set carries no normalization stats")
-    stats = fields.norm_stats
-    return SnapshotSet(fields.data * stats.std + stats.mean, norm_stats=None)
+    rows, mean, std = _pixel_rows(fields, fields.norm_stats)
+    data = rows * std
+    data += mean
+    return SnapshotSet(data.reshape(fields.data.shape), norm_stats=None)
+
+
+def _pixel_rows(fields: SnapshotSet, stats: NormStats) -> tuple[np.ndarray, ...]:
+    """The data as (T*H, W*C) rows, and the stats' mean and std tiled along a row.
+
+    The same per-element arithmetic as broadcasting the (C,) stats over
+    (T, H, W, C), but with inner loops of length W*C instead of C.
+    """
+    w = fields.width
+    return fields.data.reshape(-1, w * fields.components), np.tile(stats.mean, w), np.tile(stats.std, w)
 
 
 def patchify(fields: SnapshotSet, patch_size: int) -> PatchedSeries:
@@ -326,9 +349,7 @@ def split(fields: SnapshotSet, spec: SplitSpec = SplitSpec()) -> tuple[SnapshotS
         raise ValidationError(f"split of {t} snapshots leaves an empty train block")
     if len(test_idx) == 0:
         raise ValidationError(f"split of {t} snapshots leaves an empty test block")
-    train = SnapshotSet(fields.data[train_idx.start : train_idx.stop], fields.norm_stats)
-    test = SnapshotSet(fields.data[test_idx.start : test_idx.stop], fields.norm_stats)
-    return train, test
+    return fields._rows(train_idx), fields._rows(test_idx)
 
 
 def split_standardized(

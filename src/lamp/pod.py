@@ -32,6 +32,9 @@ from .patches import PatchedSeries, PatchGrid
 #: reference results were computed with.
 _GRAM_RTOL = 1e-8
 
+#: Elements per snapshot block of :func:`ae_loss`.
+_LOSS_BLOCK = 2**20
+
 
 @dataclass(frozen=True, eq=False)
 class PatchPodModel:
@@ -235,11 +238,17 @@ def ae_loss(model: PatchPodModel, series: PatchedSeries, *, per_element: bool = 
 
     With ``per_element`` (default) the squared error is divided by T*N*D so
     values are comparable across patch sizes and latent dimensions; otherwise
-    the raw sum of squared residuals is returned for exactness checks.
+    the raw sum of squared residuals is returned for exactness checks.  The
+    sum runs over snapshot blocks of about ``_LOSS_BLOCK`` elements, so no
+    full-size temporaries are held.
     """
-    recon = decode(model, encode(model, series))
-    err = recon.values - series.values
-    total = float(np.sum(err * err))
+    step = max(1, _LOSS_BLOCK // series.values[0].size)
+    total = 0.0
+    for lo in range(0, series.snapshots, step):
+        block = PatchedSeries(series.grid, series.values[lo : lo + step])
+        err = decode(model, encode(model, block)).values - block.values
+        err *= err
+        total += float(np.sum(err))
     if per_element:
         return total / series.values.size
     return total

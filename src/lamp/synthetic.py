@@ -291,6 +291,6 @@ def add_noise_fixed(
     if sigma2 == 0.0:
         return fields
     eps = draw_noise(fields.data.shape, sigma2, seed)
-    observed = pixel_mask(grid, mask)
-    data = fields.data + np.where(observed[None, :, :, None], eps, 0.0)
+    data = fields.data.copy()
+    np.add(data, eps, out=data, where=pixel_mask(grid, mask)[:, :, None])
     return SnapshotSet(data, norm_stats=fields.norm_stats)

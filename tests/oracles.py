@@ -105,7 +105,47 @@ def sweep_cell_oracle(dataset, patch_size, latent_dim, snr_db, coverage, n_arran
         mask = MaskSpec.random(model.n_patches, coverage,
                                derive_seed(seed, 0, patch_size, cov_key, arr))
         noise_seed = derive_seed(seed, 1, patch_size, cov_key, arr, _float_key(snr_db))
-        test_in = noisy_test_input(test_raw, mask, sigma2, noise_seed, model.grid,
-                                   train_norm.norm_stats)
+        test_in = noisy_test_input(test_raw, test_norm, mask, sigma2, noise_seed, model.grid)
         losses.append(pred_loss(reconstruct(model, test_in, mask, copy_through), test_norm))
     return float(np.median(losses)), None
+
+
+# Reference formulas of the serve path's fast kernels.  Each is the earlier,
+# plainer form of the same arithmetic, so the package must agree bit for bit.
+
+def apply_stats_oracle(data, mean, std):
+    """Standardization by broadcasting the (C,) stats over (T, H, W, C)."""
+    return (data - mean) / std
+
+
+def denormalize_oracle(data, mean, std):
+    """Its inverse, broadcast the same way."""
+    return data * std + mean
+
+
+def add_noise_oracle(data, observed, eps):
+    """``eps`` added where the (H, W) map ``observed`` is True, zero elsewhere."""
+    return data + np.where(observed[None, :, :, None], eps, 0.0)
+
+
+def outline_oracle(rgb, grid, masked):
+    """Black borders drawn patch by patch over the listed masked patches."""
+    out = rgb.copy()
+    p = grid.patch_size
+    for idx in masked:
+        r, c = (idx // grid.cols) * p, (idx % grid.cols) * p
+        out[r, c : c + p] = 0
+        out[r + p - 1, c : c + p] = 0
+        out[r : r + p, c] = 0
+        out[r : r + p, c + p - 1] = 0
+    return out
+
+
+def reconstruct_oracle(model, fields, mask, copy_through=True):
+    """Encode every patch, predict the masked ones, decode and reassemble."""
+    from lamp import decode, encode, patchify, predict_masked, unpatchify
+    from lamp.pod import LatentSeries
+
+    latent = encode(model.pod, patchify(fields, model.grid.patch_size))
+    full = predict_masked(model, latent.values, mask, copy_through)
+    return unpatchify(decode(model.pod, LatentSeries(full)), norm_stats=fields.norm_stats)

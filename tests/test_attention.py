@@ -31,7 +31,7 @@ from lamp.patches import PatchGrid
 from lamp.pod import PatchPodModel
 
 
-from oracles import attention_oracle, predict_oracle, value_oracle
+from oracles import attention_oracle, predict_oracle, reconstruct_oracle, value_oracle
 
 
 def identity_pod(n_patches, latent_dim):
@@ -742,6 +742,22 @@ class TestReconstruct:
         scribbled[:, ~obs, :] = 123.0
         recon_b = reconstruct(model, SnapshotSet(scribbled, norm.norm_stats), mask)
         np.testing.assert_array_equal(recon_a.data, recon_b.data)
+
+    @pytest.mark.parametrize("unmasked, copy_through", [
+        ((0,), True), ((1, 2), True), ((1, 2), False), ((0, 1, 2, 3), True), ((0, 1, 2, 3), False),
+    ])
+    def test_observed_only_encode_matches_encode_all(self, unmasked, copy_through):
+        model, norm = self.make_model()
+        mask = MaskSpec(unmasked, model.n_patches)
+        recon = reconstruct(model, norm, mask, copy_through)
+        want = reconstruct_oracle(model, norm, mask, copy_through)
+        assert np.array_equal(recon.data, want.data)
+        assert recon.norm_stats is norm.norm_stats
+
+    def test_mask_size_mismatch_rejected(self):
+        model, norm = self.make_model()
+        with pytest.raises(ValidationError, match="mask over 9 patches"):
+            reconstruct(model, norm, MaskSpec((8,), 9))
 
     def test_no_unmasked_rejected(self):
         model, norm = self.make_model()

@@ -12,7 +12,7 @@ from lamp import (
     write_dataset,
 )
 from lamp.cli import _seed, build_parser, main
-from lamp.formats import MODEL_MAGIC, dataset_bytes, model_nbytes
+from lamp.formats import DATASET_MAGIC, MODEL_MAGIC, model_nbytes
 
 
 def run(*argv):
@@ -502,13 +502,26 @@ class TestMalformedInputs:
         assert run(*base, "--budget-bytes", 57344, "--out-dir", tmp_path / "b") == 0
 
     def test_corrupt_norm_stats_exit_3(self, tmp_path, laminar_path, trained, capsys):
-        raw = bytearray(dataset_bytes(normalize(read_dataset(laminar_path), range(0, 40))))
+        write_dataset(normalize(read_dataset(laminar_path), range(0, 40)), tmp_path / "n.lampds")
+        raw = bytearray((tmp_path / "n.lampds").read_bytes())
         raw[33:41] = struct.pack("<d", -1.0)  # std of component 0
         path = tmp_path / "stats.lampds"
         path.write_bytes(bytes(raw))
         assert run("reconstruct", "--dataset", path, "--model", trained, "--coverage", 0.25,
                    "--out-dir", tmp_path / "x") == 3
         assert str(path) in capsys.readouterr().err
+
+    def test_nan_in_train_rows_only_exit_3(self, tmp_path, laminar_path, trained, capsys):
+        # reconstruct serves the test rows only; the whole file must still be checked.
+        data = np.array(read_dataset(laminar_path).data)
+        data[3, 5, 7, 1] = np.nan  # snapshot 3 of 80: a train row
+        path = tmp_path / "nan.lampds"
+        path.write_bytes(DATASET_MAGIC + struct.pack("<4IB", 32, 32, 2, 80, 0) + data.tobytes())
+        out = tmp_path / "x"
+        assert run("reconstruct", "--dataset", path, "--model", trained, "--coverage", 0.25,
+                   "--out-dir", out) == 3
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("index", [["--snapshot", 999], ["--snapshot", -1], ["--component", 5]],
                              ids=["snapshot-999", "snapshot-negative", "component-5"])

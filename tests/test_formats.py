@@ -1,6 +1,9 @@
 import json
 import re
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,14 +22,13 @@ from lamp import (
     write_dataset,
     write_model,
 )
+from lamp import formats
 from lamp.formats import (
     DATASET_MAGIC,
     MODEL_MAGIC,
     csv_bytes,
-    dataset_bytes,
     heatmap_rgb,
     manifest_bytes,
-    model_bytes,
     model_nbytes,
     outline_masked,
     ppm_bytes,
@@ -34,6 +36,15 @@ from lamp.formats import (
     write_ppm,
 )
 from lamp.patches import PatchGrid
+from oracles import outline_oracle
+
+
+def _written(write, obj) -> bytes:
+    """The bytes ``write(obj, path)`` puts in a file, read back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        write(obj, path)
+        return path.read_bytes()
 
 
 @pytest.fixture()
@@ -75,20 +86,20 @@ class TestDatasetFormat:
     def test_trailing_bytes_rejected(self, tmp_path):
         fields = SnapshotSet(np.zeros((1, 2, 2, 1)))
         path = tmp_path / "t.lampds"
-        path.write_bytes(dataset_bytes(fields) + b"\0")
+        path.write_bytes(_written(write_dataset, fields) + b"\0")
         with pytest.raises(FormatError, match="trailing"):
             read_dataset(path)
 
     def test_truncated_rejected(self, tmp_path):
         fields = SnapshotSet(np.zeros((1, 2, 2, 1)))
         path = tmp_path / "t.lampds"
-        path.write_bytes(dataset_bytes(fields)[:-4])
+        path.write_bytes(_written(write_dataset, fields)[:-4])
         with pytest.raises(FormatError, match="truncated"):
             read_dataset(path)
 
     def test_bad_flag_rejected(self, tmp_path):
         fields = SnapshotSet(np.zeros((1, 2, 2, 1)))
-        raw = bytearray(dataset_bytes(fields))
+        raw = bytearray(_written(write_dataset, fields))
         raw[8 + 16] = 7  # normalized flag byte
         path = tmp_path / "f.lampds"
         path.write_bytes(bytes(raw))
@@ -96,7 +107,7 @@ class TestDatasetFormat:
             read_dataset(path)
 
     def test_zero_dims_rejected(self, tmp_path):
-        raw = bytearray(dataset_bytes(SnapshotSet(np.zeros((1, 2, 2, 1)))))
+        raw = bytearray(_written(write_dataset, SnapshotSet(np.zeros((1, 2, 2, 1)))))
         raw[8:12] = (0).to_bytes(4, "little")  # H = 0
         path = tmp_path / "z.lampds"
         path.write_bytes(bytes(raw))
@@ -147,7 +158,7 @@ class TestModelFormat:
 
     def test_trailing_bytes_rejected(self, small_model, tmp_path):
         path = tmp_path / "t.lampmd"
-        path.write_bytes(model_bytes(small_model) + b"\0\0")
+        path.write_bytes(_written(write_model, small_model) + b"\0\0")
         with pytest.raises(FormatError, match="trailing"):
             read_model(path)
 
@@ -163,7 +174,40 @@ class TestModelFormat:
         grid = small_model.grid
         assert model_nbytes(
             grid.height, grid.width, grid.components, grid.patch_size, small_model.latent_dim
-        ) == len(model_bytes(small_model))
+        ) == len(_written(write_model, small_model))
+
+
+class TestStreamedWrites:
+    def test_model_write_holds_no_file_copy(self, tmp_path):
+        # N = 64 patches at N_e = 8: a 2.6 MB file, mostly the N^2 value maps.
+        model = train_attention_model(_standardized((40, 32, 32, 2), 7), 4, 8)
+        path = tmp_path / "m.lampmd"
+        tracemalloc.start()
+        try:
+            write_model(model, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * path.stat().st_size
+
+    @pytest.mark.parametrize("fmt", ["dataset", "model"])
+    def test_failing_chunk_leaves_no_file(self, fmt, small_model, tmp_path, monkeypatch):
+        write, obj = {
+            "dataset": (write_dataset, _standardized((2, 4, 4, 2), 8)),  # stats, then data
+            "model": (write_model, small_model),
+        }[fmt]
+        calls = []
+
+        def failing(arr):
+            calls.append(arr)
+            if len(calls) == 2:  # after the header and one array went out
+                raise OSError("disk full")
+            return np.ascontiguousarray(arr, dtype="<f8")
+
+        monkeypatch.setattr(formats, "_f64", failing)
+        with pytest.raises(OSError, match="disk full"):
+            write(obj, tmp_path / "out.bin")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _standardized(shape, seed):
@@ -175,8 +219,8 @@ def _standardized(shape, seed):
 # component 0 at bytes 33-40, its sign and top exponent bits in byte 40) and
 # a 4x4 model at P=2, N_e=2.
 VALID_FILES = {
-    "lampds": (dataset_bytes(_standardized((3, 2, 2, 2), 4)), read_dataset),
-    "lampmd": (model_bytes(train_attention_model(_standardized((12, 4, 4, 1), 5), 2, 2)),
+    "lampds": (_written(write_dataset, _standardized((3, 2, 2, 2), 4)), read_dataset),
+    "lampmd": (_written(write_model, train_attention_model(_standardized((12, 4, 4, 1), 5), 2, 2)),
                read_model),
 }
 
@@ -293,6 +337,16 @@ class TestHeatmap:
         # patch 3 (lower right 2x2): its entire 2x2 block is border pixels
         np.testing.assert_array_equal(out[2:, 2:], 0)
         np.testing.assert_array_equal(out[:2, :2], 255)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_outline_matches_per_patch_borders(self, p):
+        grid = PatchGrid(3 * p, 5 * p, 2, p)
+        rng = np.random.default_rng(p)
+        rgb = rng.integers(1, 256, size=(grid.height, grid.width, 3), dtype=np.uint8)
+        for unmasked in [(), (0, 7, 14), tuple(range(15))]:
+            mask = MaskSpec(unmasked, grid.n_patches)
+            assert np.array_equal(outline_masked(rgb, grid, mask),
+                                  outline_oracle(rgb, grid, mask.masked))
 
     def test_render_field_range(self):
         data = np.zeros((1, 2, 2, 1))

@@ -13,7 +13,15 @@ from lamp import (
     split,
     unpatchify,
 )
-from lamp.patches import NormStats, PatchedSeries, PatchGrid, patch_vectors, split_standardized
+from lamp.patches import (
+    NormStats,
+    PatchedSeries,
+    PatchGrid,
+    apply_stats,
+    patch_vectors,
+    split_standardized,
+)
+from oracles import apply_stats_oracle, denormalize_oracle
 
 
 def rand_fields(rng, t, h, w, c):
@@ -87,6 +95,24 @@ class TestNormalize:
         fields = rand_fields(np.random.default_rng(4), 4, 2, 2, 1)
         with pytest.raises(ValidationError, match="empty"):
             normalize(fields, range(0, 0))
+
+
+class TestAffineRows:
+    """The row-wise standardization is bit-identical to broadcasting (C,) stats."""
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("w", [1, 5, 7])
+    def test_apply_stats_and_denormalize_match_broadcast(self, c, w):
+        rng = np.random.default_rng(10 * c + w)
+        fields = SnapshotSet(3.0 + 2.0 * rng.standard_normal((4, 3, w, c)))
+        stats = NormStats(rng.standard_normal(c), 0.5 + rng.random(c))
+        norm = apply_stats(fields, stats)
+        want = apply_stats_oracle(fields.data, stats.mean, stats.std)
+        assert np.array_equal(norm.data, want)
+        assert norm.norm_stats is stats
+        back = denormalize(norm)
+        assert np.array_equal(back.data, denormalize_oracle(norm.data, stats.mean, stats.std))
+        assert back.norm_stats is None
 
 
 class TestPatchify:
@@ -168,6 +194,13 @@ class TestUnpatchify:
 
 
 class TestSplit:
+    def test_blocks_are_frozen_views(self):
+        fields = SnapshotSet(np.arange(40, dtype=float).reshape(10, 2, 1, 2))
+        for block in split(fields, SplitSpec(0.5, 0.3, 0.2)):
+            assert np.shares_memory(block.data, fields.data)
+            assert not block.data.flags.writeable
+            assert block.data.flags.c_contiguous
+
     def test_default_fractions_at_t100(self):
         fields = SnapshotSet(np.arange(100, dtype=float).reshape(100, 1, 1, 1))
         train, test = split(fields, SplitSpec(0.75, 0.20, 0.05))

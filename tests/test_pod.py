@@ -12,6 +12,7 @@ from lamp import (
     fit_patch_pod,
     patchify,
 )
+from lamp import pod
 from lamp.patches import PatchedSeries, PatchGrid
 from lamp.pod import _fix_signs, _leading_modes
 
@@ -262,6 +263,17 @@ class TestAeLoss:
         raw = ae_loss(model, series, per_element=False)
         per = ae_loss(model, series)
         np.testing.assert_allclose(per, raw / series.values.size, rtol=1e-15)
+
+    @pytest.mark.parametrize("block", [1, 80, 200, 2**20])
+    def test_snapshot_blocks_match_one_shot_sum(self, block, monkeypatch):
+        # 13 snapshots of N*D = 40 elements: blocks of 1, 2, 5 and all 13 snapshots.
+        rng = np.random.default_rng(23)
+        series = rand_series(rng, t=13, h=4, w=10, c=1, p=2)
+        model = fit_patch_pod(series, 2)
+        err = decode(model, encode(model, series)).values - series.values
+        one_shot = float(np.sum(err * err))
+        monkeypatch.setattr(pod, "_LOSS_BLOCK", block)
+        assert ae_loss(model, series, per_element=False) == pytest.approx(one_shot, rel=1e-12)
 
 
 class TestInvariants:

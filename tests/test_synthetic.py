@@ -19,6 +19,7 @@ from lamp import (
 )
 from lamp.patches import PatchGrid
 from lamp.synthetic import add_noise_fixed, draw_noise
+from oracles import add_noise_oracle
 
 
 def effective_rank(mat, energy=0.99):
@@ -219,6 +220,17 @@ class TestNoise:
         )
         obs = pixel_mask(grid, mask)
         np.testing.assert_array_equal(noisy.data[:, obs], fields.data[:, obs] + eps[:, obs])
+
+    @pytest.mark.parametrize("unmasked", [(), (0,), (1, 6, 11), tuple(range(16))])
+    def test_matches_full_field_formula(self, unmasked):
+        rng = np.random.default_rng(12)
+        fields = SnapshotSet(rng.standard_normal((3, 64, 64, 2)))
+        grid = self.grid()
+        mask = MaskSpec(unmasked, grid.n_patches)
+        noisy = add_noise_fixed(fields, mask, 0.3, seed=13, grid=grid)
+        want = add_noise_oracle(fields.data, pixel_mask(grid, mask), draw_noise(fields.data.shape, 0.3, 13))
+        assert np.array_equal(noisy.data, want)
+        assert not fields.data.flags.writeable  # the input is copied, not written
 
     def test_zero_signal_power_rejected(self):
         fields = SnapshotSet(np.zeros((2, 64, 64, 2)))
