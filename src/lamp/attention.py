@@ -113,25 +113,6 @@ class AttentionModel:
         return self.pod.latent_dim
 
 
-def _resolve_ridge(
-    gram: np.ndarray,
-    latent_dim: int,
-    ridge_lambda: float | None,
-    energy_floor: float = 0.0,
-) -> float:
-    """Per-source ridge: scale-aware default, or the explicit value.
-
-    The default follows the source's own latent energy but never drops below
-    the global mean energy (``energy_floor``): a near-constant source patch
-    would otherwise get a vanishing ridge and an unboundedly amplifying value
-    map, which turns input noise into huge predictions.
-    """
-    if ridge_lambda is None:
-        return RIDGE_SCALE * max(float(np.trace(gram)), energy_floor) / latent_dim
-    check_ridge(ridge_lambda)
-    return float(ridge_lambda)
-
-
 def check_ridge(ridge_lambda: float) -> None:
     if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
         raise ValidationError(f"ridge_lambda must be finite and nonnegative, got {ridge_lambda}")
@@ -155,31 +136,38 @@ def _source_range(latent: LatentSeries, sources: range | None) -> range:
     return sources
 
 
-def _source_grams(
-    latent: LatentSeries, ridge_lambda: float | None, sources: range
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each source patch's latents (S, N_e, T), Gram matrix and ridge; the
-    ridge floor is the mean Gram trace over all N patches."""
+def _source_systems(
+    latent: LatentSeries,
+    ridge_lambda: float | None,
+    sources: range,
+    system: str,
+    centre: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """One block of sources' latents z (S, N_e, T), their time means (S, N_e)
+    if ``centre`` (z is then centred; else None), and the lower Cholesky
+    factors of z_j z_j^T + lambda_j I, all factored in one batched call.
+
+    lambda_j is ``ridge_lambda`` or RIDGE_SCALE * max(tr G_j, E) / N_e, with
+    G_j the uncentred Gram and E the mean energy over all N patches: the floor
+    keeps a near-constant source from an unboundedly amplifying map.  A
+    singular system raises NumericalError naming ``system`` and its source.
+    """
     z = latent.by_patch[sources.start : sources.stop]
     grams = z @ z.transpose(0, 2, 1)
-    e, floor = latent.latent_dim, latent.mean_energy
-    lams = np.array([_resolve_ridge(g, e, ridge_lambda, floor) for g in grams])
-    return z, grams, lams
-
-
-def _source_cholesky(
-    grams: np.ndarray, lams: np.ndarray, system: str, sources: range
-) -> np.ndarray:
-    """Lower Cholesky factors of grams[j] + lams[j] I for every source j.
-
-    All sources are factored in one batched call; if any is not positive
-    definite, they are refactored one by one so the error names the first
-    singular source patch (``system`` names the kind of matrix, ``sources``
-    the patch of each matrix).
-    """
+    if ridge_lambda is None:
+        energy = np.maximum(np.trace(grams, axis1=1, axis2=2), latent.mean_energy)
+        lams = RIDGE_SCALE * energy / latent.latent_dim
+    else:
+        check_ridge(ridge_lambda)
+        lams = np.full(len(sources), float(ridge_lambda))
+    z_mean = None
+    if centre:
+        z_mean = z.mean(axis=2)
+        z = z - z_mean[:, :, None]
+        grams = z @ z.transpose(0, 2, 1)
     mats = grams + lams[:, None, None] * np.eye(grams.shape[-1])
     try:
-        return np.linalg.cholesky(mats)
+        return z, z_mean, np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
         for src, mat in zip(sources, mats):
             try:
@@ -196,8 +184,9 @@ def fit_value_tensor(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fit all pair-wise value maps by ridge-regularized least squares.
 
-    Solves W_mn = argmin_W  sum_t ||z_m(t) - W z_n(t)||^2 + lambda ||W||_F^2
-    through the normal equations W = (Z_m Z_n^T)(Z_n Z_n^T + lambda I)^-1.
+    Solves W_mn = argmin_W  sum_t ||z_m(t) - W z_n(t)||^2 + lambda_n ||W||_F^2
+    through the normal equations W = (Z_m Z_n^T)(Z_n Z_n^T + lambda_n I)^-1,
+    with source n's ridge and Cholesky factor from :func:`_source_systems`.
     Diagonal pairs are the identity with zero error by construction.
 
     Returns (value_maps, pair_errors) where pair_errors[m, n, t] is the
@@ -217,9 +206,8 @@ def fit_value_tensor(
             stacklevel=2,
         )
     s = len(sources)
-    z_src, grams, lams = _source_grams(latent, ridge_lambda, sources)  # z_src: (S, e, T)
+    z_src, _, factors = _source_systems(latent, ridge_lambda, sources, "normal matrix")
     z = latent.by_patch.reshape(n * e, t)
-    factors = _source_cholesky(grams, lams, "normal matrix", sources)
     # W_mn = Z_m Z_n^T (G_nn + lambda I)^-1 = Z_m Y_n^T with Y_n the scaled source.
     scaled = np.empty_like(z_src)                                 # (S, e, T)
     for src in range(s):
@@ -259,9 +247,10 @@ def fit_attention_tensor(
 
     For each pair (m, n) regresses -log(max(err_mn(t), floor)) on the source
     latent z_n(t), by ridge least squares with an unpenalized intercept (or
-    through the origin when ``use_intercept`` is off).  Diagonal pairs get a
-    zero vector and the confidence ceiling -log(floor) as intercept; they are
-    excluded at inference anyway.
+    through the origin when ``use_intercept`` is off), with the ridge lambda_n
+    of :func:`fit_value_tensor`; the intercept fit centres the latents in time.
+    Diagonal pairs get a zero vector and the confidence ceiling -log(floor) as
+    intercept; they are excluded at inference anyway.
 
     ``sources``, a ``range`` of step 1 within [0, N), fits only the pairs
     from that block of S source patches: ``pair_errors`` is then the
@@ -277,15 +266,10 @@ def fit_attention_tensor(
         raise ValidationError(
             f"pair_errors shape {pair_errors.shape} != {(n, s, t)} for sources {sources!r}"
         )
-    z, grams, lams = _source_grams(latent, ridge_lambda, sources)  # z: (S, e, T)
-    if use_intercept:
-        # An unpenalized intercept is the ridge fit on centred data, with
-        # intercept y_mean - z_mean . w (lambda stays the uncentred one).
-        # Centred z has zero sums over time, so Zc^T (Y - y_mean) = Zc^T Y.
-        z_mean = z.mean(axis=2)                                   # (S, e)
-        z = z - z_mean[:, :, None]
-        grams = z @ z.transpose(0, 2, 1)
-    factors = _source_cholesky(grams, lams, "attention system", sources)
+    # Centred z has zero sums over time, so Zc^T (Y - y_mean) = Zc^T Y.
+    z, z_mean, factors = _source_systems(
+        latent, ridge_lambda, sources, "attention system", centre=use_intercept
+    )
     w = np.empty((s, e, n))     # source j: one column of weights per target
     y_mean = np.empty((s, n))   # [source, target]
     y = np.empty((n, t))        # one source's targets, reused: row m is target m
@@ -409,7 +393,7 @@ def predict_masked(
     if sources.size == 0:
         raise ValidationError("all patches are masked; nothing to attend to")
     targets = np.asarray(mask.masked if copy_through else range(n), dtype=np.intp)
-    if len(sources) == 1 and sources[0] in targets:  # its only source is itself
+    if len(sources) == 1 and not copy_through:  # its only source is itself
         raise ValidationError(
             f"patches {sources.tolist()} have no unmasked prediction sources; "
             "enable copy_through or unmask more patches"
@@ -429,8 +413,8 @@ def predict_masked(
     value_maps = model.value_maps[pairs].reshape(k, r * e, e)  # source j: (R*e, e)
     attn_vectors = model.attn_vectors[pairs]                   # (k, R, e)
     attn_intercepts = model.attn_intercepts[pairs]             # (k, R)
-    target_row = {int(m): i for i, m in enumerate(targets)}
-    self_pairs = [(j, target_row[int(s)]) for j, s in enumerate(sources) if int(s) in target_row]
+    # Self pairs (j, row): none with copy-through, else target s is row s.
+    self_pairs = [] if copy_through else list(enumerate(sources))
     for lo in range(0, len(z), _PREDICT_CHUNK):
         zc = z_src[:, lo : lo + _PREDICT_CHUNK]                     # (k, tc, e)
         tc = zc.shape[1]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, metrics, synthetic
-from .attention import reconstruct, train_attention_model
+from .attention import DEFAULT_ERROR_FLOOR, reconstruct, train_attention_model
 from .errors import FormatError, NumericalError, ValidationError
 from .gappy import fit_gappy, reconstruct_gappy
 from .metrics import PowerMap, place_sensors, pred_loss, predictive_power
@@ -185,6 +185,8 @@ def _read_power_values(path: str, n_expected: int) -> np.ndarray:
         values = [float(row["value"]) for row in rows]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: not a power-map CSV: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise FormatError(f"{path}: power-map values must be finite")
     if sorted(indices) != list(range(n_expected)):
         raise FormatError(
             f"{path}: patch_index must list each of 0..{n_expected - 1} once"
@@ -497,9 +499,9 @@ def _argv_from_config(command: str, config: dict) -> list[str]:
 # Parser -----------------------------------------------------------------------
 
 def _add_split_flags(sub):
-    sub.add_argument("--train-fraction", type=float, default=0.75)
-    sub.add_argument("--test-fraction", type=float, default=0.20)
-    sub.add_argument("--gap-fraction", type=float, default=0.05)
+    sub.add_argument("--train-fraction", type=float, default=SplitSpec.train_fraction)
+    sub.add_argument("--test-fraction", type=float, default=SplitSpec.test_fraction)
+    sub.add_argument("--gap-fraction", type=float, default=SplitSpec.gap_fraction)
 
 
 def _add_eval_flags(sub):
@@ -530,14 +532,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--width", type=int, default=64)
     gen.add_argument("--snapshots", type=int, default=160)
     gen.add_argument("--seed", type=_seed, default=0)
-    gen.add_argument("--speed", type=float, default=1.0)
-    gen.add_argument("--wavelength", type=float, default=32.0)
+    gen.add_argument("--speed", type=float, default=LaminarParams.speed)
+    gen.add_argument("--wavelength", type=float, default=LaminarParams.wavelength)
     gen.add_argument("--envelope-width", type=float, default=None)
-    gen.add_argument("--harmonics", type=int, default=6)
-    gen.add_argument("--amplitude", type=float, default=1.0)
+    gen.add_argument("--harmonics", type=int, default=LaminarParams.harmonics)
+    gen.add_argument("--amplitude", type=float, default=LaminarParams.amplitude)
     gen.add_argument("--decay", type=float, default=None,
                      help="amplitude decay exponent (defaults per kind)")
-    gen.add_argument("--modes", type=int, default=40)
+    gen.add_argument("--modes", type=int, default=ChaoticParams.modes)
     gen.add_argument("--packet-radius", type=float, default=None)
     gen.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES)
     gen.add_argument("--out-dir", required=True)
@@ -548,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--patch-size", type=int, required=True)
     train.add_argument("--latent-dim", type=int, required=True)
     train.add_argument("--ridge-lambda", type=float, default=None)
-    train.add_argument("--error-floor", type=float, default=1e-12)
+    train.add_argument("--error-floor", type=float, default=DEFAULT_ERROR_FLOOR)
     train.add_argument("--no-intercept", dest="use_intercept", action="store_false")
     train.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES)
     _add_split_flags(train)
@@ -573,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--arrangements", type=int, default=25)
     sweep.add_argument("--seed", type=_seed, default=0)
     sweep.add_argument("--ridge-lambda", type=float, default=None)
-    sweep.add_argument("--error-floor", type=float, default=1e-12)
+    sweep.add_argument("--error-floor", type=float, default=DEFAULT_ERROR_FLOOR)
     sweep.add_argument("--no-intercept", dest="use_intercept", action="store_false")
     sweep.add_argument("--no-copy-through", dest="copy_through", action="store_false")
     sweep.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import (
+    DEFAULT_ERROR_FLOOR,
     AttentionModel,
     check_error_floor,
     check_ridge,
@@ -222,7 +223,7 @@ def run_sweep(
     seed: int = 0,
     split_spec: SplitSpec = SplitSpec(),
     ridge_lambda: float | None = None,
-    error_floor: float = 1e-12,
+    error_floor: float = DEFAULT_ERROR_FLOOR,
     use_intercept: bool = True,
     copy_through: bool = True,
 ) -> SweepResult:

@@ -452,6 +452,30 @@ class TestSourceBlocks:
         with pytest.raises(NumericalError, match="attention system of source patch 4 is singular"):
             fit_attention_tensor(series, np.ones((6, 3, 10)), 0.0, sources=block)
 
+    def test_only_the_centred_system_singular(self):
+        # A constant nonzero source has a positive Gram but a zero centred one.
+        latents = np.random.default_rng(46).standard_normal((12, 4, 1))
+        latents[:, 2, 0] = 3.0
+        series = LatentSeries(latents)
+        _, errors = fit_value_tensor(series, 0.0)
+        with pytest.raises(NumericalError, match="attention system of source patch 2 is singular"):
+            fit_attention_tensor(series, errors, 0.0)
+        vec, _ = fit_attention_tensor(series, errors, 0.0, use_intercept=False)
+        assert np.isfinite(vec).all()
+
+    def test_validation_precedes_factorization(self):
+        latents = np.random.default_rng(47).standard_normal((10, 5, 2))
+        latents[:, 0, :] = 0.0  # singular at ridge 0 in both fits
+        series = LatentSeries(latents)
+        with pytest.raises(ValidationError, match="sources must be"):
+            fit_value_tensor(series, 0.0, sources=range(0, 4, 2))
+        with pytest.raises(ValidationError, match="sources must be"):
+            fit_attention_tensor(series, np.ones((5, 2, 10)), 0.0, sources=range(0, 4, 2))
+        with pytest.raises(ValidationError, match="pair_errors shape"):
+            fit_attention_tensor(series, np.ones((5, 3, 10)), 0.0, sources=range(0, 2))
+        with pytest.raises(ValidationError, match="pair_errors shape"):
+            fit_attention_tensor(series, np.ones((5, 5, 9)), 0.0)
+
 
 class TestTrainInSourceBlocks:
     def test_ragged_blocks_match_full_fits(self, monkeypatch):

@@ -291,6 +291,25 @@ class TestMalformedInputs:
         assert run("reconstruct", "--dataset", laminar_path, "--model", trained,
                    "--coverage", 0.25, "--sensors-from", path, "--out-dir", tmp_path / "x") == 3
 
+    @pytest.mark.parametrize("command", ["reconstruct", "compare"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_power_map_value_exits_3(self, tmp_path, laminar_path, trained, capsys,
+                                                command, bad):
+        assert run("power-map", "--model", trained, "--out-dir", tmp_path / "pm") == 0
+        rows = read_rows(tmp_path / "pm" / "power.csv")
+        rows[5]["value"] = bad
+        path = tmp_path / "edited.csv"
+        with open(path, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        out = tmp_path / "x"
+        assert run(command, "--dataset", laminar_path, "--model", trained,
+                   "--coverage", 0.25, "--sensors-from", path, "--out-dir", out) == 3
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_non_utf8_power_map_exits_3(self, tmp_path, laminar_path, trained):
         path = tmp_path / "latin1.csv"
         path.write_bytes("patch_index,value\n0,caf\xe9\n".encode("latin-1"))

@@ -1,0 +1,52 @@
+"""Module layering: geometry -> compression -> attention -> evaluation -> CLI.
+
+Each module of the package may import only from the modules below it; a
+back-edge (say ``pod`` importing ``attention``) fails here.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lamp"
+
+_COMPRESSION = {"errors", "patches", "pod"}
+ALLOWED = {
+    "errors": set(),
+    "patches": {"errors"},
+    "pod": {"errors", "patches"},
+    "synthetic": {"errors", "patches"},
+    "attention": _COMPRESSION,
+    "gappy": _COMPRESSION,
+    "formats": _COMPRESSION | {"attention"},
+    "metrics": _COMPRESSION | {"attention", "synthetic"},
+}
+FACADES = {"cli", "__init__"}  # may import any module of the package
+
+
+def package_imports(path: Path) -> set[str]:
+    """Sibling modules a module imports with ``from .x import`` or ``from . import x``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert modules == set(ALLOWED) | FACADES
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_imports_only_from_lower_layers(module):
+    imports = package_imports(PACKAGE / f"{module}.py")
+    assert imports <= ALLOWED[module], f"{module} imports {sorted(imports - ALLOWED[module])}"
+
+
+def test_parser_sees_both_import_forms():
+    assert package_imports(PACKAGE / "cli.py") >= {"formats", "metrics", "synthetic", "attention"}
