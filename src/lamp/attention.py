@@ -27,6 +27,7 @@ from .patches import (
     NormStats,
     PatchGrid,
     SnapshotSet,
+    freeze,
     patch_vectors,
     patchify,
     unpatchify,
@@ -84,13 +85,7 @@ class AttentionModel:
             "pair_losses": (n, n),
         }
         for name, want in shapes.items():
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
-            if arr.shape != want:
-                raise ValidationError(f"{name} shape {arr.shape} != {want}")
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"{name} contains NaN or Inf")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            freeze(self, name, want)
         if self.ridge_lambda is not None:
             check_ridge(self.ridge_lambda)
         check_error_floor(self.error_floor)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -96,7 +97,7 @@ def _split_spec(args) -> SplitSpec:
     return SplitSpec(args.train_fraction, args.test_fraction, args.gap_fraction)
 
 
-def _config(args, skip=("func", "command")) -> dict:
+def _config(args, skip=("command",)) -> dict:
     return {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -518,6 +519,7 @@ def _add_eval_flags(sub):
                      help="field component for emitted images")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lamp",
@@ -543,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--packet-radius", type=float, default=None)
     gen.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES)
     gen.add_argument("--out-dir", required=True)
-    gen.set_defaults(func=cmd_generate)
 
     train = subs.add_parser("train", help="fit compression and attention tensors")
     train.add_argument("--dataset", required=True)
@@ -555,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES)
     _add_split_flags(train)
     train.add_argument("--out-dir", required=True)
-    train.set_defaults(func=cmd_train)
 
     rec = subs.add_parser("reconstruct", help="masked reconstruction of the test split")
     rec.add_argument("--dataset", required=True)
@@ -564,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_flags(rec)
     _add_split_flags(rec)
     rec.add_argument("--out-dir", required=True)
-    rec.set_defaults(func=cmd_reconstruct)
 
     sweep = subs.add_parser("sweep", help="median loss over (P, N_e, SNR, coverage)")
     sweep.add_argument("--dataset", required=True)
@@ -581,12 +580,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES)
     _add_split_flags(sweep)
     sweep.add_argument("--out-dir", required=True)
-    sweep.set_defaults(func=cmd_sweep)
 
     power = subs.add_parser("power-map", help="predictive power per source patch")
     power.add_argument("--model", required=True)
     power.add_argument("--out-dir", required=True)
-    power.set_defaults(func=cmd_power_map)
 
     place = subs.add_parser("place-sensors", help="unmask the highest-power patches")
     place.add_argument("--model", required=True)
@@ -594,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     place.add_argument("--count", type=int, default=None,
                        help="explicit sensor count (overrides --coverage)")
     place.add_argument("--out-dir", required=True)
-    place.set_defaults(func=cmd_place_sensors)
 
     gappy = subs.add_parser("gappy", help="gappy-POD baseline reconstruction")
     gappy.add_argument("--dataset", required=True)
@@ -605,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_flags(gappy)
     _add_split_flags(gappy)
     gappy.add_argument("--out-dir", required=True)
-    gappy.set_defaults(func=cmd_gappy)
 
     comp = subs.add_parser("compare", help="attention model vs gappy POD on identical inputs")
     comp.add_argument("--dataset", required=True)
@@ -619,12 +614,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_flags(comp)
     _add_split_flags(comp)
     comp.add_argument("--out-dir", required=True)
-    comp.set_defaults(func=cmd_compare)
 
     rerun = subs.add_parser("rerun", help="replay a run from its manifest")
     rerun.add_argument("manifest")
     rerun.add_argument("--out-dir", default=None)
-    rerun.set_defaults(func=cmd_rerun)
 
     return parser
 
@@ -635,7 +628,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if not hasattr(args, "func"):
+    if args.command is None:
         parser.print_help()
         return 2
     try:
@@ -643,7 +636,10 @@ def main(argv=None) -> int:
             return cmd_rerun(args)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        outputs, results = args.func(args, out)
+        # Looked up at call time, so a wrapper installed over a cmd_* function
+        # after the parser was built is the one that runs.
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        outputs, results = command(args, out)
         payload = {
             "command": args.command,
             "config": _config(args),

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError, ValidationError
-from .patches import MaskSpec, NormStats, PatchGrid, SnapshotSet, pixel_mask
+from .patches import MaskSpec, PatchGrid, SnapshotSet, freeze, pixel_mask
 from .pod import _leading_modes
 
 #: Relative ridge scale for the observed-pixel normal equations.  Smaller
@@ -31,20 +31,12 @@ class GappyPodModel:
 
     modes: np.ndarray
     singular_values: np.ndarray
-    norm_stats: NormStats | None
 
     def __post_init__(self):
-        modes = np.ascontiguousarray(np.asarray(self.modes, dtype=np.float64))
-        svals = np.ascontiguousarray(np.asarray(self.singular_values, dtype=np.float64))
-        if modes.ndim != 2 or svals.shape != (modes.shape[1],):
-            raise ValidationError(
-                f"inconsistent gappy model shapes: modes {modes.shape}, "
-                f"singular values {svals.shape}"
-            )
-        modes.setflags(write=False)
-        svals.setflags(write=False)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "singular_values", svals)
+        if np.ndim(self.modes) != 2:
+            raise ValidationError(f"gappy modes must be (H*W*C, r), got {np.shape(self.modes)}")
+        modes = freeze(self, "modes", finite=False)
+        freeze(self, "singular_values", (modes.shape[1],), finite=False)
 
     @property
     def rank(self) -> int:
@@ -69,7 +61,7 @@ def fit_gappy(train: SnapshotSet, rank: int) -> GappyPodModel:
         u, s = _leading_modes(snapshots, rank)
     except NumericalError as exc:
         raise NumericalError("POD of the global snapshot matrix did not converge") from exc
-    return GappyPodModel(u[0], s[0], train.norm_stats)
+    return GappyPodModel(u[0], s[0])
 
 
 def reconstruct_gappy(

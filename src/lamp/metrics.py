@@ -32,8 +32,10 @@ from .patches import (
     SnapshotSet,
     SplitSpec,
     apply_stats,
+    freeze,
     patch_vectors,
     patchify,
+    positive_int,
     split_standardized,
 )
 from .pod import ae_loss, encode
@@ -89,15 +91,7 @@ class PowerMap:
     values: np.ndarray  # (N,)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if arr.shape != (self.grid.n_patches,):
-            raise ValidationError(
-                f"power map length {arr.shape} != patch count {self.grid.n_patches}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValidationError("power map contains NaN or Inf")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        freeze(self, "values", (self.grid.n_patches,))
 
     def as_grid(self) -> np.ndarray:
         return self.values.reshape(self.grid.rows, self.grid.cols)
@@ -145,8 +139,8 @@ class SweepAxes:
         # Checked here, before any training: a patch size that does not
         # divide the field is not an error but a skipped cell (see run_sweep).
         valid = {
-            "patch_sizes": ("positive integers", _positive_int),
-            "latent_dims": ("positive integers", _positive_int),
+            "patch_sizes": ("positive integers", positive_int),
+            "latent_dims": ("positive integers", positive_int),
             "snr_dbs": ("finite or +inf", lambda v: math.isfinite(v) or v == math.inf),
             "coverages": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
         }
@@ -160,10 +154,6 @@ class SweepAxes:
             if bad:
                 raise ValidationError(f"{name} must be {rule}, got {bad}")
             object.__setattr__(self, name, vals)
-
-
-def _positive_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,36 @@ import numpy as np
 from .errors import ValidationError
 
 
+def freeze(
+    obj, field: str, shape: tuple[int, ...] | None = None, *, finite: bool = True
+) -> np.ndarray:
+    """Store array field ``field`` of frozen dataclass ``obj`` as a read-only
+    C-contiguous float64 array, and return it.
+
+    The array must have ``shape`` when one is given, and with ``finite`` no
+    NaN or Inf; a failure raises :class:`ValidationError` naming the type and
+    the field.  A writable C-contiguous float64 input is adopted, not copied:
+    it is frozen in place, so the caller's array becomes read-only, and a
+    view of it that the caller took before construction stays writable and
+    still changes the instance.  Copying instead would hold every large
+    array (training's value maps among them) twice at its peak.
+    """
+    arr = np.ascontiguousarray(np.asarray(getattr(obj, field), dtype=np.float64))
+    name = f"{type(obj).__name__}.{field}"
+    if shape is not None and arr.shape != shape:
+        raise ValidationError(f"{name} shape {arr.shape} != {shape}")
+    if finite and not np.isfinite(arr).all():
+        raise ValidationError(f"{name} contains NaN or Inf")
+    arr.setflags(write=False)
+    object.__setattr__(obj, field, arr)
+    return arr
+
+
+def positive_int(value) -> bool:
+    """An ``int`` or NumPy integer of at least 1; ``True`` and ``False`` are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True, eq=False)
 class NormStats:
     """Per-component mean and standard deviation of a training block."""
@@ -28,18 +58,14 @@ class NormStats:
     std: np.ndarray   # (C,)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
-        std = np.asarray(self.std, dtype=np.float64).reshape(-1)
-        if mean.shape != std.shape:
+        mean = freeze(self, "mean", finite=False)
+        std = freeze(self, "std", finite=False)
+        if mean.ndim != 1 or mean.shape != std.shape:
             raise ValidationError("norm stats mean/std length mismatch")
         if not (np.isfinite(mean).all() and np.isfinite(std).all()):
             raise ValidationError("norm stats must be finite")
         if np.any(std <= 0.0):
             raise ValidationError("norm stats std must be positive")
-        mean.setflags(write=False)
-        std.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,19 +82,16 @@ class SnapshotSet:
     norm_stats: NormStats | None = None
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if arr.ndim != 4:
+        shape = np.shape(self.data)
+        if len(shape) != 4:
             raise ValidationError(
-                f"snapshot data must have shape (T, H, W, C), got {arr.shape}"
+                f"snapshot data must have shape (T, H, W, C), got {shape}"
             )
-        if min(arr.shape) < 1:
-            raise ValidationError(f"empty snapshot dimensions: {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValidationError("snapshot data contains NaN or Inf")
-        if self.norm_stats is not None and len(self.norm_stats.mean) != arr.shape[3]:
+        if min(shape) < 1:
+            raise ValidationError(f"empty snapshot dimensions: {shape}")
+        freeze(self, "data")
+        if self.norm_stats is not None and len(self.norm_stats.mean) != shape[3]:
             raise ValidationError("norm stats do not match component count")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
 
     def _rows(self, rows: range) -> SnapshotSet:
         """Snapshots ``rows`` as a view, not checked again: a slice of
@@ -107,7 +130,7 @@ class PatchGrid:
     def __post_init__(self):
         for name in ("height", "width", "components", "patch_size"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if not positive_int(v):
                 raise ValidationError(f"{name} must be a positive integer, got {v!r}")
             object.__setattr__(self, name, int(v))
         if self.height % self.patch_size or self.width % self.patch_size:
@@ -204,14 +227,13 @@ class PatchedSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if arr.ndim != 3 or arr.shape[1] != self.grid.n_patches or arr.shape[2] != self.grid.patch_dim:
+        shape = np.shape(self.values)
+        if len(shape) != 3 or shape[1:] != (self.grid.n_patches, self.grid.patch_dim):
             raise ValidationError(
-                f"patched values shape {arr.shape} inconsistent with grid "
+                f"patched values shape {shape} inconsistent with grid "
                 f"(N={self.grid.n_patches}, D={self.grid.patch_dim})"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        freeze(self, "values", finite=False)
 
     @property
     def snapshots(self) -> int:

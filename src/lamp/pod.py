@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .patches import PatchedSeries, PatchGrid
+from .patches import PatchedSeries, PatchGrid, freeze
 
 #: A matrix takes its k retained modes from its Gram only if the k-th Gram
 #: eigenvalue exceeds this fraction of the largest eigenvalue of the whole
@@ -51,22 +51,8 @@ class PatchPodModel:
 
     def __post_init__(self):
         n, d = self.grid.n_patches, self.grid.patch_dim
-        bases = np.ascontiguousarray(np.asarray(self.bases, dtype=np.float64))
-        svals = np.ascontiguousarray(np.asarray(self.singular_values, dtype=np.float64))
-        if bases.shape != (n, d, self.latent_dim):
-            raise ValidationError(
-                f"bases shape {bases.shape} != {(n, d, self.latent_dim)}"
-            )
-        if svals.shape != (n, self.latent_dim):
-            raise ValidationError(
-                f"singular values shape {svals.shape} != {(n, self.latent_dim)}"
-            )
-        if not (np.isfinite(bases).all() and np.isfinite(svals).all()):
-            raise ValidationError("bases or singular values contain NaN or Inf")
-        bases.setflags(write=False)
-        svals.setflags(write=False)
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "singular_values", svals)
+        freeze(self, "bases", (n, d, self.latent_dim))
+        freeze(self, "singular_values", (n, self.latent_dim))
 
     def truncate(self, latent_dim: int) -> PatchPodModel:
         """The model of the leading ``latent_dim`` modes of every patch.
@@ -99,13 +85,9 @@ class LatentSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if arr.ndim != 3:
-            raise ValidationError(f"latent values must be (T, N, N_e), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValidationError("latent values contain NaN or Inf")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        if np.ndim(self.values) != 3:
+            raise ValidationError(f"latent values must be (T, N, N_e), got {np.shape(self.values)}")
+        freeze(self, "values")
 
     @property
     def snapshots(self) -> int:

@@ -50,3 +50,19 @@ def test_imports_only_from_lower_layers(module):
 
 def test_parser_sees_both_import_forms():
     assert package_imports(PACKAGE / "cli.py") >= {"formats", "metrics", "synthetic", "attention"}
+
+
+def test_no_post_init_freezes_arrays_itself():
+    """Array fields are frozen by ``patches.freeze`` only, never by hand."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+                offenders += [
+                    f"{path.stem}:{call.lineno}"
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "setflags"
+                ]
+    assert not offenders, f"__post_init__ calls .setflags( at {offenders}"

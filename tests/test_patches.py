@@ -147,6 +147,13 @@ class TestPatchify:
         with pytest.raises(ValidationError, match="4 does not divide.*6x4"):
             patchify(fields, 4)
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("name", ["height", "width", "components", "patch_size"])
+    def test_grid_rejects_booleans(self, name, value):
+        sizes = {"height": 8, "width": 8, "components": 1, "patch_size": 4, name: value}
+        with pytest.raises(ValidationError, match=f"{name} must be a positive integer"):
+            PatchGrid(**sizes)
+
 
 class TestUnpatchify:
     @pytest.mark.parametrize("h,w,c,p", [(8, 8, 2, 4), (4, 4, 1, 4), (6, 9, 3, 3)])
