@@ -27,6 +27,7 @@ from .patches import (
     NormStats,
     PatchGrid,
     SnapshotSet,
+    check_ridge,
     freeze,
     patch_vectors,
     patchify,
@@ -106,11 +107,6 @@ class AttentionModel:
     @property
     def latent_dim(self) -> int:
         return self.pod.latent_dim
-
-
-def check_ridge(ridge_lambda: float) -> None:
-    if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
-        raise ValidationError(f"ridge_lambda must be finite and nonnegative, got {ridge_lambda}")
 
 
 def check_error_floor(error_floor: float) -> None:
@@ -380,10 +376,7 @@ def predict_masked(
         raise ValidationError(
             f"latents shape {z.shape} does not match model (T, {n}, {e})"
         )
-    if mask.n_patches != n:
-        raise ValidationError(
-            f"mask over {mask.n_patches} patches does not match model with {n}"
-        )
+    model.grid.check_mask(mask)
     sources = np.asarray(mask.unmasked, dtype=np.intp)
     if sources.size == 0:
         raise ValidationError("all patches are masked; nothing to attend to")
@@ -449,15 +442,8 @@ def reconstruct(
     Input and output are in normalized units; use the model's norm_stats to
     standardize raw data first.
     """
-    if not model.grid.matches(fields):
-        raise ValidationError(
-            f"field geometry {(fields.height, fields.width, fields.components)} "
-            f"does not match model grid {model.grid}"
-        )
-    if mask.n_patches != model.n_patches:
-        raise ValidationError(
-            f"mask over {mask.n_patches} patches does not match model with {model.n_patches}"
-        )
+    model.grid.check_fields(fields)
+    model.grid.check_mask(mask)
     # Only the observed rows are encoded, as encode would: z_n = U_n^T x_n.
     sources = np.asarray(mask.unmasked, dtype=np.intp)
     observed = np.matmul(patch_vectors(fields.data, model.grid, sources), model.pod.bases[sources])

@@ -115,14 +115,6 @@ def _standardized_split(path: str, spec: SplitSpec) -> tuple[SnapshotSet, Snapsh
     return split_standardized(fields, spec)[:2]
 
 
-def _check_geometry(model, raw: SnapshotSet) -> None:
-    if not model.grid.matches(raw):
-        raise ValidationError(
-            f"dataset geometry {(raw.height, raw.width, raw.components)} does not "
-            f"match model grid {model.grid}"
-        )
-
-
 def _within_budget(args, need: int, what: str, remedy: str) -> int:
     """``need`` bytes for ``what``; more than ``--budget-bytes`` is rejected."""
     if need > args.budget_bytes:
@@ -280,7 +272,7 @@ def cmd_train(args, out: Path) -> tuple[list[str], dict]:
 def cmd_reconstruct(args, out: Path) -> tuple[list[str], dict]:
     model = formats.read_model(args.model)
     raw = _load_raw(args.dataset)
-    _check_geometry(model, raw)
+    model.grid.check_fields(raw)
     _, test_raw = split(raw, _split_spec(args))
     test_norm = apply_stats(test_raw, model.norm_stats)
     mask, sigma2, test_in = _eval_input(args, test_raw, test_norm, model.grid)
@@ -423,7 +415,7 @@ def cmd_gappy(args, out: Path) -> tuple[list[str], dict]:
 def cmd_compare(args, out: Path) -> tuple[list[str], dict]:
     model = formats.read_model(args.model)
     raw = _load_raw(args.dataset)
-    _check_geometry(model, raw)
+    model.grid.check_fields(raw)
     grid, stats = model.grid, model.norm_stats
     train_norm, test_norm, test_raw = split_standardized(raw, _split_spec(args), stats)
     power = predictive_power(model) if args.sensors_from is None and args.place_sensors else None
@@ -469,27 +461,31 @@ def cmd_rerun(args) -> int:
         raise FormatError(f"{args.manifest}: manifest command or config is malformed")
     if "out_dir" not in config:
         raise FormatError(f"{args.manifest}: manifest config has no out_dir")
-    argv = _argv_from_config(command, config)
+    argv = _argv_from_config(command, config, args.manifest)
     if args.out_dir is not None:
         idx = argv.index("--out-dir")
         argv[idx + 1] = args.out_dir
     return main(argv)
 
 
-_FLAG_BOOLEANS = {
-    "copy_through": "--no-copy-through",
-    "use_intercept": "--no-intercept",
-    "place_sensors": "--place-sensors",
-}
-
-
-def _argv_from_config(command: str, config: dict) -> list[str]:
+def _argv_from_config(command: str, config: dict, manifest: str) -> list[str]:
+    """The command line a manifest records; its switches are read off the
+    subcommand's own ``store_true`` / ``store_false`` flags."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    if command == "rerun" or command not in commands.choices:
+        raise FormatError(f"{manifest}: {command!r} is not an output-writing command")
+    switches = {
+        a.dest: a
+        for a in commands.choices[command]._actions
+        if isinstance(a, (argparse._StoreTrueAction, argparse._StoreFalseAction))
+    }
     argv = [command]
     for key, value in sorted(config.items()):
-        if key in _FLAG_BOOLEANS:
-            expected_when_flagged = key == "place_sensors"
-            if bool(value) is expected_when_flagged:
-                argv.append(_FLAG_BOOLEANS[key])
+        if key in switches:
+            if not isinstance(value, bool):
+                raise FormatError(f"{manifest}: switch {key} must be true or false, got {value!r}")
+            if value is switches[key].const:
+                argv.append(switches[key].option_strings[0])
             continue
         if value is None:
             continue

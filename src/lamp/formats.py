@@ -55,7 +55,7 @@ def _atomic_write(path: str | Path, chunks: Iterable) -> None:
     """Stream bytes-like chunks to a temp file in the same directory, then
     rename it into place; on any error neither the temp file nor ``path`` is left."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as handle:
             for chunk in chunks:
@@ -244,8 +244,6 @@ def heatmap_rgb(values: np.ndarray, vmin: float, vmax: float) -> np.ndarray:
 
 def outline_masked(rgb: np.ndarray, grid: PatchGrid, mask: MaskSpec) -> np.ndarray:
     """Black 1-pixel borders around every masked patch."""
-    if mask.n_patches != grid.n_patches:
-        raise ValidationError("mask does not fit the patch grid")
     edge = np.ones((grid.patch_size, grid.patch_size), dtype=bool)
     edge[1:-1, 1:-1] = False  # a patch's 1-pixel border
     out = rgb.copy()
@@ -280,6 +278,8 @@ def render_field(
     grid: PatchGrid | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """Heatmap of one component of one snapshot; returns (rgb, vmin, vmax)."""
+    if grid is not None:
+        grid.check_fields(fields)
     check_image_index(fields, snapshot, component)
     plane = fields.data[snapshot, :, :, component]
     vmin, vmax = float(plane.min()), float(plane.max())

@@ -9,14 +9,13 @@ unmasked patches, then evaluates the modes everywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError, ValidationError
-from .patches import MaskSpec, PatchGrid, SnapshotSet, freeze, pixel_mask
+from .patches import MaskSpec, PatchGrid, SnapshotSet, check_ridge, freeze, pixel_mask
 from .pod import _leading_modes
 
 #: Relative ridge scale for the observed-pixel normal equations.  Smaller
@@ -83,11 +82,7 @@ def reconstruct_gappy(
             f"gappy model over {model.modes.shape[0]} values does not match grid "
             f"with H*W*C={dim}"
         )
-    if not grid.matches(fields):
-        raise ValidationError(
-            f"field geometry {(fields.height, fields.width, fields.components)} "
-            f"does not match grid {grid}"
-        )
+    grid.check_fields(fields)
     observed = pixel_mask(grid, mask).reshape(-1)
     obs_flat = np.flatnonzero(np.repeat(observed, grid.components))
     if obs_flat.size < model.rank:
@@ -99,9 +94,8 @@ def reconstruct_gappy(
     gram = phi.T @ phi
     if ridge_lambda is None:
         lam = GAPPY_RIDGE_SCALE * float(np.trace(gram)) / model.rank
-    elif not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
-        raise ValidationError(f"ridge_lambda must be finite and nonnegative, got {ridge_lambda}")
     else:
+        check_ridge(ridge_lambda)
         lam = float(ridge_lambda)
     try:
         factor = cho_factor(gram + lam * np.eye(model.rank))

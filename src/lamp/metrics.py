@@ -19,7 +19,6 @@ from .attention import (
     DEFAULT_ERROR_FLOOR,
     AttentionModel,
     check_error_floor,
-    check_ridge,
     predict_masked,
     reconstruct,
     train_attention_model,
@@ -32,6 +31,7 @@ from .patches import (
     SnapshotSet,
     SplitSpec,
     apply_stats,
+    check_ridge,
     freeze,
     patch_vectors,
     patchify,
@@ -179,8 +179,6 @@ class SweepCell:
 @dataclass(frozen=True)
 class SweepResult:
     axes: SweepAxes
-    n_arrangements: int
-    seed: int
     cells: tuple[SweepCell, ...] = field(default_factory=tuple)
 
     def cell(self, patch_size: int, latent_dim: int, snr_db: float, coverage: float) -> SweepCell:
@@ -279,7 +277,7 @@ def run_sweep(
                 noise_variance_normalized(sigma2s[snr], train_norm.norm_stats),
             )
             cells.append(SweepCell(p, ne, snr, cov, *measured, n_arrangements, seed, reason))
-    return SweepResult(axes=axes, n_arrangements=n_arrangements, seed=seed, cells=tuple(cells))
+    return SweepResult(axes=axes, cells=tuple(cells))
 
 
 #: Largest relative gap allowed between a latent-space loss and the same

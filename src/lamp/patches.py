@@ -50,6 +50,11 @@ def positive_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
+def check_ridge(ridge_lambda: float) -> None:
+    if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
+        raise ValidationError(f"ridge_lambda must be finite and nonnegative, got {ridge_lambda}")
+
+
 @dataclass(frozen=True, eq=False)
 class NormStats:
     """Per-component mean and standard deviation of a training block."""
@@ -155,12 +160,17 @@ class PatchGrid:
     def patch_dim(self) -> int:
         return self.components * self.patch_size**2
 
-    def matches(self, fields: SnapshotSet) -> bool:
-        return (
-            fields.height == self.height
-            and fields.width == self.width
-            and fields.components == self.components
-        )
+    def check_fields(self, fields: SnapshotSet) -> None:
+        """Reject fields whose (H, W, C) is not this grid's."""
+        shape = (fields.height, fields.width, fields.components)
+        if shape != (self.height, self.width, self.components):
+            raise ValidationError(f"field geometry {shape} does not match model grid {self}")
+
+    def check_mask(self, mask: MaskSpec) -> None:
+        """Reject a mask over another number of patches than this grid's."""
+        k, n = mask.n_patches, self.n_patches
+        if k != n:
+            raise ValidationError(f"mask over {k} patches does not match model grid with {n}")
 
 
 def sensor_count(n_patches: int, coverage: float) -> int:
@@ -176,7 +186,6 @@ class MaskSpec:
 
     unmasked: tuple[int, ...]
     n_patches: int
-    seed: int | None = None
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.unmasked)
@@ -194,7 +203,7 @@ class MaskSpec:
         """Draw :func:`sensor_count` unmasked patches uniformly at random."""
         rng = np.random.default_rng(seed)
         idx = rng.choice(n_patches, size=sensor_count(n_patches, coverage), replace=False)
-        return cls(tuple(int(i) for i in idx), n_patches, seed=seed)
+        return cls(tuple(int(i) for i in idx), n_patches)
 
     @property
     def coverage(self) -> float:
@@ -208,11 +217,7 @@ class MaskSpec:
 
 def pixel_mask(grid: PatchGrid, mask: MaskSpec) -> np.ndarray:
     """Boolean (H, W) map of pixels covered by unmasked patches."""
-    if mask.n_patches != grid.n_patches:
-        raise ValidationError(
-            f"mask over {mask.n_patches} patches does not fit grid with "
-            f"{grid.n_patches}"
-        )
+    grid.check_mask(mask)
     obs = np.zeros((grid.rows, grid.cols), dtype=bool)
     for i in mask.unmasked:
         obs[i // grid.cols, i % grid.cols] = True

@@ -286,6 +286,8 @@ def add_noise_fixed(
     Masked patch content is left untouched (it is discarded downstream
     anyway).  Deterministic given the seed.
     """
+    grid.check_fields(fields)
+    grid.check_mask(mask)
     if sigma2 < 0.0:
         raise ValidationError(f"noise variance must be nonnegative, got {sigma2}")
     if sigma2 == 0.0:

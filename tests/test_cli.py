@@ -560,13 +560,27 @@ class TestMalformedInputs:
             {"command": "power-map", "config": ["--model", "m"]},
             {"command": "power-map", "config": {"model": "m"}},
             '{"command": "caf\xe9"}'.encode("latin-1"),
+            {"command": "--help", "config": {"out_dir": "o"}},
+            {"command": "rerun", "config": {"manifest": "m", "out_dir": "o"}},
+            {"command": "train", "config": {"dataset": "d", "patch_size": 8, "latent_dim": 4,
+                                            "use_intercept": "false", "out_dir": "o"}},
         ],
-        ids=["list", "config-list", "no-out-dir", "not-utf8"],
+        ids=["list", "config-list", "no-out-dir", "not-utf8", "help", "rerun",
+             "switch-string"],
     )
     def test_malformed_rerun_manifest_exits_3(self, tmp_path, manifest):
         path = tmp_path / "manifest.json"
         path.write_bytes(manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode())
         assert run("rerun", path, "--out-dir", tmp_path / "x") == 3
+
+    def test_rerun_rejects_string_switch_before_training(self, tmp_path, laminar_path):
+        # bool("false") is True: read loosely, this replay would train with the intercept.
+        config = {"dataset": str(laminar_path), "patch_size": 8, "latent_dim": 4,
+                  "use_intercept": "false", "out_dir": str(tmp_path / "x")}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "train", "config": config}))
+        assert run("rerun", path) == 3
+        assert not (tmp_path / "x").exists()
 
 
 class TestUsage:

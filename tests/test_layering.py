@@ -66,3 +66,25 @@ def test_no_post_init_freezes_arrays_itself():
                     and call.func.attr == "setflags"
                 ]
     assert not offenders, f"__post_init__ calls .setflags( at {offenders}"
+
+
+def test_only_patches_compares_a_mask_with_a_grid():
+    """Masks meet grids through ``PatchGrid.check_mask`` alone; ``matches`` is gone."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.stem == "patches":
+            grid = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PatchGrid")
+            assert "matches" not in {n.name for n in grid.body if isinstance(n, ast.FunctionDef)}
+            continue
+        offenders += [
+            f"{path.stem}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            for operand in (node.left, *node.comparators)
+            if isinstance(operand, ast.Attribute)
+            and operand.attr == "n_patches"
+            and isinstance(operand.value, ast.Name)
+            and "mask" in operand.value.id
+        ]
+    assert not offenders, f"mask.n_patches compared outside patches.py at {offenders}"
