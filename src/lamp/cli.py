@@ -469,27 +469,28 @@ def cmd_rerun(args) -> int:
 
 
 def _argv_from_config(command: str, config: dict, manifest: str) -> list[str]:
-    """The command line a manifest records; its switches are read off the
-    subcommand's own ``store_true`` / ``store_false`` flags."""
+    """The command line a manifest records; each key is read off the subcommand's
+    own option of that dest, and switches off its ``store_true`` / ``store_false`` flags."""
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     if command == "rerun" or command not in commands.choices:
         raise FormatError(f"{manifest}: {command!r} is not an output-writing command")
-    switches = {
+    options = {
         a.dest: a
         for a in commands.choices[command]._actions
-        if isinstance(a, (argparse._StoreTrueAction, argparse._StoreFalseAction))
+        if a.option_strings and not isinstance(a, argparse._HelpAction)
     }
     argv = [command]
     for key, value in sorted(config.items()):
-        if key in switches:
+        if key not in options:
+            raise FormatError(f"{manifest}: {command} has no option for config key {key!r}")
+        option = options[key]
+        if isinstance(option, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
             if not isinstance(value, bool):
                 raise FormatError(f"{manifest}: switch {key} must be true or false, got {value!r}")
-            if value is switches[key].const:
-                argv.append(switches[key].option_strings[0])
-            continue
-        if value is None:
-            continue
-        argv.extend(["--" + key.replace("_", "-"), str(value)])
+            if value is option.const:
+                argv.append(option.option_strings[0])
+        elif value is not None:
+            argv.extend([option.option_strings[0], str(value)])
     return argv
 
 

@@ -16,7 +16,10 @@ LAMP-MODEL v1 (magic ``LAMPMD01``)
     N^2 * N_e f64 (attention vectors); N^2 f64 (intercepts); N^2 f64
     (mean pair losses).
 
-Readers reject unknown magic bytes and any trailing or missing bytes.
+Each layout is declared once, as a header ``struct.Struct`` (magic first) and
+the list of its f64 array shapes; the model's list is shared by ``write_model``,
+``read_model`` and ``model_nbytes``. Readers reject unknown magic bytes, and
+check the file size against the layout once, before any array is read.
 Writers are deterministic, so save/load/save round-trips are byte-identical.
 All files are written atomically (temp file + rename); datasets and models
 are streamed to the temp file array by array, with no in-memory copy.
@@ -32,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import struct
 import tempfile
@@ -49,17 +53,20 @@ DATASET_MAGIC = b"LAMPDS01"
 MODEL_MAGIC = b"LAMPMD01"
 DATASET_FORMAT = "LAMP-DS v1"
 MODEL_FORMAT = "LAMP-MODEL v1"
+_DATASET_HEADER = struct.Struct("<8s4IB")  # magic, H, W, C, T, normalized flag
+_MODEL_HEADER = struct.Struct("<8s5IB2d")  # magic, H, W, C, P, N_e, intercept flag, ridge, floor
 
 
-def _atomic_write(path: str | Path, chunks: Iterable) -> None:
-    """Stream bytes-like chunks to a temp file in the same directory, then
-    rename it into place; on any error neither the temp file nor ``path`` is left."""
+def _atomic_write(path: str | Path, head: bytes, arrays: Iterable[np.ndarray] = ()) -> None:
+    """Stream ``head``, then each array as f64, to a temp file in the same directory,
+    then rename it into place; on any error neither the temp file nor ``path`` is left."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
+            handle.write(head)
+            for arr in arrays:
+                handle.write(_f64(arr))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,78 +79,60 @@ def _f64(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype="<f8")
 
 
-class _Cursor:
-    """Sequential reader over a file's bytes with exhaustion checks.
+def _read_header(path: str | Path, header: struct.Struct, magic: bytes) -> tuple[tuple, memoryview]:
+    """The header fields after the magic, and the whole file read once into a
+    read-only buffer whose header end is 8-byte aligned: so is every f64 after
+    it, and so are the model header's two f64 fields, 16 bytes before it."""
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        raw = np.empty(size + 8, np.uint8)
+        shift = -(raw.ctypes.data + header.size) % 8
+        size = handle.readinto(memoryview(raw)[shift : shift + size])
+    buf = memoryview(raw)[shift : shift + size].toreadonly()
+    found = bytes(buf[: len(magic)])
+    if found != magic[: len(buf)]:  # a short prefix of the magic is a truncation
+        raise FormatError(f"{path}: unknown magic {found!r}, expected {magic!r}")
+    if len(buf) < header.size:
+        raise FormatError(f"{path}: truncated file ({len(buf)} bytes, header needs {header.size})")
+    return header.unpack_from(buf)[1:], buf
 
-    The file is read once into a buffer shifted so that the byte at offset
-    ``f64_offset`` (the first f64 of the format) is 8-byte aligned; every
-    later f64 field then is too, as all fields after it are f64.  ``floats``
-    returns read-only views into that buffer, with no copy.
-    """
 
-    def __init__(self, path: str | Path, f64_offset: int):
-        with open(path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            raw = np.empty(size + 8, np.uint8)
-            shift = -(raw.ctypes.data + f64_offset) % 8
-            size = handle.readinto(memoryview(raw)[shift : shift + size])
-        self.buf = memoryview(raw)[shift : shift + size].toreadonly()
-        self.pos = 0
-        self.label = str(path)
-
-    def take(self, count: int) -> memoryview:
-        if self.pos + count > len(self.buf):
-            raise FormatError(f"{self.label}: truncated file")
-        out = self.buf[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(count * 8), dtype="<f8")
-
-    def finish(self) -> None:
-        if self.pos != len(self.buf):
-            raise FormatError(
-                f"{self.label}: {len(self.buf) - self.pos} trailing bytes"
-            )
+def _read_arrays(path: str | Path, buf: memoryview, start: int, shapes: list) -> list[np.ndarray]:
+    """Read-only f64 views of ``shapes``, packed in order from byte ``start``; the
+    file size is checked against them before any view is taken."""
+    need = start + 8 * sum(math.prod(shape) for shape in shapes)
+    if len(buf) < need:
+        raise FormatError(f"{path}: truncated file ({len(buf)} bytes, header needs {need})")
+    if len(buf) > need:
+        raise FormatError(f"{path}: {len(buf) - need} trailing bytes")
+    arrays = []
+    for shape in shapes:
+        arrays.append(np.frombuffer(buf, "<f8", math.prod(shape), start).reshape(shape))
+        start += 8 * math.prod(shape)
+    return arrays
 
 
 # Datasets -------------------------------------------------------------------
 
-def _dataset_chunks(fields: SnapshotSet):
-    stats = fields.norm_stats
-    yield DATASET_MAGIC + struct.pack(
-        "<4IB", fields.height, fields.width, fields.components, fields.snapshots,
-        1 if stats is not None else 0,
-    )
-    if stats is not None:
-        yield _f64(np.stack([stats.mean, stats.std], axis=1))  # (mean, std) pairs
-    yield _f64(fields.data)
-
-
 def write_dataset(fields: SnapshotSet, path: str | Path) -> None:
-    _atomic_write(path, _dataset_chunks(fields))
+    stats = fields.norm_stats
+    pairs = [] if stats is None else [np.stack([stats.mean, stats.std], axis=1)]
+    header = _DATASET_HEADER.pack(
+        DATASET_MAGIC, fields.height, fields.width, fields.components, fields.snapshots, len(pairs)
+    )
+    _atomic_write(path, header, [*pairs, fields.data])
 
 
 def read_dataset(path: str | Path) -> SnapshotSet:
-    cur = _Cursor(path, f64_offset=len(DATASET_MAGIC) + 4 * 4 + 1)
-    magic = bytes(cur.take(8))
-    if magic != DATASET_MAGIC:
-        raise FormatError(f"{path}: unknown magic {magic!r}, expected {DATASET_MAGIC!r}")
-    h, w, c, t = cur.unpack("<4I")
+    (h, w, c, t, flag), buf = _read_header(path, _DATASET_HEADER, DATASET_MAGIC)
     if min(h, w, c, t) < 1:
         raise FormatError(f"{path}: invalid dimensions H={h} W={w} C={c} T={t}")
-    (flag,) = cur.unpack("<B")
     if flag not in (0, 1):
         raise FormatError(f"{path}: invalid normalized flag {flag}")
-    pairs = cur.floats(2 * c).reshape(c, 2) if flag else None
-    data = cur.floats(t * h * w * c).reshape(t, h, w, c)
-    cur.finish()
+    # (mean, std) pairs if normalized, then the snapshots
+    *pairs, data = _read_arrays(path, buf, _DATASET_HEADER.size, [(c, 2)] * flag + [(t, h, w, c)])
     try:
-        stats = None if pairs is None else NormStats(pairs[:, 0], pairs[:, 1])
+        stats = NormStats(pairs[0][:, 0], pairs[0][:, 1]) if pairs else None
         return SnapshotSet(data, norm_stats=stats)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -151,66 +140,47 @@ def read_dataset(path: str | Path) -> SnapshotSet:
 
 # Models ---------------------------------------------------------------------
 
+def _model_shapes(grid: PatchGrid, latent_dim: int) -> list[tuple[int, ...]]:
+    """Shapes of the model's f64 arrays after the header, in file order."""
+    n, d, e = grid.n_patches, grid.patch_dim, latent_dim
+    return [(grid.components, 2), (n, e, d), (n, e), (n, n, e, e), (n, n, e), (n, n), (n, n)]
+
+
 def model_nbytes(height: int, width: int, components: int, patch_size: int, latent_dim: int) -> int:
     """Serialized size of a model with this geometry, in bytes."""
-    grid = PatchGrid(height, width, components, patch_size)
-    n, d, e = grid.n_patches, grid.patch_dim, latent_dim
-    header = 8 + 5 * 4 + 1 + 8 + 8 + components * 16
-    return header + 8 * (n * d * e + n * e + n * n * e * e + n * n * e + 2 * n * n)
-
-
-def _model_chunks(model: AttentionModel):
-    grid, stats = model.grid, model.norm_stats
-    ridge = -RIDGE_SCALE if model.ridge_lambda is None else model.ridge_lambda
-    yield MODEL_MAGIC + struct.pack(
-        "<5IB2d", grid.height, grid.width, grid.components, grid.patch_size,
-        model.latent_dim, 1 if model.use_intercept else 0, ridge, model.error_floor,
-    )
-    yield _f64(np.stack([stats.mean, stats.std], axis=1))  # (mean, std) pairs
-    for basis in model.pod.bases:
-        yield _f64(basis.T)  # column-major block
-    for arr in (model.pod.singular_values, model.value_maps, model.attn_vectors,
-                model.attn_intercepts, model.pair_losses):
-        yield _f64(arr)
+    shapes = _model_shapes(PatchGrid(height, width, components, patch_size), latent_dim)
+    return _MODEL_HEADER.size + 8 * sum(math.prod(shape) for shape in shapes)
 
 
 def write_model(model: AttentionModel, path: str | Path) -> None:
-    _atomic_write(path, _model_chunks(model))
+    grid, stats = model.grid, model.norm_stats
+    ridge = -RIDGE_SCALE if model.ridge_lambda is None else model.ridge_lambda
+    header = _MODEL_HEADER.pack(
+        MODEL_MAGIC, grid.height, grid.width, grid.components, grid.patch_size,
+        model.latent_dim, model.use_intercept, ridge, model.error_floor,
+    )
+    arrays = (np.stack([stats.mean, stats.std], axis=1), model.pod.bases.transpose(0, 2, 1),
+              model.pod.singular_values, model.value_maps, model.attn_vectors,
+              model.attn_intercepts, model.pair_losses)
+    _atomic_write(path, header, map(np.reshape, arrays, _model_shapes(grid, model.latent_dim)))
 
 
 def read_model(path: str | Path) -> AttentionModel:
-    cur = _Cursor(path, f64_offset=len(MODEL_MAGIC) + 5 * 4 + 1)
-    magic = bytes(cur.take(8))
-    if magic != MODEL_MAGIC:
-        raise FormatError(f"{path}: unknown magic {magic!r}, expected {MODEL_MAGIC!r}")
-    h, w, c, p, e = cur.unpack("<5I")
+    (h, w, c, p, e, flag, ridge, floor), buf = _read_header(path, _MODEL_HEADER, MODEL_MAGIC)
     try:
         grid = PatchGrid(h, w, c, p)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    n, d = grid.n_patches, grid.patch_dim
-    if not 1 <= e <= d:
-        raise FormatError(f"{path}: latent dimension {e} out of range for D={d}")
-    need = model_nbytes(h, w, c, p, e)
-    if len(cur.buf) < need:  # checked before the arrays are allocated
-        raise FormatError(
-            f"{path}: truncated file ({len(cur.buf)} bytes, header needs {need})"
-        )
-    (intercept_flag,) = cur.unpack("<B")
-    if intercept_flag not in (0, 1):
-        raise FormatError(f"{path}: invalid intercept flag {intercept_flag}")
-    ridge, floor = cur.unpack("<2d")
-    pairs = cur.floats(2 * c).reshape(c, 2)
-    bases = cur.floats(n * d * e).reshape(n, e, d).transpose(0, 2, 1)  # column-major blocks
-    svals = cur.floats(n * e).reshape(n, e)
-    value_maps = cur.floats(n * n * e * e).reshape(n, n, e, e)
-    attn_vectors = cur.floats(n * n * e).reshape(n, n, e)
-    intercepts = cur.floats(n * n).reshape(n, n)
-    pair_losses = cur.floats(n * n).reshape(n, n)
-    cur.finish()
+    if not 1 <= e <= grid.patch_dim:
+        raise FormatError(f"{path}: latent dimension {e} out of range for D={grid.patch_dim}")
+    if flag not in (0, 1):
+        raise FormatError(f"{path}: invalid intercept flag {flag}")
+    pairs, bases, svals, value_maps, attn_vectors, intercepts, pair_losses = _read_arrays(
+        path, buf, _MODEL_HEADER.size, _model_shapes(grid, e)
+    )
     try:
         return AttentionModel(
-            pod=PatchPodModel(grid, int(e), bases, svals),
+            pod=PatchPodModel(grid, int(e), bases.transpose(0, 2, 1), svals),
             norm_stats=NormStats(pairs[:, 0], pairs[:, 1]),
             value_maps=value_maps,
             attn_vectors=attn_vectors,
@@ -218,7 +188,7 @@ def read_model(path: str | Path) -> AttentionModel:
             pair_losses=pair_losses,
             ridge_lambda=None if ridge < 0 else ridge,
             error_floor=floor,
-            use_intercept=bool(intercept_flag),
+            use_intercept=bool(flag),
         )
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -242,24 +212,11 @@ def heatmap_rgb(values: np.ndarray, vmin: float, vmax: float) -> np.ndarray:
     return np.rint(rgb).astype(np.uint8)
 
 
-def outline_masked(rgb: np.ndarray, grid: PatchGrid, mask: MaskSpec) -> np.ndarray:
-    """Black 1-pixel borders around every masked patch."""
-    edge = np.ones((grid.patch_size, grid.patch_size), dtype=bool)
-    edge[1:-1, 1:-1] = False  # a patch's 1-pixel border
-    out = rgb.copy()
-    out[~pixel_mask(grid, mask) & np.tile(edge, (grid.rows, grid.cols))] = 0
-    return out
-
-
-def ppm_bytes(rgb: np.ndarray) -> bytes:
+def write_ppm(rgb: np.ndarray, path: str | Path) -> None:
     if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
         raise ValidationError(f"PPM payload must be (H, W, 3) uint8, got {rgb.shape}")
     h, w = rgb.shape[:2]
-    return f"P6\n{w} {h}\n255\n".encode("ascii") + rgb.tobytes()
-
-
-def write_ppm(rgb: np.ndarray, path: str | Path) -> None:
-    _atomic_write(path, (ppm_bytes(rgb),))
+    _atomic_write(path, f"P6\n{w} {h}\n255\n".encode("ascii") + rgb.tobytes())
 
 
 def check_image_index(fields: SnapshotSet, snapshot: int, component: int) -> None:
@@ -274,31 +231,26 @@ def render_field(
     fields: SnapshotSet,
     snapshot: int,
     component: int,
-    mask: MaskSpec | None = None,
-    grid: PatchGrid | None = None,
+    mask: MaskSpec,
+    grid: PatchGrid,
 ) -> tuple[np.ndarray, float, float]:
-    """Heatmap of one component of one snapshot; returns (rgb, vmin, vmax)."""
-    if grid is not None:
-        grid.check_fields(fields)
+    """Heatmap of one component of one snapshot, with black 1-pixel borders
+    around every masked patch; returns (rgb, vmin, vmax)."""
+    grid.check_fields(fields)
     check_image_index(fields, snapshot, component)
     plane = fields.data[snapshot, :, :, component]
     vmin, vmax = float(plane.min()), float(plane.max())
     rgb = heatmap_rgb(plane, vmin, vmax)
-    if mask is not None:
-        if grid is None:
-            raise ValidationError("masked rendering needs the patch grid")
-        rgb = outline_masked(rgb, grid, mask)
+    edge = np.ones((grid.patch_size, grid.patch_size), dtype=bool)
+    edge[1:-1, 1:-1] = False  # a patch's 1-pixel border
+    rgb[~pixel_mask(grid, mask) & np.tile(edge, (grid.rows, grid.cols))] = 0
     return rgb, vmin, vmax
 
 
 # Manifests and CSV ----------------------------------------------------------
 
-def manifest_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
-
-
 def write_manifest(payload: dict, path: str | Path) -> None:
-    _atomic_write(path, (manifest_bytes(payload),))
+    _atomic_write(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def read_manifest(path: str | Path) -> dict:
@@ -316,14 +268,10 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-def csv_bytes(header: list[str], rows: list[list]) -> bytes:
+def write_csv(header: list[str], rows: list[list], path: str | Path) -> None:
     out = io.StringIO(newline="")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_csv_value(v) for v in row])
-    return out.getvalue().encode("utf-8")
-
-
-def write_csv(header: list[str], rows: list[list], path: str | Path) -> None:
-    _atomic_write(path, (csv_bytes(header, rows),))
+    _atomic_write(path, out.getvalue().encode("utf-8"))

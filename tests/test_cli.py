@@ -564,9 +564,11 @@ class TestMalformedInputs:
             {"command": "rerun", "config": {"manifest": "m", "out_dir": "o"}},
             {"command": "train", "config": {"dataset": "d", "patch_size": 8, "latent_dim": 4,
                                             "use_intercept": "false", "out_dir": "o"}},
+            {"command": "power-map", "config": {"model": "m", "bogus": 1, "out_dir": "o"}},
+            {"command": "power-map", "config": {"model": "m", "help": True, "out_dir": "o"}},
         ],
         ids=["list", "config-list", "no-out-dir", "not-utf8", "help", "rerun",
-             "switch-string"],
+             "switch-string", "unknown-key", "help-key"],
     )
     def test_malformed_rerun_manifest_exits_3(self, tmp_path, manifest):
         path = tmp_path / "manifest.json"

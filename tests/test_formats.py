@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import struct
@@ -26,13 +27,11 @@ from lamp import formats
 from lamp.formats import (
     DATASET_MAGIC,
     MODEL_MAGIC,
-    csv_bytes,
     heatmap_rgb,
-    manifest_bytes,
     model_nbytes,
-    outline_masked,
-    ppm_bytes,
     render_field,
+    write_csv,
+    write_manifest,
     write_ppm,
 )
 from lamp.patches import PatchGrid
@@ -162,19 +161,46 @@ class TestModelFormat:
         with pytest.raises(FormatError, match="trailing"):
             read_model(path)
 
-    def test_header_geometry_larger_than_file_rejected_before_allocation(self, tmp_path):
-        # H = W = 2**20 at P = 1 declares 2**40 patches in a 66-byte file
-        path = tmp_path / "huge.lampmd"
-        header = MODEL_MAGIC + struct.pack("<5IB4d", 2**20, 2**20, 1, 1, 1, 1, -1e-8, 1e-12, 0.0, 1.0)
-        path.write_bytes(header + bytes(66 - len(header)))
-        with pytest.raises(FormatError, match="truncated"):
-            read_model(path)
+    @pytest.mark.parametrize(
+        "header, reader",
+        [
+            # 2**15 in each of H, W, C, T declares 2**60 values
+            (DATASET_MAGIC + struct.pack("<4IB", *[2**15] * 4, 0), read_dataset),
+            # H = W = 2**20 at P = 1 declares 2**40 patches
+            (MODEL_MAGIC + struct.pack("<5IB4d", 2**20, 2**20, 1, 1, 1, 1, -1e-8, 1e-12, 0.0, 1.0),
+             read_model),
+        ],
+        ids=["dataset", "model"],
+    )
+    def test_header_geometry_larger_than_file_rejected_before_allocation(self, tmp_path, header,
+                                                                         reader):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(header + bytes(66 - len(header)))  # a 66-byte file
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated"):
+                reader(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
-    def test_size_estimate_matches_serialization(self, small_model):
-        grid = small_model.grid
-        assert model_nbytes(
-            grid.height, grid.width, grid.components, grid.patch_size, small_model.latent_dim
-        ) == len(_written(write_model, small_model))
+    @pytest.mark.parametrize(
+        "shape, patch_size, latent_dim",
+        [
+            ((12, 4, 4, 1), 2, 1),  # C = 1, N_e = 1, D = 4 <= T
+            ((12, 4, 4, 1), 2, 4),  # N_e = D
+            ((12, 4, 4, 2), 2, 8),  # C = 2, N_e = D = 8 <= T
+            ((12, 8, 8, 2), 4, 1),  # D = 32 > T, N_e = 1
+            ((12, 8, 8, 2), 4, 12),  # D > T, N_e = T
+            ((12, 8, 12, 1), 4, 3),  # 2 x 3 patches
+        ],
+        ids=["C1-Ne1", "C1-Ne=D", "C2-Ne=D", "D>T-Ne1", "D>T-Ne=T", "non-square"],
+    )
+    def test_size_estimate_matches_serialization(self, shape, patch_size, latent_dim):
+        model = train_attention_model(_standardized(shape, 9), patch_size, latent_dim)
+        t, h, w, c = shape
+        assert model_nbytes(h, w, c, patch_size, latent_dim) == len(_written(write_model, model))
 
 
 class TestStreamedWrites:
@@ -318,22 +344,23 @@ class TestHeatmap:
 
     def test_ppm_layout(self):
         rgb = np.zeros((2, 3, 3), dtype=np.uint8)
-        payload = ppm_bytes(rgb)
+        payload = _written(write_ppm, rgb)
         assert payload.startswith(b"P6\n3 2\n255\n")
         assert len(payload) == len(b"P6\n3 2\n255\n") + 2 * 3 * 3
 
     def test_write_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(4)
         fields = SnapshotSet(rng.standard_normal((2, 4, 4, 1)))
-        rgb, _, _ = render_field(fields, 0, 0)
+        grid = PatchGrid(4, 4, 1, 2)
+        rgb, _, _ = render_field(fields, 0, 0, MaskSpec((0, 3), grid.n_patches), grid)
         write_ppm(rgb, tmp_path / "a.ppm")
         write_ppm(rgb, tmp_path / "b.ppm")
         assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
 
     def test_masked_outline(self):
         grid = PatchGrid(4, 4, 1, 2)
-        rgb = np.full((4, 4, 3), 255, dtype=np.uint8)
-        out = outline_masked(rgb, grid, MaskSpec((0, 1, 2), grid.n_patches))
+        fields = SnapshotSet(np.full((1, 4, 4, 1), 2.5))  # a constant field renders white
+        out, _, _ = render_field(fields, 0, 0, MaskSpec((0, 1, 2), grid.n_patches), grid)
         # patch 3 (lower right 2x2): its entire 2x2 block is border pixels
         np.testing.assert_array_equal(out[2:, 2:], 0)
         np.testing.assert_array_equal(out[:2, :2], 255)
@@ -342,37 +369,39 @@ class TestHeatmap:
     def test_outline_matches_per_patch_borders(self, p):
         grid = PatchGrid(3 * p, 5 * p, 2, p)
         rng = np.random.default_rng(p)
-        rgb = rng.integers(1, 256, size=(grid.height, grid.width, 3), dtype=np.uint8)
+        fields = SnapshotSet(rng.standard_normal((2, grid.height, grid.width, 2)))
         for unmasked in [(), (0, 7, 14), tuple(range(15))]:
             mask = MaskSpec(unmasked, grid.n_patches)
-            assert np.array_equal(outline_masked(rgb, grid, mask),
-                                  outline_oracle(rgb, grid, mask.masked))
+            out, vmin, vmax = render_field(fields, 1, 1, mask, grid)
+            rgb = heatmap_rgb(fields.data[1, :, :, 1], vmin, vmax)
+            assert np.array_equal(out, outline_oracle(rgb, grid, mask.masked))
 
     def test_render_field_range(self):
         data = np.zeros((1, 2, 2, 1))
         data[0, :, :, 0] = [[0.0, 1.0], [2.0, 3.0]]
-        _, vmin, vmax = render_field(SnapshotSet(data), 0, 0)
+        grid = PatchGrid(2, 2, 1, 2)
+        _, vmin, vmax = render_field(SnapshotSet(data), 0, 0, MaskSpec((0,), 1), grid)
         assert (vmin, vmax) == (0.0, 3.0)
 
 
 class TestManifestAndCsv:
     def test_manifest_sorted_and_stable(self):
         payload = {"b": 1, "a": {"d": 2, "c": 3}}
-        raw = manifest_bytes(payload)
-        assert raw == manifest_bytes({"a": {"c": 3, "d": 2}, "b": 1})
+        raw = _written(write_manifest, payload)
+        assert raw == _written(write_manifest, {"a": {"c": 3, "d": 2}, "b": 1})
         parsed = json.loads(raw)
         assert parsed == payload
         assert raw.index(b'"a"') < raw.index(b'"b"')
 
     def test_csv_float_repr(self):
-        raw = csv_bytes(["x", "y"], [[0.1, None], [float("inf"), 7]])
+        raw = _written(functools.partial(write_csv, ["x", "y"]), [[0.1, None], [float("inf"), 7]])
         lines = raw.decode().splitlines()
         assert lines[0] == "x,y"
         assert lines[1] == "0.1,"
         assert lines[2] == "inf,7"
 
     def test_csv_numpy_floats(self):
-        raw = csv_bytes(["v"], [[np.float64(0.25)]])
+        raw = _written(functools.partial(write_csv, ["v"]), [[np.float64(0.25)]])
         assert raw.decode().splitlines()[1] == "0.25"
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from lamp import MaskSpec, PatchGrid, SnapshotSet, ValidationError, normalize
 from lamp.attention import predict_masked, reconstruct, train_attention_model
-from lamp.formats import outline_masked, render_field
+from lamp.formats import render_field
 from lamp.gappy import fit_gappy, reconstruct_gappy
 from lamp.patches import pixel_mask
 from lamp.synthetic import add_noise_fixed
@@ -34,9 +34,6 @@ FIELD_CALLS = {
 MASK_CALLS = {
     "predict_masked": lambda m, f, mask: predict_masked(m[0], np.zeros((T, 4, 2)), mask),
     "pixel_mask": lambda m, f, mask: pixel_mask(GRID, mask),
-    "outline_masked": lambda m, f, mask: outline_masked(
-        np.zeros((8, 8, 3), dtype=np.uint8), GRID, mask
-    ),
 }
 MISMATCHES = {
     # (fields shape, mask patch count, message)

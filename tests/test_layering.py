@@ -88,3 +88,50 @@ def test_only_patches_compares_a_mask_with_a_grid():
             and "mask" in operand.value.id
         ]
     assert not offenders, f"mask.n_patches compared outside patches.py at {offenders}"
+
+
+def formats_layout_offenders(source: str) -> list[str]:
+    """What in ``formats.py`` source bypasses its one declaration per layout:
+    a call of the ``struct`` module's own pack/unpack/calcsize (every header
+    goes through a ``struct.Struct`` constant), a class, or a public ``*_bytes``
+    function (the writers are the only producers of their bytes)."""
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "struct"
+            and node.func.attr != "Struct"
+        ) or (isinstance(node, ast.ImportFrom) and node.module == "struct"):
+            offenders.append(f"struct call or import at line {node.lineno}")
+        elif isinstance(node, ast.ClassDef):
+            offenders.append(f"class {node.name}")
+        elif (
+            isinstance(node, ast.FunctionDef)
+            and node.name.endswith("_bytes")
+            and not node.name.startswith("_")
+        ):
+            offenders.append(f"def {node.name}")
+    return offenders
+
+
+def test_formats_declares_each_layout_once():
+    offenders = formats_layout_offenders((PACKAGE / "formats.py").read_text())
+    assert not offenders, f"formats.py: {offenders}"
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        'HEAD = struct.pack("<4IB", 1, 1, 1, 1, 0)',
+        'N = struct.calcsize("<5IB2d")',
+        "from struct import unpack",
+        "class _Reader:\n    pass",
+        "def ppm_bytes(rgb):\n    return b''",
+    ],
+    ids=["pack", "calcsize", "import", "class", "public-bytes"],
+)
+def test_layout_guard_catches_a_planted_bypass(planted):
+    source = (PACKAGE / "formats.py").read_text() + "\n\n" + planted + "\n"
+    assert formats_layout_offenders(source)
