@@ -9,8 +9,9 @@ the order inside a pair alternates, so slow drift of the machine does not
 favour either side.  For every end-to-end metric of ``BENCHMARK.json`` it
 prints the medians and quartiles of both sides, the parent's interquartile
 range, the relative change of the medians and in how many pairs the working
-tree was better.  Run it from the repository root; nothing under
-``perfbench/`` is modified.
+tree was better.  It exits 1 when any run of either side is not correct or
+has failed operations, and names those runs' seeds.  Run it from the
+repository root; nothing under ``perfbench/`` is modified.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def main(argv=None) -> int:
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
                 tree = base_tree if side == "base" else ROOT
-                runs[side].append(_run(tree, args.workload, seed, args.seconds))
+                runs[side].append({"seed": seed, **_run(tree, args.workload, seed, args.seconds)})
             print(f"pair {i + 1}/{args.pairs} seed {seed}: " + "  ".join(
                 f"{side} op_p50 {runs[side][-1]['op_p50_ms']:.1f} ms" for side in ("base", "head")),
                 flush=True)
@@ -93,14 +94,18 @@ def main(argv=None) -> int:
         name = metric["name"]
         print(_summary(name, metric["better"], [r[name] for r in runs["base"]],
                        [r[name] for r in runs["head"]]))
+    bad_runs = 0
     for side in ("base", "head"):
-        bad = sum(not r["correct"] for r in runs[side])
+        incorrect = sum(not r["correct"] for r in runs[side])
         failed = sum(r["failed"] for r in runs[side])
-        print(f"{side}: {bad} incorrect runs, {failed} failed ops")
+        bad_seeds = [r["seed"] for r in runs[side] if not r["correct"] or r["failed"]]
+        print(f"{side}: {incorrect} incorrect runs, {failed} failed ops"
+              + (f"; bad runs at seeds {bad_seeds}" if bad_seeds else ""))
+        bad_runs += len(bad_seeds)
     if args.json:
         args.json.write_text(json.dumps({"args": {**vars(args), "json": str(args.json)}, **runs},
                                         indent=1) + "\n", encoding="utf-8")
-    return 0
+    return 1 if bad_runs else 0
 
 
 if __name__ == "__main__":

@@ -142,7 +142,7 @@ def _eval_input(args, test_raw: SnapshotSet, test_norm: SnapshotSet, grid: Patch
     The image indices are checked here too, so a bad one fails before any
     output is written.
     """
-    formats.check_image_index(test_raw, args.snapshot, args.component)
+    formats.check_image_index(test_norm, args.snapshot, args.component)
     if args.sensors_from:
         power = PowerMap(grid, _read_power_values(args.sensors_from, grid.n_patches))
     if power is None:
@@ -150,7 +150,7 @@ def _eval_input(args, test_raw: SnapshotSet, test_norm: SnapshotSet, grid: Patch
     else:
         mask = place_sensors(power, sensor_count(grid.n_patches, args.coverage))
     sigma2 = synthetic.noise_sigma2(test_raw, _parse_snr(args.snr_db))
-    test_in = metrics.noisy_test_input(test_raw, test_norm, mask, sigma2, args.seed + 1, grid)
+    test_in = synthetic.add_noise_fixed(test_norm, mask, sigma2, args.seed + 1, grid)
     return mask, sigma2, test_in
 
 
@@ -413,12 +413,14 @@ def cmd_gappy(args, out: Path) -> tuple[list[str], dict]:
 
 
 def cmd_compare(args, out: Path) -> tuple[list[str], dict]:
+    if args.place_sensors and args.sensors_from:
+        raise ValidationError("give --place-sensors or --sensors-from, not both")
     model = formats.read_model(args.model)
     raw = _load_raw(args.dataset)
     model.grid.check_fields(raw)
     grid, stats = model.grid, model.norm_stats
     train_norm, test_norm, test_raw = split_standardized(raw, _split_spec(args), stats)
-    power = predictive_power(model) if args.sensors_from is None and args.place_sensors else None
+    power = predictive_power(model) if args.place_sensors else None
     mask, sigma2, test_in = _eval_input(args, test_raw, test_norm, grid, power)
     rank = args.rank if args.rank is not None else model.latent_dim
     baseline = fit_gappy(train_norm, rank)

@@ -30,7 +30,6 @@ from .patches import (
     PatchGrid,
     SnapshotSet,
     SplitSpec,
-    apply_stats,
     check_ridge,
     freeze,
     patch_vectors,
@@ -50,27 +49,6 @@ def pred_loss(recon: SnapshotSet, truth: SnapshotSet) -> float:
         )
     diff = recon.data - truth.data
     return float(np.mean(diff * diff))
-
-
-def noisy_test_input(
-    test_raw: SnapshotSet,
-    test_norm: SnapshotSet,
-    mask: MaskSpec,
-    sigma2: float,
-    seed: int,
-    grid: PatchGrid,
-) -> SnapshotSet:
-    """Evaluation input under the noise protocol, in standardized units.
-
-    ``test_norm`` is ``test_raw`` standardized with the frozen training
-    stats.  ``sigma2`` comes from :func:`lamp.synthetic.noise_sigma2` on the
-    whole raw test split, so one run has one noise level whichever patches
-    the mask observes.  Noise drawn from ``seed`` goes onto the pixels of
-    observed patches only, then the same stats standardize the result; with
-    no noise that is ``test_norm`` itself.
-    """
-    noisy = add_noise_fixed(test_raw, mask, sigma2, seed, grid)
-    return test_norm if noisy is test_raw else apply_stats(noisy, test_norm.norm_stats)
 
 
 def noise_variance_normalized(sigma2: float, stats: NormStats) -> float:
@@ -268,7 +246,7 @@ def run_sweep(
                 pod = models[ne].pod
         if models:
             floors, medians = _sweep_patch_size(
-                p, models, test_norm, test_raw, sigma2s, axes, n_arrangements, seed, copy_through
+                p, models, test_norm, sigma2s, axes, n_arrangements, seed, copy_through
             )
         for ne, snr, cov in itertools.product(axes.latent_dims, axes.snr_dbs, axes.coverages):
             reason = skipped.get(ne)
@@ -286,22 +264,22 @@ LATENT_LOSS_RTOL = 1e-6
 
 
 def _sweep_patch_size(
-    p: int, models: dict[int, AttentionModel], test_norm: SnapshotSet, test_raw: SnapshotSet,
+    p: int, models: dict[int, AttentionModel], test_norm: SnapshotSet,
     sigma2s: dict[float, float], axes: SweepAxes, n_arrangements: int, seed: int,
     copy_through: bool,
 ) -> tuple[dict, dict]:
     """Score the models of one patch size in latent space, without decoding.
 
     The clean test split is encoded once per model.  Each mask is drawn once
-    per (coverage, arrangement) and each noise field once per SNR on top of
-    it, then shared by every N_e.  Encoding is linear, so a noisy input's
-    observed latents are the clean ones plus the encoded noise/std of the
-    observed patches.  The bases are orthonormal, so the pixel-space error
+    per (coverage, arrangement), each noise field once per SNR on top of it,
+    and both are shared by every N_e.  Observed patch vectors get noise/std
+    and are encoded as :func:`add_noise_fixed` and :func:`reconstruct` do it,
+    bit for bit.  The bases are orthonormal, so the pixel-space error
     ||U z_hat - x||^2 equals ||z_hat - U^T x||^2 + ||(I - U U^T) x||^2, whose
     second term is the autoencoding floor.
 
     The first evaluation of each model is also decoded and scored in pixel
-    space (:func:`noisy_test_input`, :func:`reconstruct`, :func:`pred_loss`,
+    space (:func:`add_noise_fixed`, :func:`reconstruct`, :func:`pred_loss`,
     drawing its noise a second time if the first SNR is finite); a gap over
     ``LATENT_LOSS_RTOL`` raises NumericalError.
 
@@ -311,6 +289,7 @@ def _sweep_patch_size(
     grid, size = series.grid, series.values.size
     stats = test_norm.norm_stats
     clean = {ne: encode(m.pod, series).values for ne, m in models.items()}
+    noisy = {ne: np.zeros_like(z) for ne, z in clean.items()}
     floor_sums = {ne: ae_loss(m.pod, series, per_element=False) for ne, m in models.items()}
     std = np.tile(stats.std, p * p)  # per patch-vector entry; components vary fastest
     losses = defaultdict(list)
@@ -319,22 +298,24 @@ def _sweep_patch_size(
         for arr_idx in range(n_arrangements):
             mask = MaskSpec.random(grid.n_patches, cov, derive_seed(seed, 0, p, cov_key, arr_idx))
             sources = np.asarray(mask.unmasked, dtype=np.intp)
+            x_obs = patch_vectors(test_norm.data, grid, sources)  # (k, T, D)
             for snr in axes.snr_dbs:
                 sigma2 = sigma2s[snr]
                 noise_seed = derive_seed(seed, 1, p, cov_key, arr_idx, _float_key(snr))
-                noise = None  # (k, T, D) standardized noise of the observed patches
+                x_in = None  # (k, T, D) noisy observed patch vectors, standardized
                 if sigma2 > 0.0:
-                    eps = draw_noise(test_raw.data.shape, sigma2, noise_seed)
-                    noise = patch_vectors(eps, grid, sources) / std
+                    eps = draw_noise(test_norm.data.shape, sigma2, noise_seed)
+                    x_in = x_obs + patch_vectors(eps, grid, sources) / std
                 first = (cov, arr_idx, snr) == (axes.coverages[0], 0, axes.snr_dbs[0])
                 if first:
-                    test_in = noisy_test_input(test_raw, test_norm, mask, sigma2, noise_seed, grid)
+                    test_in = add_noise_fixed(test_norm, mask, sigma2, noise_seed, grid)
                 for ne, model in models.items():
                     z = clean[ne]
-                    if noise is not None:
-                        z = z.copy()
-                        shift = np.matmul(noise, model.pod.bases[sources])  # (k, T, N_e)
-                        z[:, sources] += shift.transpose(1, 0, 2)
+                    if x_in is not None:
+                        # predict_masked never reads the rows of masked patches.
+                        z = noisy[ne]
+                        observed = np.matmul(x_in, model.pod.bases[sources])  # (k, T, N_e)
+                        z[:, sources] = observed.transpose(1, 0, 2)
                     err = predict_masked(model, z, mask, copy_through) - clean[ne]
                     loss = (float(np.sum(err * err)) + floor_sums[ne]) / size
                     if first:

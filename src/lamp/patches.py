@@ -386,7 +386,7 @@ def split_standardized(
 
     Without ``stats`` they are fitted on the train block (:func:`normalize`);
     given ``stats`` are applied frozen.  ``test_raw`` is the raw test block
-    that noisy evaluation inputs are drawn from.
+    that the noise variance of an evaluation is scaled to.
     """
     train_raw, test_raw = split(raw, spec)
     if stats is None:

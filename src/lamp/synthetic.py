@@ -252,8 +252,9 @@ def noise_sigma2(fields: SnapshotSet, snr_db: float) -> float:
     """Noise variance of the SNR law: signal_power(fields) * 10**(-snr_db / 10).
 
     ``fields`` is the unnormalized input the noise is scaled to; snr_db = +inf
-    means noise-free (zero variance).  A variance that is not a finite float
-    (snr_db NaN or -inf, or so low that it overflows) is rejected.
+    means noise-free (zero variance).  A variance that is not a finite,
+    positive float (snr_db NaN or -inf, or so far out that it overflows or
+    underflows) is rejected: no finite SNR means noise-free.
     """
     if snr_db == math.inf:
         return 0.0
@@ -264,17 +265,19 @@ def noise_sigma2(fields: SnapshotSet, snr_db: float) -> float:
         sigma2 = power * 10.0 ** (-snr_db / 10.0)
     except OverflowError:
         sigma2 = math.inf
-    if not math.isfinite(sigma2):
-        raise ValidationError(f"snr_db={snr_db} gives no finite noise variance")
+    if not (math.isfinite(sigma2) and sigma2 > 0.0):
+        raise ValidationError(f"snr_db={snr_db} gives no finite, positive noise variance")
     return sigma2
 
 
 def draw_noise(shape: tuple[int, ...], sigma2: float, seed: int) -> np.ndarray:
     """The noise protocol's one draw: i.i.d. N(0, sigma2) of ``shape`` from ``seed``.
 
-    Every noisy input in the package comes from here, so the sweep's latent
+    Every noisy input in the package comes from here, so the sweep's patch
     noise and :func:`add_noise_fixed`'s pixel noise are the same numbers.
     """
+    if not 0.0 <= sigma2 < math.inf:
+        raise ValidationError(f"noise variance must be finite and nonnegative, got {sigma2}")
     return np.random.default_rng(seed).normal(0.0, math.sqrt(sigma2), size=shape)
 
 
@@ -283,16 +286,18 @@ def add_noise_fixed(
 ) -> SnapshotSet:
     """Add i.i.d. N(0, sigma2) noise to the pixels of unmasked patches.
 
-    Masked patch content is left untouched (it is discarded downstream
-    anyway).  Deterministic given the seed.
+    ``sigma2`` is in raw units: on standardized fields the draw is divided by
+    the training std first.  Masked patch content is left untouched (it is
+    discarded downstream anyway).  Deterministic given the seed.
     """
     grid.check_fields(fields)
     grid.check_mask(mask)
-    if sigma2 < 0.0:
-        raise ValidationError(f"noise variance must be nonnegative, got {sigma2}")
     if sigma2 == 0.0:
         return fields
     eps = draw_noise(fields.data.shape, sigma2, seed)
+    if fields.norm_stats is not None:
+        rows = eps.reshape(-1, fields.width * fields.components)  # a view, as in apply_stats
+        rows /= np.tile(fields.norm_stats.std, fields.width)
     data = fields.data.copy()
     np.add(data, eps, out=data, where=pixel_mask(grid, mask)[:, :, None])
     return SnapshotSet(data, norm_stats=fields.norm_stats)

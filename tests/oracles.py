@@ -82,16 +82,17 @@ def sweep_cell_oracle(dataset, patch_size, latent_dim, snr_db, coverage, n_arran
     """One sweep cell scored in pixel space, arrangement by arrangement.
 
     Trains the (P, N_e) model on its own, then for each arrangement draws the
-    mask and the noise from the sweep's seeds, builds the noisy input with
-    ``noisy_test_input``, decodes the full reconstruction and takes
-    ``pred_loss`` against the clean standardized test split.  Returns
-    ``(median loss, None)``, or ``(None, reason)`` when training is rejected.
+    mask and the noise from the sweep's seeds, builds the noisy input the
+    plain way (noise on the raw test split, then the training stats), decodes
+    the full reconstruction and takes ``pred_loss`` against the clean
+    standardized test split.  Returns ``(median loss, None)``, or
+    ``(None, reason)`` when training is rejected.
     """
     from lamp import MaskSpec, SplitSpec, ValidationError, pred_loss, reconstruct
     from lamp import train_attention_model
-    from lamp.metrics import _float_key, derive_seed, noisy_test_input
-    from lamp.patches import split_standardized
-    from lamp.synthetic import noise_sigma2
+    from lamp.metrics import _float_key, derive_seed
+    from lamp.patches import apply_stats, split_standardized
+    from lamp.synthetic import add_noise_fixed, noise_sigma2
 
     train_norm, test_norm, test_raw = split_standardized(dataset, split_spec or SplitSpec())
     try:
@@ -105,7 +106,8 @@ def sweep_cell_oracle(dataset, patch_size, latent_dim, snr_db, coverage, n_arran
         mask = MaskSpec.random(model.n_patches, coverage,
                                derive_seed(seed, 0, patch_size, cov_key, arr))
         noise_seed = derive_seed(seed, 1, patch_size, cov_key, arr, _float_key(snr_db))
-        test_in = noisy_test_input(test_raw, test_norm, mask, sigma2, noise_seed, model.grid)
+        noisy_raw = add_noise_fixed(test_raw, mask, sigma2, noise_seed, model.grid)
+        test_in = apply_stats(noisy_raw, test_norm.norm_stats)
         losses.append(pred_loss(reconstruct(model, test_in, mask, copy_through), test_norm))
     return float(np.median(losses)), None
 

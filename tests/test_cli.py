@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lamp import (
-    FlowSpec, SnapshotSet, generate, normalize, read_dataset, read_model, synthetic,
+    FlowSpec, SnapshotSet, generate, metrics, normalize, read_dataset, read_model, synthetic,
     write_dataset,
 )
 from lamp.cli import _seed, build_parser, main
@@ -334,6 +334,38 @@ class TestMalformedInputs:
         extra = [tmp_path / a if a == "power.csv" else a for a in extra]
         data = ["--dataset", laminar_path, "--coverage", 0.25] if command == "reconstruct" else []
         assert run(command, "--model", trained, *data, *extra, "--out-dir", tmp_path / "x") == 2
+
+    def test_reconstruct_snr_that_underflows_exits_2(self, tmp_path, laminar_path, trained,
+                                                     capsys):
+        # 10**-400 underflows: the run must not go ahead noise-free.
+        out = tmp_path / "x"
+        assert run("reconstruct", "--dataset", laminar_path, "--model", trained,
+                   "--coverage", 0.25, "--snr-db", 4000, "--out-dir", out) == 2
+        assert "positive noise variance" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_sweep_snr_that_underflows_exits_2_before_training(self, tmp_path, laminar_path,
+                                                               monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(metrics, "train_attention_model", never)
+        out = tmp_path / "sweep"
+        assert run("sweep", "--dataset", laminar_path, "--patch-size", 8, "--latent-dim", 2,
+                   "--snr-db", "inf,4000", "--arrangements", 1, "--out-dir", out) == 2
+        assert list(out.iterdir()) == []
+
+    def test_compare_place_sensors_with_sensors_from_exits_2(self, tmp_path, laminar_path,
+                                                             trained, capsys):
+        assert run("power-map", "--model", trained, "--out-dir", tmp_path / "pm") == 0
+        capsys.readouterr()
+        out = tmp_path / "x"
+        assert run("compare", "--dataset", laminar_path, "--model", trained, "--coverage", 0.25,
+                   "--place-sensors", "--sensors-from", tmp_path / "pm" / "power.csv",
+                   "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert "--place-sensors" in err and "--sensors-from" in err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, extra",

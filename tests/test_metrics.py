@@ -302,6 +302,24 @@ class TestSweepEngine:
         finite_snrs = 2
         assert len(draws) == len(axes.patch_sizes) * finite_snrs * len(axes.coverages) * 3
 
+    def test_sweep_and_reconstruct_see_identical_observed_latents(self, small_laminar,
+                                                                  monkeypatch):
+        # The sweep's latent-space call, then the reconstruct call of its
+        # first-evaluation check: both must get the same observed rows.
+        observed = []
+        real = attention.predict_masked
+
+        def recording(model, latents, mask, copy_through=True):
+            observed.append(np.array(latents[:, list(mask.unmasked)]))
+            return real(model, latents, mask, copy_through)
+
+        monkeypatch.setattr(metrics, "predict_masked", recording)
+        monkeypatch.setattr(attention, "predict_masked", recording)
+        axes = SweepAxes(patch_sizes=(8,), latent_dims=(4,), snr_dbs=(20.0,), coverages=(0.5,))
+        run_sweep(small_laminar, axes, n_arrangements=1, seed=5)
+        assert len(observed) == 2
+        assert np.array_equal(observed[0], observed[1])
+
     def test_pixel_path_disagreement_raises(self, small_laminar, monkeypatch):
         original = metrics.pred_loss
         monkeypatch.setattr(metrics, "pred_loss", lambda r, t: original(r, t) * (1 + 1e-4))

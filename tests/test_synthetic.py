@@ -8,6 +8,7 @@ from lamp import (
     FlowSpec,
     LaminarParams,
     MaskSpec,
+    NormStats,
     NumericalError,
     SnapshotSet,
     ValidationError,
@@ -17,7 +18,7 @@ from lamp import (
     pixel_mask,
     signal_power,
 )
-from lamp.patches import PatchGrid
+from lamp.patches import PatchGrid, apply_stats
 from lamp.synthetic import add_noise_fixed, draw_noise
 from oracles import add_noise_oracle
 
@@ -243,6 +244,41 @@ class TestNoise:
         noisy = add_noise_fixed(fields, mask, 0.04, seed=11, grid=self.grid())
         eps = noisy.data - fields.data
         assert abs(eps.var() / 0.04 - 1.0) < 0.05
+
+    def test_standardized_fields_get_the_draw_over_std(self):
+        rng = np.random.default_rng(21)
+        stats = NormStats(np.array([1.0, -2.0]), np.array([3.0, 0.5]))
+        raw = SnapshotSet(rng.standard_normal((4, 64, 64, 2)) * stats.std + stats.mean)
+        norm = apply_stats(raw, stats)
+        grid = self.grid()
+        mask = MaskSpec((1, 6, 11), grid.n_patches)
+        noisy = add_noise_fixed(norm, mask, 0.3, seed=4, grid=grid)
+        assert noisy.norm_stats is stats
+        obs = pixel_mask(grid, mask)
+        np.testing.assert_array_equal(noisy.data[:, ~obs], norm.data[:, ~obs])
+        eps = draw_noise(raw.data.shape, 0.3, 4)
+        np.testing.assert_array_equal(noisy.data[:, obs], norm.data[:, obs] + (eps / stats.std)[:, obs])
+        # Noising the raw fields and standardizing them again: equal up to rounding.
+        want = apply_stats(add_noise_fixed(raw, mask, 0.3, seed=4, grid=grid), stats).data
+        assert np.max(np.abs(noisy.data - want)) <= 1e-13 * np.max(np.abs(want))
+        assert add_noise_fixed(norm, mask, 0.0, seed=4, grid=grid) is norm
+
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("call", ["draw_noise", "add_noise_fixed"])
+    def test_bad_noise_variance_rejected(self, call, sigma2):
+        fields, mask, grid = self.unit_power_fields(2), self.full_mask(), self.grid()
+        draw = {
+            "draw_noise": lambda: draw_noise((2, 2), sigma2, 1),
+            "add_noise_fixed": lambda: add_noise_fixed(fields, mask, sigma2, 1, grid),
+        }[call]
+        with pytest.raises(ValidationError, match="noise variance must be finite and nonnegative"):
+            draw()
+
+    def test_finite_snr_that_underflows_rejected(self):
+        # 10**-400 underflows to zero: a finite SNR must never mean noise-free.
+        fields = generate(FlowSpec("laminar-surrogate", 16, 16, 8, seed=0))
+        with pytest.raises(ValidationError, match="positive noise variance"):
+            noise_sigma2(fields, 4000.0)
 
     def test_nan_snr_rejected(self):
         with pytest.raises(ValidationError):
