@@ -359,51 +359,49 @@ def masked_softmax(logits: np.ndarray) -> np.ndarray:
 
 def predict_masked(
     model: AttentionModel,
-    latents: np.ndarray,
+    observed: np.ndarray,
     mask: MaskSpec,
     copy_through: bool = True,
 ) -> np.ndarray:
-    """Predict full (T, N, N_e) latents from the rows of unmasked patches.
+    """Predict full (T, N, N_e) latents from the (k, T, N_e) latents of the unmasked patches.
 
+    Row j of ``observed`` holds the latents of patch ``mask.unmasked[j]``.
     Each target row is the softmax-weighted blend of the pair predictions
-    from all unmasked sources (self excluded).  Rows of masked patches are
-    never read, so they may hold anything.  With ``copy_through`` the rows of
-    unmasked patches are the observed latents instead of predictions.
+    from all unmasked sources (self excluded).  With ``copy_through`` the rows
+    of unmasked patches are the observed latents instead of predictions.
     """
     n, e = model.n_patches, model.latent_dim
-    z = np.asarray(latents, dtype=np.float64)
-    if z.ndim != 3 or z.shape[1:] != (n, e):
-        raise ValidationError(
-            f"latents shape {z.shape} does not match model (T, {n}, {e})"
-        )
     model.grid.check_mask(mask)
     sources = np.asarray(mask.unmasked, dtype=np.intp)
     if sources.size == 0:
         raise ValidationError("all patches are masked; nothing to attend to")
+    # Each source's (T, e) block is contiguous, so the GEMMs below read it without a copy.
+    z_src, k = np.ascontiguousarray(observed, dtype=np.float64), len(sources)
+    if z_src.ndim != 3 or z_src.shape[::2] != (k, e):
+        raise ValidationError(
+            f"observed shape {z_src.shape} does not match model and mask ({k}, T, {e})"
+        )
     targets = np.asarray(mask.masked if copy_through else range(n), dtype=np.intp)
-    if len(sources) == 1 and not copy_through:  # its only source is itself
+    if k == 1 and not copy_through:  # its only source is itself
         raise ValidationError(
             f"patches {sources.tolist()} have no unmasked prediction sources; "
             "enable copy_through or unmask more patches"
         )
-    # Observed rows laid out per source, (k, T, e): each source's (T, e)
-    # block is contiguous, so the GEMMs below read it without a copy.
-    z_src = np.ascontiguousarray(z[:, sources, :].transpose(1, 0, 2))
     if not np.isfinite(z_src).all():
         raise ValidationError("observed latent rows contain NaN or Inf")
-    out = np.zeros(z.shape)
+    out = np.zeros((z_src.shape[1], n, e))
     if copy_through:
         out[:, sources, :] = z_src.transpose(1, 0, 2)
     if targets.size == 0:
         return out
-    r, k = len(targets), len(sources)
+    r = len(targets)
     pairs = (targets[None, :], sources[:, None])  # (k, R) grid of (target, source)
     value_maps = model.value_maps[pairs].reshape(k, r * e, e)  # source j: (R*e, e)
     attn_vectors = model.attn_vectors[pairs]                   # (k, R, e)
     attn_intercepts = model.attn_intercepts[pairs]             # (k, R)
     # Self pairs (j, row): none with copy-through, else target s is row s.
     self_pairs = [] if copy_through else list(enumerate(sources))
-    for lo in range(0, len(z), _PREDICT_CHUNK):
+    for lo in range(0, len(out), _PREDICT_CHUNK):
         zc = z_src[:, lo : lo + _PREDICT_CHUNK]                     # (k, tc, e)
         tc = zc.shape[1]
         # dgemm on transposed (Fortran-ordered) views writes straight into the
@@ -447,8 +445,6 @@ def reconstruct(
     # Only the observed rows are encoded, as encode would: z_n = U_n^T x_n.
     sources = np.asarray(mask.unmasked, dtype=np.intp)
     observed = np.matmul(patch_vectors(fields.data, model.grid, sources), model.pod.bases[sources])
-    z = np.zeros((fields.snapshots, model.n_patches, model.latent_dim))
-    z[:, sources] = observed.transpose(1, 0, 2)
-    full = predict_masked(model, z, mask, copy_through)
+    full = predict_masked(model, observed, mask, copy_through)
     recon = decode(model.pod, LatentSeries(full))
     return unpatchify(recon, norm_stats=fields.norm_stats)

@@ -463,24 +463,28 @@ def cmd_rerun(args) -> int:
         raise FormatError(f"{args.manifest}: manifest command or config is malformed")
     if "out_dir" not in config:
         raise FormatError(f"{args.manifest}: manifest config has no out_dir")
-    argv = _argv_from_config(command, config, args.manifest)
     if args.out_dir is not None:
-        idx = argv.index("--out-dir")
-        argv[idx + 1] = args.out_dir
-    return main(argv)
+        config = {**config, "out_dir": args.out_dir}
+    return main(_argv_from_config(command, config, args.manifest))
 
 
 def _argv_from_config(command: str, config: dict, manifest: str) -> list[str]:
     """The command line a manifest records; each key is read off the subcommand's
-    own option of that dest, and switches off its ``store_true`` / ``store_false`` flags."""
+    own option of that dest, and switches off its ``store_true`` / ``store_false`` flags.
+    Every value must pass that option's own type and choices checks, and every
+    required option must have one."""
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     if command == "rerun" or command not in commands.choices:
         raise FormatError(f"{manifest}: {command!r} is not an output-writing command")
+    sub = commands.choices[command]
     options = {
         a.dest: a
-        for a in commands.choices[command]._actions
+        for a in sub._actions
         if a.option_strings and not isinstance(a, argparse._HelpAction)
     }
+    missing = [key for key, a in options.items() if a.required and config.get(key) is None]
+    if missing:
+        raise FormatError(f"{manifest}: {command} config lacks required key {missing[0]!r}")
     argv = [command]
     for key, value in sorted(config.items()):
         if key not in options:
@@ -492,7 +496,12 @@ def _argv_from_config(command: str, config: dict, manifest: str) -> list[str]:
             if value is option.const:
                 argv.append(option.option_strings[0])
         elif value is not None:
-            argv.extend([option.option_strings[0], str(value)])
+            try:
+                sub._get_values(option, [str(value)])
+            except argparse.ArgumentError as exc:
+                raise FormatError(f"{manifest}: config key {key!r}: {exc}") from exc
+            # One token, so a value that begins with '-' is not read as an option.
+            argv.append(f"{option.option_strings[0]}={value}")
     return argv
 
 

@@ -35,6 +35,7 @@ from .patches import (
     patch_vectors,
     patchify,
     positive_int,
+    sensor_count,
     split_standardized,
 )
 from .pod import ae_loss, encode
@@ -200,7 +201,8 @@ def run_sweep(
     over ``n_arrangements`` random mask draws and keep the median.  Each cell
     also records the test autoencoding floor and the normalized noise
     variance (zero when noise-free).  Invalid combinations become skipped
-    cells with a reason instead of failing the sweep; invalid training
+    cells with a reason instead of failing the sweep, among them a coverage
+    that observes one patch when ``copy_through`` is off; invalid training
     options fail it before any training.
 
     The POD of each patch size is fitted once, at its largest N_e in range;
@@ -244,12 +246,21 @@ def run_sweep(
                 continue
             if pod is None:
                 pod = models[ne].pod
+        lone = {}  # coverage: reason, when its one observed patch would have to predict itself
         if models:
+            n = next(iter(models.values())).n_patches
+            if not copy_through:
+                lone = {
+                    cov: f"coverage {cov} observes 1 of {n} patches; without copy-through "
+                    "it has no prediction source"
+                    for cov in axes.coverages if sensor_count(n, cov) == 1
+                }
+            coverages = [cov for cov in axes.coverages if cov not in lone]
             floors, medians = _sweep_patch_size(
-                p, models, test_norm, sigma2s, axes, n_arrangements, seed, copy_through
+                p, models, test_norm, sigma2s, coverages, n_arrangements, seed, copy_through
             )
         for ne, snr, cov in itertools.product(axes.latent_dims, axes.snr_dbs, axes.coverages):
-            reason = skipped.get(ne)
+            reason = skipped.get(ne) or lone.get(cov)
             measured = (None, None, None) if reason else (
                 medians[ne, snr, cov], floors[ne],
                 noise_variance_normalized(sigma2s[snr], train_norm.norm_stats),
@@ -265,7 +276,7 @@ LATENT_LOSS_RTOL = 1e-6
 
 def _sweep_patch_size(
     p: int, models: dict[int, AttentionModel], test_norm: SnapshotSet,
-    sigma2s: dict[float, float], axes: SweepAxes, n_arrangements: int, seed: int,
+    sigma2s: dict[float, float], coverages: list[float], n_arrangements: int, seed: int,
     copy_through: bool,
 ) -> tuple[dict, dict]:
     """Score the models of one patch size in latent space, without decoding.
@@ -289,34 +300,30 @@ def _sweep_patch_size(
     grid, size = series.grid, series.values.size
     stats = test_norm.norm_stats
     clean = {ne: encode(m.pod, series).values for ne, m in models.items()}
-    noisy = {ne: np.zeros_like(z) for ne, z in clean.items()}
     floor_sums = {ne: ae_loss(m.pod, series, per_element=False) for ne, m in models.items()}
     std = np.tile(stats.std, p * p)  # per patch-vector entry; components vary fastest
     losses = defaultdict(list)
-    for cov in axes.coverages:
+    for cov in coverages:
         cov_key = int(round(cov * 1e9))
         for arr_idx in range(n_arrangements):
             mask = MaskSpec.random(grid.n_patches, cov, derive_seed(seed, 0, p, cov_key, arr_idx))
             sources = np.asarray(mask.unmasked, dtype=np.intp)
             x_obs = patch_vectors(test_norm.data, grid, sources)  # (k, T, D)
-            for snr in axes.snr_dbs:
-                sigma2 = sigma2s[snr]
+            for snr, sigma2 in sigma2s.items():
                 noise_seed = derive_seed(seed, 1, p, cov_key, arr_idx, _float_key(snr))
                 x_in = None  # (k, T, D) noisy observed patch vectors, standardized
                 if sigma2 > 0.0:
                     eps = draw_noise(test_norm.data.shape, sigma2, noise_seed)
                     x_in = x_obs + patch_vectors(eps, grid, sources) / std
-                first = (cov, arr_idx, snr) == (axes.coverages[0], 0, axes.snr_dbs[0])
+                first = (cov, arr_idx, snr) == (coverages[0], 0, next(iter(sigma2s)))
                 if first:
                     test_in = add_noise_fixed(test_norm, mask, sigma2, noise_seed, grid)
                 for ne, model in models.items():
-                    z = clean[ne]
-                    if x_in is not None:
-                        # predict_masked never reads the rows of masked patches.
-                        z = noisy[ne]
+                    if x_in is None:
+                        observed = clean[ne][:, sources].transpose(1, 0, 2)
+                    else:
                         observed = np.matmul(x_in, model.pod.bases[sources])  # (k, T, N_e)
-                        z[:, sources] = observed.transpose(1, 0, 2)
-                    err = predict_masked(model, z, mask, copy_through) - clean[ne]
+                    err = predict_masked(model, observed, mask, copy_through) - clean[ne]
                     loss = (float(np.sum(err * err)) + floor_sums[ne]) / size
                     if first:
                         recon = reconstruct(model, test_in, mask, copy_through)

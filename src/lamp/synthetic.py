@@ -294,10 +294,12 @@ def add_noise_fixed(
     grid.check_mask(mask)
     if sigma2 == 0.0:
         return fields
-    eps = draw_noise(fields.data.shape, sigma2, seed)
+    # (T, H, W*C) rows, as in apply_stats: inner loops of length W*C, not C.
+    t, h, w, c = fields.data.shape
+    eps = draw_noise(fields.data.shape, sigma2, seed).reshape(t, h, w * c)
     if fields.norm_stats is not None:
-        rows = eps.reshape(-1, fields.width * fields.components)  # a view, as in apply_stats
-        rows /= np.tile(fields.norm_stats.std, fields.width)
+        eps /= np.tile(fields.norm_stats.std, w)
     data = fields.data.copy()
-    np.add(data, eps, out=data, where=pixel_mask(grid, mask)[:, :, None])
+    rows = data.reshape(eps.shape)
+    np.add(rows, eps, out=rows, where=np.repeat(pixel_mask(grid, mask), c, axis=1))
     return SnapshotSet(data, norm_stats=fields.norm_stats)

@@ -144,10 +144,12 @@ def outline_oracle(rgb, grid, masked):
 
 
 def reconstruct_oracle(model, fields, mask, copy_through=True):
-    """Encode every patch, predict the masked ones, decode and reassemble."""
+    """Encode every patch, predict the masked ones from the unmasked ones' latents,
+    decode and reassemble."""
     from lamp import decode, encode, patchify, predict_masked, unpatchify
     from lamp.pod import LatentSeries
 
     latent = encode(model.pod, patchify(fields, model.grid.patch_size))
-    full = predict_masked(model, latent.values, mask, copy_through)
+    observed = latent.values[:, list(mask.unmasked)].transpose(1, 0, 2)
+    full = predict_masked(model, observed, mask, copy_through)
     return unpatchify(decode(model.pod, LatentSeries(full)), norm_stats=fields.norm_stats)

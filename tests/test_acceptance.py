@@ -212,9 +212,9 @@ def test_08_determinism_and_formats(tmp_path):
         loaded = read_model(tmp_path / "model.lampmd")
         mask = MaskSpec.random(model.n_patches, 0.25, seed=5)
         series = patchify(test, 8)
-        latents = encode(model.pod, series)
-        direct = predict_masked(model, latents.values[:1], mask)
-        via_file = predict_masked(loaded, latents.values[:1], mask)
+        observed = encode(model.pod, series).values[:1, list(mask.unmasked)].transpose(1, 0, 2)
+        direct = predict_masked(model, observed, mask)
+        via_file = predict_masked(loaded, observed, mask)
         np.testing.assert_array_equal(direct, via_file)
         recon_direct = reconstruct(model, test, mask)
         recon_file = reconstruct(loaded, test, mask)

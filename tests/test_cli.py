@@ -586,26 +586,40 @@ class TestMalformedInputs:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "manifest",
+        "manifest, key",
         [
-            [],
-            {"command": "power-map", "config": ["--model", "m"]},
-            {"command": "power-map", "config": {"model": "m"}},
-            '{"command": "caf\xe9"}'.encode("latin-1"),
-            {"command": "--help", "config": {"out_dir": "o"}},
-            {"command": "rerun", "config": {"manifest": "m", "out_dir": "o"}},
-            {"command": "train", "config": {"dataset": "d", "patch_size": 8, "latent_dim": 4,
-                                            "use_intercept": "false", "out_dir": "o"}},
-            {"command": "power-map", "config": {"model": "m", "bogus": 1, "out_dir": "o"}},
-            {"command": "power-map", "config": {"model": "m", "help": True, "out_dir": "o"}},
+            ([], None),
+            ({"command": "power-map", "config": ["--model", "m"]}, None),
+            ({"command": "power-map", "config": {"model": "m"}}, None),
+            ('{"command": "caf\xe9"}'.encode("latin-1"), None),
+            ({"command": "--help", "config": {"out_dir": "o"}}, None),
+            ({"command": "rerun", "config": {"manifest": "m", "out_dir": "o"}}, None),
+            ({"command": "train", "config": {"dataset": "d", "patch_size": 8, "latent_dim": 4,
+                                             "use_intercept": "false", "out_dir": "o"}}, None),
+            ({"command": "power-map", "config": {"model": "m", "bogus": 1, "out_dir": "o"}}, None),
+            ({"command": "power-map", "config": {"model": "m", "help": True, "out_dir": "o"}},
+             None),
+            ({"command": "train", "config": {"dataset": "d", "patch_size": "abc", "latent_dim": 4,
+                                             "out_dir": "o"}}, "patch_size"),
+            ({"command": "train", "config": {"dataset": "d", "patch_size": [1, 2],
+                                             "latent_dim": 4, "out_dir": "o"}}, "patch_size"),
+            ({"command": "generate", "config": {"seed": -1, "out_dir": "o"}}, "seed"),
+            ({"command": "generate", "config": {"kind": "bogus", "out_dir": "o"}}, "kind"),
+            ({"command": "train", "config": {"dataset": "d", "patch_size": None, "latent_dim": 4,
+                                             "out_dir": "o"}}, "patch_size"),
+            ({"command": "power-map", "config": {"out_dir": "o"}}, "model"),
         ],
         ids=["list", "config-list", "no-out-dir", "not-utf8", "help", "rerun",
-             "switch-string", "unknown-key", "help-key"],
+             "switch-string", "unknown-key", "help-key", "int-string", "int-list",
+             "negative-seed", "bad-choice", "required-null", "required-absent"],
     )
-    def test_malformed_rerun_manifest_exits_3(self, tmp_path, manifest):
+    def test_malformed_rerun_manifest_exits_3(self, tmp_path, manifest, key, capsys):
         path = tmp_path / "manifest.json"
         path.write_bytes(manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode())
         assert run("rerun", path, "--out-dir", tmp_path / "x") == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and (key is None or repr(key) in err)
+        assert not (tmp_path / "x").exists()
 
     def test_rerun_rejects_string_switch_before_training(self, tmp_path, laminar_path):
         # bool("false") is True: read loosely, this replay would train with the intercept.
@@ -615,6 +629,13 @@ class TestMalformedInputs:
         path.write_text(json.dumps({"command": "train", "config": config}))
         assert run("rerun", path) == 3
         assert not (tmp_path / "x").exists()
+
+    def test_rerun_value_beginning_with_dash_is_a_value(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = {"height": 8, "width": 8, "snapshots": 4, "out_dir": "-gen"}
+        (tmp_path / "manifest.json").write_text(json.dumps({"command": "generate", "config": config}))
+        assert run("rerun", "manifest.json") == 0
+        assert (tmp_path / "-gen" / "dataset.lampds").exists()
 
 
 class TestUsage:

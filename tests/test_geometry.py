@@ -32,7 +32,7 @@ FIELD_CALLS = {
     "render_field": lambda m, f, mask: render_field(f, 0, 0, mask, GRID),
 }
 MASK_CALLS = {
-    "predict_masked": lambda m, f, mask: predict_masked(m[0], np.zeros((T, 4, 2)), mask),
+    "predict_masked": lambda m, f, mask: predict_masked(m[0], np.zeros((1, T, 2)), mask),
     "pixel_mask": lambda m, f, mask: pixel_mask(GRID, mask),
 }
 MISMATCHES = {

@@ -19,7 +19,7 @@ from lamp import (
 )
 from lamp import NumericalError, SplitSpec, attention, metrics
 from lamp.metrics import PowerMap, derive_seed
-from lamp.patches import PatchGrid, split_standardized
+from lamp.patches import MaskSpec, PatchGrid, split_standardized
 from lamp.pod import PatchPodModel
 from oracles import sweep_cell_oracle
 
@@ -197,6 +197,33 @@ class TestRunSweep:
         bad = result.cell(16, 10_000, math.inf, 0.5)
         assert bad.skip_reason is not None
 
+    def test_lone_patch_without_copy_through_skipped(self, laminar_fields, monkeypatch):
+        # P=32 on 64x64 gives N=4, and coverage 0.1 observes one patch: with
+        # copy-through off it would have to predict itself.
+        drawn, random = [], MaskSpec.random.__func__
+
+        def recording(cls, n_patches, coverage, seed):
+            drawn.append((n_patches, coverage))
+            return random(cls, n_patches, coverage, seed)
+
+        def sweep(patch_sizes, coverages):
+            axes = SweepAxes(patch_sizes=patch_sizes, latent_dims=(2,),
+                             snr_dbs=(math.inf, 20.0), coverages=coverages)
+            return run_sweep(laminar_fields, axes, n_arrangements=2, seed=4, copy_through=False)
+
+        monkeypatch.setattr(MaskSpec, "random", classmethod(recording))
+        result = sweep((16, 32), (0.1, 0.5))
+        assert (4, 0.1) not in drawn
+        for snr in (math.inf, 20.0):
+            cell = result.cell(32, 2, snr, 0.1)
+            assert cell.skip_reason == ("coverage 0.1 observes 1 of 4 patches; without "
+                                        "copy-through it has no prediction source")
+            assert cell.median_pred_loss is None
+        for p, cov in [(16, 0.1), (16, 0.5), (32, 0.5)]:  # as if swept alone
+            alone = sweep((p,), (cov,))
+            for snr in (math.inf, 20.0):
+                assert result.cell(p, 2, snr, cov) == alone.cell(p, 2, snr, cov)
+
     @pytest.mark.parametrize("n_arrangements", [0, -3])
     def test_no_arrangements_rejected(self, laminar_fields, n_arrangements):
         axes = SweepAxes(patch_sizes=(16,), latent_dims=(4,))
@@ -309,9 +336,9 @@ class TestSweepEngine:
         observed = []
         real = attention.predict_masked
 
-        def recording(model, latents, mask, copy_through=True):
-            observed.append(np.array(latents[:, list(mask.unmasked)]))
-            return real(model, latents, mask, copy_through)
+        def recording(model, rows, mask, copy_through=True):
+            observed.append(np.array(rows))
+            return real(model, rows, mask, copy_through)
 
         monkeypatch.setattr(metrics, "predict_masked", recording)
         monkeypatch.setattr(attention, "predict_masked", recording)
