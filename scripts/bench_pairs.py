@@ -2,9 +2,12 @@
 
     python3 scripts/bench_pairs.py --workload serve-cli --pairs 10 --seed 100 --rev HEAD
 
-The revision is exported with ``git archive`` into a temporary directory.
-Each pair runs ``perfbench/run.py`` once on the revision and once on the
-working tree with the same seed (seeds ``--seed`` .. ``--seed + pairs - 1``);
+The revision is exported with ``git archive`` into a temporary directory, and
+the working tree is copied into another one: its tracked files as they are on
+disk, and its untracked files that are not ignored.  So both sides run from
+fresh directories, with no caches or build leftovers of their own.  Each pair
+runs ``perfbench/run.py`` once on the revision and once on the working tree
+with the same seed (seeds ``--seed`` .. ``--seed + pairs - 1``);
 the order inside a pair alternates, so slow drift of the machine does not
 favour either side.  For every end-to-end metric of ``BENCHMARK.json`` it
 prints the medians and quartiles of both sides, the parent's interquartile
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -34,6 +38,16 @@ def _export(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def _export_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked and unignored untracked files into ``dest``."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, check=True, capture_output=True).stdout
+    for name in listed.decode().split("\0"):
+        if name and (ROOT / name).is_file():  # a tracked file deleted on disk is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -76,13 +90,14 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs: dict[str, list[dict]] = {"base": [], "head": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        base_tree = Path(tmp)
+        base_tree, head_tree = Path(tmp) / "base", Path(tmp) / "head"
         _export(args.rev, base_tree)
+        _export_worktree(head_tree)
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                tree = base_tree if side == "base" else ROOT
+                tree = base_tree if side == "base" else head_tree
                 runs[side].append({"seed": seed, **_run(tree, args.workload, seed, args.seconds)})
             print(f"pair {i + 1}/{args.pairs} seed {seed}: " + "  ".join(
                 f"{side} op_p50 {runs[side][-1]['op_p50_ms']:.1f} ms" for side in ("base", "head")),

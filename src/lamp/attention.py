@@ -13,7 +13,6 @@ exactly zero weight.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ from .patches import (
     NormStats,
     PatchGrid,
     SnapshotSet,
+    check_positive,
     check_ridge,
     freeze,
     patch_vectors,
@@ -89,7 +89,7 @@ class AttentionModel:
             freeze(self, name, want)
         if self.ridge_lambda is not None:
             check_ridge(self.ridge_lambda)
-        check_error_floor(self.error_floor)
+        check_positive("error_floor", self.error_floor)
         diag = np.arange(n)
         if not np.array_equal(self.value_maps[diag, diag], np.tile(np.eye(e), (n, 1, 1))):
             raise ValidationError("diagonal value maps must be the identity")
@@ -107,11 +107,6 @@ class AttentionModel:
     @property
     def latent_dim(self) -> int:
         return self.pod.latent_dim
-
-
-def check_error_floor(error_floor: float) -> None:
-    if not (math.isfinite(error_floor) and error_floor > 0.0):
-        raise ValidationError(f"error_floor must be finite and positive, got {error_floor}")
 
 
 def _source_range(latent: LatentSeries, sources: range | None) -> range:
@@ -249,7 +244,7 @@ def fit_attention_tensor(
     ``sources``, and the outputs are (N, S, N_e) and (N, S), bit for bit
     those columns of the full fit.  None fits all N sources.
     """
-    check_error_floor(error_floor)
+    check_positive("error_floor", error_floor)
     sources = _source_range(latent, sources)
     t, n, e = latent.values.shape
     s = len(sources)

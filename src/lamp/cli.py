@@ -13,7 +13,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import math
@@ -144,7 +143,7 @@ def _eval_input(args, test_raw: SnapshotSet, test_norm: SnapshotSet, grid: Patch
     """
     formats.check_image_index(test_norm, args.snapshot, args.component)
     if args.sensors_from:
-        power = PowerMap(grid, _read_power_values(args.sensors_from, grid.n_patches))
+        power = PowerMap(grid, formats.read_patch_map(args.sensors_from, grid))
     if power is None:
         mask = MaskSpec.random(grid.n_patches, args.coverage, args.seed)
     else:
@@ -163,52 +162,16 @@ def _eval_results(mask: MaskSpec, sigma2: float, stats, image_ranges: dict) -> d
     }
 
 
-def _read_power_values(path: str, n_expected: int) -> np.ndarray:
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.DictReader(handle))
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: power map is not UTF-8 text: {exc}") from exc
-    if len(rows) != n_expected:
-        raise ValidationError(
-            f"power map {path} has {len(rows)} patches, expected {n_expected}"
-        )
-    try:
-        indices = [int(row["patch_index"]) for row in rows]
-        values = [float(row["value"]) for row in rows]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: not a power-map CSV: {exc}") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise FormatError(f"{path}: power-map values must be finite")
-    if sorted(indices) != list(range(n_expected)):
-        raise FormatError(
-            f"{path}: patch_index must list each of 0..{n_expected - 1} once"
-        )
-    out = np.empty(n_expected)
-    out[indices] = values
-    return out
-
-
 def _emit_field_images(out: Path, args, named_fields: dict, mask, grid) -> tuple[list[str], dict]:
+    outline = formats.masked_outline(grid, mask)
     files, ranges = [], {}
     for name, fields in named_fields.items():
-        rgb, vmin, vmax = formats.render_field(fields, args.snapshot, args.component, mask, grid)
         fname = f"{name}_c{args.component}.ppm"
-        formats.write_ppm(rgb, out / fname)
+        plane = fields.data[args.snapshot, :, :, args.component]
+        vmin, vmax = formats.write_heatmap(plane, out / fname, outline=outline)
         files.append(fname)
         ranges[fname] = {"vmin": vmin, "vmax": vmax}
     return files, ranges
-
-
-def _write_heatmap(values: np.ndarray, scale: int, path: Path) -> tuple[float, float]:
-    """PPM of a value grid, each cell a ``scale``-pixel square; NaN cells take
-    the colour of the minimum.  Returns the (vmin, vmax) of the colour map."""
-    finite = np.isfinite(values)
-    vmin = float(values[finite].min()) if finite.any() else 0.0
-    vmax = float(values[finite].max()) if finite.any() else 0.0
-    rgb = formats.heatmap_rgb(np.where(finite, values, vmin), vmin, vmax)
-    formats.write_ppm(np.repeat(np.repeat(rgb, scale, axis=0), scale, axis=1), path)
-    return vmin, vmax
 
 
 # Commands ---------------------------------------------------------------------
@@ -260,11 +223,11 @@ def cmd_train(args, out: Path) -> tuple[list[str], dict]:
     return ["model.lampmd"], {
         "ae_loss_train": ae_loss(model.pod, patchify(train_set, args.patch_size)),
         "ae_loss_test": ae_loss(model.pod, patchify(test_set, args.patch_size)),
-        "pair_loss": {
+        "pair_loss": {  # a one-patch grid has no pair
             "min": float(off_diag.min()),
             "median": float(np.median(off_diag)),
             "max": float(off_diag.max()),
-        },
+        } if off_diag.size else None,
         "model_bytes": need,
     }
 
@@ -358,7 +321,7 @@ def _emit_sweep_heatmaps(out: Path, result: metrics.SweepResult, scale: int = 16
                     if c.median_pred_loss is not None:
                         cells[i, j] = math.log10(max(c.median_pred_loss, 1e-300))
             name = _sweep_heatmap_name(snr, cov)
-            _write_heatmap(cells, scale, out / name)
+            formats.write_heatmap(cells, out / name, scale)
             files.append(name)
     return files
 
@@ -366,13 +329,8 @@ def _emit_sweep_heatmaps(out: Path, result: metrics.SweepResult, scale: int = 16
 def cmd_power_map(args, out: Path) -> tuple[list[str], dict]:
     model = formats.read_model(args.model)
     power = predictive_power(model)
-    grid = model.grid
-    rows = [
-        [i, i // grid.cols, i % grid.cols, float(power.values[i])]
-        for i in range(grid.n_patches)
-    ]
-    formats.write_csv(["patch_index", "row", "col", "value"], rows, out / "power.csv")
-    vmin, vmax = _write_heatmap(power.as_grid(), grid.patch_size, out / "power.ppm")
+    formats.write_patch_map(power.values, model.grid, out / "power.csv")
+    vmin, vmax = formats.write_heatmap(power.as_grid(), out / "power.ppm", model.grid.patch_size)
     return ["power.csv", "power.ppm"], {"vmin": vmin, "vmax": vmax}
 
 

@@ -1,4 +1,6 @@
-"""On-disk formats: datasets, models, PPM heatmaps, manifests, CSV.
+"""On-disk formats: datasets, models, PPM heatmaps, patch maps, manifests, CSV.
+
+No other module of the package reads or writes what a file holds.
 
 Binary layouts (all little-endian, f64 values):
 
@@ -220,34 +222,38 @@ def write_ppm(rgb: np.ndarray, path: str | Path) -> None:
 
 
 def check_image_index(fields: SnapshotSet, snapshot: int, component: int) -> None:
-    """Reject a snapshot or component index that :func:`render_field` cannot draw."""
+    """Reject a snapshot or component index outside ``fields``, before any image is drawn."""
     if not 0 <= snapshot < fields.snapshots:
         raise ValidationError(f"snapshot index {snapshot} out of range")
     if not 0 <= component < fields.components:
         raise ValidationError(f"component index {component} out of range")
 
 
-def render_field(
-    fields: SnapshotSet,
-    snapshot: int,
-    component: int,
-    mask: MaskSpec,
-    grid: PatchGrid,
-) -> tuple[np.ndarray, float, float]:
-    """Heatmap of one component of one snapshot, with black 1-pixel borders
-    around every masked patch; returns (rgb, vmin, vmax)."""
-    grid.check_fields(fields)
-    check_image_index(fields, snapshot, component)
-    plane = fields.data[snapshot, :, :, component]
-    vmin, vmax = float(plane.min()), float(plane.max())
-    rgb = heatmap_rgb(plane, vmin, vmax)
+def masked_outline(grid: PatchGrid, mask: MaskSpec) -> np.ndarray:
+    """(H, W) bool: the 1-pixel border of every masked patch."""
     edge = np.ones((grid.patch_size, grid.patch_size), dtype=bool)
-    edge[1:-1, 1:-1] = False  # a patch's 1-pixel border
-    rgb[~pixel_mask(grid, mask) & np.tile(edge, (grid.rows, grid.cols))] = 0
-    return rgb, vmin, vmax
+    edge[1:-1, 1:-1] = False
+    return ~pixel_mask(grid, mask) & np.tile(edge, (grid.rows, grid.cols))
 
 
-# Manifests and CSV ----------------------------------------------------------
+def write_heatmap(values: np.ndarray, path: str | Path, scale: int = 1, outline=None) -> tuple[float, float]:
+    """PPM of a 2-D value grid, coloured over the range of its finite values ((0, 0)
+    if none) with NaN cells at the minimum; each cell is a ``scale``-pixel square
+    and the ``outline`` pixels (bool, the image's shape) are black.  Returns (vmin, vmax)."""
+    finite = np.isfinite(values)
+    vmin = float(values[finite].min()) if finite.any() else 0.0
+    vmax = float(values[finite].max()) if finite.any() else 0.0
+    rgb = heatmap_rgb(np.where(finite, values, vmin), vmin, vmax)
+    rgb = np.repeat(np.repeat(rgb, scale, axis=0), scale, axis=1)
+    if outline is not None:
+        if outline.shape != rgb.shape[:2]:
+            raise ValidationError(f"outline shape {outline.shape} != image shape {rgb.shape[:2]}")
+        rgb[outline] = 0
+    write_ppm(rgb, path)
+    return vmin, vmax
+
+
+# Manifests, CSV and patch maps ----------------------------------------------
 
 def write_manifest(payload: dict, path: str | Path) -> None:
     _atomic_write(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
@@ -275,3 +281,39 @@ def write_csv(header: list[str], rows: list[list], path: str | Path) -> None:
     for row in rows:
         writer.writerow([_csv_value(v) for v in row])
     _atomic_write(path, out.getvalue().encode("utf-8"))
+
+
+_PATCH_MAP_COLUMNS = ["patch_index", "row", "col", "value"]  # a row per patch, in order
+
+
+def write_patch_map(values: np.ndarray, grid: PatchGrid, path: str | Path) -> None:
+    rows = [[i, i // grid.cols, i % grid.cols, float(v)] for i, v in enumerate(values)]
+    write_csv(_PATCH_MAP_COLUMNS, rows, path)
+
+
+def read_patch_map(path: str | Path, grid: PatchGrid) -> np.ndarray:
+    """The (N,) values of a patch map, placed by ``patch_index``."""
+    n = grid.n_patches
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            # Without this, a headerless file's first row would pass as its header.
+            if not {"patch_index", "value"} <= set(reader.fieldnames or ()):
+                raise FormatError(f"{path}: not a power-map CSV: header {reader.fieldnames}")
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: power map is not UTF-8 text: {exc}") from exc
+    if len(rows) != n:
+        raise ValidationError(f"power map {path} has {len(rows)} patches, expected {n}")
+    try:
+        indices = [int(row["patch_index"]) for row in rows]
+        values = [float(row["value"]) for row in rows]
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: not a power-map CSV: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise FormatError(f"{path}: power-map values must be finite")
+    if sorted(indices) != list(range(n)):
+        raise FormatError(f"{path}: patch_index must list each of 0..{n - 1} once")
+    out = np.empty(n)
+    out[indices] = values
+    return out

@@ -18,7 +18,6 @@ import numpy as np
 from .attention import (
     DEFAULT_ERROR_FLOOR,
     AttentionModel,
-    check_error_floor,
     predict_masked,
     reconstruct,
     train_attention_model,
@@ -30,6 +29,7 @@ from .patches import (
     PatchGrid,
     SnapshotSet,
     SplitSpec,
+    check_positive,
     check_ridge,
     freeze,
     patch_vectors,
@@ -222,7 +222,7 @@ def run_sweep(
         raise ValidationError(f"n_arrangements must be at least 1, got {n_arrangements}")
     if ridge_lambda is not None:
         check_ridge(ridge_lambda)
-    check_error_floor(error_floor)
+    check_positive("error_floor", error_floor)
     train_norm, test_norm, test_raw = split_standardized(dataset, split_spec)
     sigma2s = {snr: noise_sigma2(test_raw, snr) for snr in axes.snr_dbs}
 

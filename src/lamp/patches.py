@@ -55,6 +55,13 @@ def check_ridge(ridge_lambda: float) -> None:
         raise ValidationError(f"ridge_lambda must be finite and nonnegative, got {ridge_lambda}")
 
 
+def check_positive(name: str, value: float) -> None:
+    """Floors, lengths and rates must be finite and positive: a zero one divides
+    by zero, and a negative length would silently act as its absolute value."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class NormStats:
     """Per-component mean and standard deviation of a training block."""

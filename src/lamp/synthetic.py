@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .patches import MaskSpec, PatchGrid, SnapshotSet, pixel_mask
+from .patches import MaskSpec, PatchGrid, SnapshotSet, check_positive, pixel_mask
 
 LAMINAR = "laminar-surrogate"
 CHAOTIC = "chaotic-surrogate"
@@ -47,9 +47,9 @@ class LaminarParams:
 
     def __post_init__(self):
         for name in ("speed", "wavelength"):
-            _check_positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
         if self.envelope_width is not None:
-            _check_positive("envelope_width", self.envelope_width)
+            check_positive("envelope_width", self.envelope_width)
         # A negative amplitude is a sign flip; zero gives an all-zero field.
         if not (math.isfinite(self.amplitude) and self.amplitude != 0.0):
             raise ValidationError(f"amplitude must be finite and nonzero, got {self.amplitude}")
@@ -86,7 +86,7 @@ class ChaoticParams:
             if not 0 < lo <= hi:
                 raise ValidationError(f"invalid {name}: {(lo, hi)}")
         if self.packet_radius is not None:
-            _check_positive("packet_radius", self.packet_radius)
+            check_positive("packet_radius", self.packet_radius)
             # The envelope divides by 2 * radius**2, which must neither
             # overflow nor underflow to zero.
             if not 0.0 < 2.0 * self.packet_radius * self.packet_radius < math.inf:
@@ -110,13 +110,6 @@ def _check_decay(decay: float, terms: int) -> None:
         raise ValidationError(
             f"decay must be finite and keep {terms}**-decay a finite nonzero float, got {decay}"
         )
-
-
-def _check_positive(name: str, value: float) -> None:
-    """Length and rate parameters must be finite and positive; a zero radius
-    divides by zero and a negative one would silently act as its absolute value."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValidationError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)

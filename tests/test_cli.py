@@ -86,6 +86,15 @@ class TestTrain:
         model = read_model(out1 / "model.lampmd")
         assert model.latent_dim == 4
 
+    def test_one_patch_grid_trains_with_no_pair_loss(self, tmp_path, laminar_path):
+        out = tmp_path / "m"
+        assert run("train", "--dataset", laminar_path, "--patch-size", 32,
+                   "--latent-dim", 4, "--out-dir", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["model.lampmd"]
+        assert manifest["results"]["pair_loss"] is None
+        assert read_model(out / "model.lampmd").n_patches == 1
+
     def test_non_divisible_patch_exits_2(self, tmp_path, laminar_path, capsys):
         code = run("train", "--dataset", laminar_path, "--patch-size", 7,
                    "--latent-dim", 4, "--out-dir", tmp_path / "x")
@@ -290,6 +299,19 @@ class TestMalformedInputs:
             writer.writerows({**row, "patch_index": i} for row, i in zip(rows, indices))
         assert run("reconstruct", "--dataset", laminar_path, "--model", trained,
                    "--coverage", 0.25, "--sensors-from", path, "--out-dir", tmp_path / "x") == 3
+
+    @pytest.mark.parametrize("extra_rows", [0, 1], ids=["n-rows", "n-plus-1-rows"])
+    def test_power_map_without_header_exits_3(self, tmp_path, laminar_path, trained, capsys,
+                                              extra_rows):
+        # csv.DictReader would take the first data row as the header
+        assert run("power-map", "--model", trained, "--out-dir", tmp_path / "pm") == 0
+        rows = (tmp_path / "pm" / "power.csv").read_text().splitlines()[1:]  # 16 patches
+        path = tmp_path / "headerless.csv"
+        path.write_text("\n".join(rows[:extra_rows] + rows) + "\n")
+        capsys.readouterr()
+        assert run("reconstruct", "--dataset", laminar_path, "--model", trained,
+                   "--coverage", 0.25, "--sensors-from", path, "--out-dir", tmp_path / "x") == 3
+        assert f"{path}: not a power-map CSV: header" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["reconstruct", "compare"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

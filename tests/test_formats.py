@@ -16,6 +16,7 @@ from lamp import (
     MaskSpec,
     NormStats,
     SnapshotSet,
+    ValidationError,
     normalize,
     read_dataset,
     read_model,
@@ -28,14 +29,25 @@ from lamp.formats import (
     DATASET_MAGIC,
     MODEL_MAGIC,
     heatmap_rgb,
+    masked_outline,
     model_nbytes,
-    render_field,
+    read_patch_map,
     write_csv,
+    write_heatmap,
     write_manifest,
+    write_patch_map,
     write_ppm,
 )
 from lamp.patches import PatchGrid
 from oracles import outline_oracle
+
+
+def _ppm_pixels(path) -> np.ndarray:
+    """The (H, W, 3) pixels of a binary PPM written by ``write_ppm``."""
+    magic, size, depth, pixels = Path(path).read_bytes().split(b"\n", 3)
+    assert (magic, depth) == (b"P6", b"255")
+    w, h = map(int, size.split())
+    return np.frombuffer(pixels, np.uint8).reshape(h, w, 3)
 
 
 def _written(write, obj) -> bytes:
@@ -350,38 +362,96 @@ class TestHeatmap:
 
     def test_write_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(4)
-        fields = SnapshotSet(rng.standard_normal((2, 4, 4, 1)))
+        plane = rng.standard_normal((4, 4))
         grid = PatchGrid(4, 4, 1, 2)
-        rgb, _, _ = render_field(fields, 0, 0, MaskSpec((0, 3), grid.n_patches), grid)
-        write_ppm(rgb, tmp_path / "a.ppm")
-        write_ppm(rgb, tmp_path / "b.ppm")
+        outline = masked_outline(grid, MaskSpec((0, 3), grid.n_patches))
+        write_heatmap(plane, tmp_path / "a.ppm", outline=outline)
+        write_heatmap(plane, tmp_path / "b.ppm", outline=outline)
         assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
 
-    def test_masked_outline(self):
+    def test_masked_outline(self, tmp_path):
         grid = PatchGrid(4, 4, 1, 2)
-        fields = SnapshotSet(np.full((1, 4, 4, 1), 2.5))  # a constant field renders white
-        out, _, _ = render_field(fields, 0, 0, MaskSpec((0, 1, 2), grid.n_patches), grid)
+        plane = np.full((4, 4), 2.5)  # a constant field renders white
+        outline = masked_outline(grid, MaskSpec((0, 1, 2), grid.n_patches))
+        write_heatmap(plane, tmp_path / "a.ppm", outline=outline)
+        out = _ppm_pixels(tmp_path / "a.ppm")
         # patch 3 (lower right 2x2): its entire 2x2 block is border pixels
         np.testing.assert_array_equal(out[2:, 2:], 0)
         np.testing.assert_array_equal(out[:2, :2], 255)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
-    def test_outline_matches_per_patch_borders(self, p):
+    def test_outline_matches_per_patch_borders(self, p, tmp_path):
         grid = PatchGrid(3 * p, 5 * p, 2, p)
         rng = np.random.default_rng(p)
         fields = SnapshotSet(rng.standard_normal((2, grid.height, grid.width, 2)))
         for unmasked in [(), (0, 7, 14), tuple(range(15))]:
             mask = MaskSpec(unmasked, grid.n_patches)
-            out, vmin, vmax = render_field(fields, 1, 1, mask, grid)
-            rgb = heatmap_rgb(fields.data[1, :, :, 1], vmin, vmax)
-            assert np.array_equal(out, outline_oracle(rgb, grid, mask.masked))
+            plane = fields.data[1, :, :, 1]
+            path = tmp_path / "a.ppm"
+            vmin, vmax = write_heatmap(plane, path, outline=masked_outline(grid, mask))
+            rgb = heatmap_rgb(plane, vmin, vmax)
+            assert np.array_equal(_ppm_pixels(path), outline_oracle(rgb, grid, mask.masked))
 
-    def test_render_field_range(self):
-        data = np.zeros((1, 2, 2, 1))
-        data[0, :, :, 0] = [[0.0, 1.0], [2.0, 3.0]]
-        grid = PatchGrid(2, 2, 1, 2)
-        _, vmin, vmax = render_field(SnapshotSet(data), 0, 0, MaskSpec((0,), 1), grid)
+    def test_write_heatmap_range(self, tmp_path):
+        plane = np.array([[0.0, 1.0], [2.0, 3.0]])
+        vmin, vmax = write_heatmap(plane, tmp_path / "a.ppm")
         assert (vmin, vmax) == (0.0, 3.0)
+
+    def test_nan_cells_take_the_minimum_colour_and_scale_blows_cells_up(self, tmp_path):
+        cells = np.array([[np.nan, 1.0, 3.0]])
+        assert write_heatmap(cells, tmp_path / "a.ppm", scale=2) == (1.0, 3.0)
+        out = _ppm_pixels(tmp_path / "a.ppm")
+        assert out.shape == (2, 6, 3)
+        assert (out[:, :2] == [0, 0, 255]).all()  # the minimum's blue
+        np.testing.assert_array_equal(out[:, 2:4], out[:, :2])
+        assert (out[:, 4:] == [255, 0, 0]).all()
+
+    def test_all_nan_cells_range_zero(self, tmp_path):
+        assert write_heatmap(np.full((2, 2), np.nan), tmp_path / "a.ppm") == (0.0, 0.0)
+        np.testing.assert_array_equal(_ppm_pixels(tmp_path / "a.ppm"), 255)
+
+    def test_outline_is_painted_after_scaling(self, tmp_path):
+        outline = np.zeros((4, 4), dtype=bool)
+        outline[0, 0] = True
+        write_heatmap(np.full((2, 2), 1.0), tmp_path / "a.ppm", scale=2, outline=outline)
+        out = _ppm_pixels(tmp_path / "a.ppm")
+        np.testing.assert_array_equal(out[0, 0], 0)
+        np.testing.assert_array_equal(out[0, 1], 255)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 5)])
+    def test_outline_shape_mismatch_rejected(self, tmp_path, shape):
+        with pytest.raises(ValidationError, match="outline shape"):
+            write_heatmap(np.zeros((2, 2)), tmp_path / "a.ppm", scale=2,
+                          outline=np.zeros(shape, dtype=bool))
+        assert not (tmp_path / "a.ppm").exists()
+
+
+class TestPatchMap:
+    def test_layout_and_round_trip(self, tmp_path):
+        grid = PatchGrid(4, 6, 1, 2)  # 2 rows by 3 cols
+        values = np.array([0.5, 0.1, 1e-300, 2.0, 7.0, 0.25])
+        write_patch_map(values, grid, tmp_path / "power.csv")
+        lines = (tmp_path / "power.csv").read_text().splitlines()
+        assert lines[0] == "patch_index,row,col,value"
+        assert lines[1:3] == ["0,0,0,0.5", "1,0,1,0.1"]
+        assert lines[4] == "3,1,0,2.0"
+        assert np.array_equal(read_patch_map(tmp_path / "power.csv", grid), values)
+
+    def test_rows_are_placed_by_patch_index(self, tmp_path):
+        path = tmp_path / "power.csv"
+        path.write_text("value,patch_index\n3.0,1\n4.0,0\n")
+        np.testing.assert_array_equal(read_patch_map(path, PatchGrid(2, 4, 1, 2)), [4.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "0,0,0,0.5\n1,0,1,0.1\n", "index,value\n0,1.0\n1,2.0\n"],
+        ids=["empty", "headerless", "wrong-header"],
+    )
+    def test_header_must_name_patch_index_and_value(self, tmp_path, text):
+        path = tmp_path / "power.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="not a power-map CSV: header"):
+            read_patch_map(path, PatchGrid(2, 4, 1, 2))
 
 
 class TestManifestAndCsv:

@@ -7,7 +7,7 @@ import pytest
 
 from lamp import MaskSpec, PatchGrid, SnapshotSet, ValidationError, normalize
 from lamp.attention import predict_masked, reconstruct, train_attention_model
-from lamp.formats import render_field
+from lamp.formats import masked_outline
 from lamp.gappy import fit_gappy, reconstruct_gappy
 from lamp.patches import pixel_mask
 from lamp.synthetic import add_noise_fixed
@@ -29,11 +29,11 @@ FIELD_CALLS = {
     "reconstruct_gappy": lambda m, f, mask: reconstruct_gappy(m[1], f, mask, GRID),
     "add_noise_fixed": lambda m, f, mask: add_noise_fixed(f, mask, 0.5, 3, GRID),
     "add_noise_fixed-noise-free": lambda m, f, mask: add_noise_fixed(f, mask, 0.0, 3, GRID),
-    "render_field": lambda m, f, mask: render_field(f, 0, 0, mask, GRID),
 }
 MASK_CALLS = {
     "predict_masked": lambda m, f, mask: predict_masked(m[0], np.zeros((1, T, 2)), mask),
     "pixel_mask": lambda m, f, mask: pixel_mask(GRID, mask),
+    "masked_outline": lambda m, f, mask: masked_outline(GRID, mask),
 }
 MISMATCHES = {
     # (fields shape, mask patch count, message)

@@ -135,3 +135,56 @@ def test_formats_declares_each_layout_once():
 def test_layout_guard_catches_a_planted_bypass(planted):
     source = (PACKAGE / "formats.py").read_text() + "\n\n" + planted + "\n"
     assert formats_layout_offenders(source)
+
+
+#: Calls that read or write a file's contents, or draw and write a PPM: ``open``
+#: (builtin or method), the ``Path`` read/write helpers, ``write_ppm`` and ``heatmap_rgb``.
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "write_ppm",
+              "heatmap_rgb"}
+
+
+def file_layout_offenders(source: str) -> list[str]:
+    """What in a module other than ``formats.py`` handles a file layout itself
+    instead of calling ``formats``: a call in ``FILE_CALLS``, an import of
+    ``csv``, or a ``"patch_index"`` string (the power-map columns are declared
+    once, in ``formats``)."""
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in FILE_CALLS:
+                offenders.append(f"{name}( at line {node.lineno}")
+        elif (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "csv"
+        ):
+            offenders.append(f"csv import at line {node.lineno}")
+        elif isinstance(node, ast.Constant) and node.value == "patch_index":
+            offenders.append(f"'patch_index' at line {node.lineno}")
+    return offenders
+
+
+@pytest.mark.parametrize("module", sorted((set(ALLOWED) | FACADES) - {"formats"}))
+def test_only_formats_handles_file_layouts(module):
+    offenders = file_layout_offenders((PACKAGE / f"{module}.py").read_text())
+    assert not offenders, f"{module}.py: {offenders}"
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        'with open("power.csv", newline="") as handle:\n    pass',
+        'handle = Path("power.csv").open("rb")',
+        'text = Path("power.csv").read_text()',
+        "import csv",
+        "from csv import DictReader",
+        'formats.write_ppm(rgb, "a.ppm")',
+        "rgb = formats.heatmap_rgb(values, 0.0, 1.0)",
+        'COLUMNS = ["patch_index", "row", "col", "value"]',
+    ],
+    ids=["open", "path-open", "read-text", "import-csv", "from-csv", "write-ppm", "heatmap-rgb",
+         "columns"],
+)
+def test_file_layout_guard_catches_a_planted_bypass(planted):
+    source = (PACKAGE / "cli.py").read_text() + "\n\n" + planted + "\n"
+    assert file_layout_offenders(source)
