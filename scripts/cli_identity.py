@@ -12,14 +12,22 @@ a small sweep, power-map, place-sensors, gappy, compare (with
 ``--place-sensors`` and with ``--rank``), and then a rerun of every
 manifest.  Every output file is compared byte for byte; a ``manifest.json``
 is compared after the run directory's path is replaced by a placeholder.
-It exits 1 and lists the differing files when any file differs, is missing
-on one side, or a step fails.  Run it from the repository root; nothing in
-the working tree is modified.
+Then each step of ``FAILING`` runs, steps that must fail: malformed numbers
+and power maps, singular fits, a one-patch power map, a missing dataset and
+a malformed rerun manifest.  Of each, the exit code and the last ``error:``
+line of stderr (the run directory masked the same way) are compared; the
+lines before it can be warnings, which carry source paths.  It exits 1 and
+lists the differences when any file differs or is missing on one side, a
+step of ``STEPS`` fails, a step of ``FAILING`` exits 0, or a failing step
+differs.  Run it from the repository root; nothing in the working tree is
+modified.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -60,22 +68,79 @@ STEPS = [
                         "--place-sensors"]),
     ("compare-rank", ["compare", *CHAOTIC, "--model", "model-chaotic/model.lampmd", *EVAL,
                       "--snr-db", "20", "--rank", "5"]),
+    ("laminar-1", ["generate", "--kind", "laminar-surrogate", "--height", "32", "--width", "32",
+                   "--snapshots", "80", "--seed", "1"]),
+    ("model-one-patch", ["train", *LAMINAR, "--patch-size", "32", "--latent-dim", "4"]),
+]
+
+#: (output directory, lamp arguments) of steps that must fail, run after
+#: ``STEPS`` and after :func:`write_malformed_inputs`.
+FAILING = [
+    ("fail-snr", ["reconstruct", *LAMINAR, "--model", "model-laminar/model.lampmd", *EVAL,
+                  "--snr-db", "abc"]),
+    ("fail-sweep-coverage", ["sweep", *LAMINAR, "--patch-size", "8", "--latent-dim", "2",
+                             "--coverage", "abc"]),
+    ("fail-power-rows", ["reconstruct", *CHAOTIC, "--model", "model-chaotic/model.lampmd", *EVAL,
+                         "--sensors-from", "power-4-rows.csv"]),
+    ("fail-power-index", ["reconstruct", *CHAOTIC, "--model", "model-chaotic/model.lampmd",
+                          *EVAL, "--sensors-from", "power-bad-index.csv"]),
+    # Seed 0 observes one patch outside the wake, whose modes vanish to rounding.
+    ("fail-gappy-singular", ["gappy", "--dataset", "laminar-1/dataset.lampds", "--patch-size",
+                             "8", "--rank", "4", "--coverage", "0.07", "--seed", "0",
+                             "--ridge-lambda", "0"]),
+    ("fail-power-one-patch", ["power-map", "--model", "model-one-patch/model.lampmd"]),
+    ("fail-missing-dataset", ["train", "--dataset", "missing.lampds", "--patch-size", "8",
+                              "--latent-dim", "4"]),
+    ("fail-train-singular", ["train", *LAMINAR, "--patch-size", "8", "--latent-dim", "4",
+                             "--ridge-lambda", "0"]),
+    ("fail-rerun-manifest", ["rerun", "malformed-manifest.json"]),
 ]
 
 
-def run_script(tree: Path, run_dir: Path) -> list[str]:
-    """Run every step, then a rerun of each step's manifest; return the failures."""
+def write_malformed_inputs(run_dir: Path) -> None:
+    """The power maps and the manifest that steps of ``FAILING`` read."""
+    with open(run_dir / "power" / "power.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    edits = {"power-4-rows.csv": rows[:4],
+             "power-bad-index.csv": [{**rows[0], "patch_index": "x"}, *rows[1:]]}
+    for name, edited in edits.items():
+        with open(run_dir / name, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(edited)
+    manifest = {"command": "power-map", "config": {"model": "m", "bogus": 1, "out_dir": "o"}}
+    (run_dir / "malformed-manifest.json").write_text(json.dumps(manifest))
+
+
+def run_script(tree: Path, run_dir: Path) -> tuple[list[str], dict[str, tuple[int, str]]]:
+    """Run every step, then a rerun of each step's manifest, then the failing steps.
+
+    Returns the failures of the first two and, for each failing step, its exit
+    code and its last ``error:`` line.
+    """
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+
+    def lamp(argv):
+        return subprocess.run([sys.executable, "-m", "lamp.cli", *argv], cwd=run_dir, env=env,
+                              capture_output=True, text=True)
+
     steps = [(out, [*argv, "--out-dir", out]) for out, argv in STEPS]
     steps += [(f"rerun-{out}", ["rerun", f"{out}/manifest.json", "--out-dir", f"rerun-{out}"])
               for out, _ in STEPS]
     failures = []
     for out, argv in steps:
-        proc = subprocess.run([sys.executable, "-m", "lamp.cli", *argv], cwd=run_dir, env=env,
-                              capture_output=True, text=True)
+        proc = lamp(argv)
         if proc.returncode != 0:
             failures.append(f"{tree}: step {out} exited {proc.returncode}: {proc.stderr.strip()}")
-    return failures
+    write_malformed_inputs(run_dir)
+    failed = {}
+    for out, argv in FAILING:
+        proc = lamp([*argv, "--out-dir", out])
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+        failed[out] = (proc.returncode, errors[-1].replace(str(run_dir), "<run>") if errors else "")
+        if proc.returncode == 0:
+            failures.append(f"{tree}: failing step {out} exited 0")
+    return failures, failed
 
 
 def outputs(run_dir: Path) -> dict[str, bytes]:
@@ -98,10 +163,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="cli-identity-") as tmp:
         base_tree, base_run, head_run = (Path(tmp) / name for name in ("tree", "base", "head"))
         _export(args.rev, base_tree)
-        failures = []
+        failures, failed = [], []
         for tree, run_dir in ((base_tree, base_run), (ROOT, head_run)):
             run_dir.mkdir()
-            failures += run_script(tree, run_dir)
+            tree_failures, tree_failed = run_script(tree, run_dir)
+            failures += tree_failures
+            failed.append(tree_failed)
         base, head = outputs(base_run), outputs(head_run)
 
     both = base.keys() & head.keys()
@@ -109,11 +176,15 @@ def main(argv=None) -> int:
     for name in differing:
         print(f"{name}: " + ("differs" if name in both else
                              "only in base" if name in base else "only in head"))
+    failing_differ = [out for out, _ in FAILING if failed[0][out] != failed[1][out]]
+    for out in failing_differ:
+        print(f"failing step {out}: base {failed[0][out]} != head {failed[1][out]}")
     for failure in failures:
         print(failure)
     print(f"{args.rev} (base) vs working tree (head): {len(both)} files in both, "
-          f"{len(differing)} differing, {len(failures)} failed steps")
-    return 1 if differing or failures else 0
+          f"{len(differing)} differing, {len(failures)} failed steps, "
+          f"{len(failing_differ)} of {len(FAILING)} failing steps differing")
+    return 1 if differing or failures or failing_differ else 0
 
 
 if __name__ == "__main__":

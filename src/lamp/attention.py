@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.blas import dgemm
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, batched
 from .patches import (
     MaskSpec,
     NormStats,
@@ -152,17 +152,8 @@ def _source_systems(
         z = z - z_mean[:, :, None]
         grams = z @ z.transpose(0, 2, 1)
     mats = grams + lams[:, None, None] * np.eye(grams.shape[-1])
-    try:
-        return z, z_mean, np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        for src, mat in zip(sources, mats):
-            try:
-                np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"{system} of source patch {src} is singular; pass a positive ridge_lambda"
-                ) from exc
-        raise
+    failure = f"{system} of source patch {{}} is singular; pass a positive ridge_lambda"
+    return z, z_mean, batched(np.linalg.cholesky, mats, failure, sources)
 
 
 def fit_value_tensor(

@@ -6,8 +6,8 @@ recording the fully resolved configuration and the file-format versions, so a
 failed run leaves no manifest.  ``lamp rerun <manifest>`` replays a manifest
 and reproduces all outputs byte-identically.
 
-Exit codes: 0 success, 2 usage/validation, 3 I/O or file-format, 4 numerical
-failure.
+Exit codes: 0 success, 2 usage, and for a failure its code in
+:data:`lamp.errors.EXIT_CODES` (2 validation, 3 I/O or format, 4 numerical).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import formats, metrics, synthetic
 from .attention import DEFAULT_ERROR_FLOOR, reconstruct, train_attention_model
-from .errors import FormatError, NumericalError, ValidationError
+from .errors import EXIT_CODES, FormatError, ValidationError
 from .gappy import fit_gappy, reconstruct_gappy
 from .metrics import PowerMap, place_sensors, pred_loss, predictive_power
 from .patches import (
@@ -337,8 +337,8 @@ def cmd_power_map(args, out: Path) -> tuple[list[str], dict]:
 def cmd_place_sensors(args, out: Path) -> tuple[list[str], dict]:
     model = formats.read_model(args.model)
     power = predictive_power(model)
-    count = args.count if args.count is not None else sensor_count(model.n_patches, args.coverage)
-    mask = place_sensors(power, count)
+    count = sensor_count(model.n_patches, args.coverage)  # checks --coverage beside --count too
+    mask = place_sensors(power, count if args.count is None else args.count)
     formats.write_manifest(
         {
             "n_patches": mask.n_patches,
@@ -618,22 +618,10 @@ def main(argv=None) -> int:
         }
         formats.write_manifest(payload, out / "manifest.json")
         return 0
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except MemoryError as exc:
-        # Same exit code as a request over --budget-bytes.
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 2
+    except tuple(EXIT_CODES) as exc:
+        oom = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {oom}{exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def console() -> None:

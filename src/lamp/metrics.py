@@ -283,11 +283,11 @@ def _sweep_patch_size(
 
     The clean test split is encoded once per model.  Each mask is drawn once
     per (coverage, arrangement), each noise field once per SNR on top of it,
-    and both are shared by every N_e.  Observed patch vectors get noise/std
-    and are encoded as :func:`add_noise_fixed` and :func:`reconstruct` do it,
-    bit for bit.  The bases are orthonormal, so the pixel-space error
-    ||U z_hat - x||^2 equals ||z_hat - U^T x||^2 + ||(I - U U^T) x||^2, whose
-    second term is the autoencoding floor.
+    and both are shared by every N_e.  Observed patch vectors, with noise/std
+    at a finite SNR, are encoded as :func:`add_noise_fixed` and
+    :func:`reconstruct` do it, bit for bit.  The bases are orthonormal, so the
+    pixel-space error ||U z_hat - x||^2 equals ||z_hat - U^T x||^2 +
+    ||(I - U U^T) x||^2, whose second term is the autoencoding floor.
 
     The first evaluation of each model is also decoded and scored in pixel
     space (:func:`add_noise_fixed`, :func:`reconstruct`, :func:`pred_loss`,
@@ -311,7 +311,7 @@ def _sweep_patch_size(
             x_obs = patch_vectors(test_norm.data, grid, sources)  # (k, T, D)
             for snr, sigma2 in sigma2s.items():
                 noise_seed = derive_seed(seed, 1, p, cov_key, arr_idx, _float_key(snr))
-                x_in = None  # (k, T, D) noisy observed patch vectors, standardized
+                x_in = x_obs  # (k, T, D) observed patch vectors, standardized, noisy if sigma2
                 if sigma2 > 0.0:
                     eps = draw_noise(test_norm.data.shape, sigma2, noise_seed)
                     x_in = x_obs + patch_vectors(eps, grid, sources) / std
@@ -319,10 +319,7 @@ def _sweep_patch_size(
                 if first:
                     test_in = add_noise_fixed(test_norm, mask, sigma2, noise_seed, grid)
                 for ne, model in models.items():
-                    if x_in is None:
-                        observed = clean[ne][:, sources].transpose(1, 0, 2)
-                    else:
-                        observed = np.matmul(x_in, model.pod.bases[sources])  # (k, T, N_e)
+                    observed = np.matmul(x_in, model.pod.bases[sources])  # (k, T, N_e)
                     err = predict_masked(model, observed, mask, copy_through) - clean[ne]
                     loss = (float(np.sum(err * err)) + floor_sums[ne]) / size
                     if first:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, batched
 from .patches import PatchedSeries, PatchGrid, freeze
 
 #: A matrix takes its k retained modes from its Gram only if the k-th Gram
@@ -141,18 +141,10 @@ def _leading_modes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n, d, t = mats.shape
     rows = mats.transpose(0, 2, 1)                   # (N, T, D)
     gram = mats @ rows if d <= t else rows @ mats    # (N, min(D, T), min(D, T))
-    try:
-        lam, vec = np.linalg.eigh(gram)              # ascending
-    except np.linalg.LinAlgError:
-        for i in range(n):
-            try:
-                np.linalg.eigh(gram[i])
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"Gram eigh did not converge for patch {i}") from exc
-        raise NumericalError("Gram eigh did not converge")
+    lam, vec = batched(np.linalg.eigh, gram, "Gram eigh did not converge for patch {}")
     del gram
     resolved = lam[:, -k] > _GRAM_RTOL * lam[:, -1].max()
-    # Descending order; a fallback matrix's placeholder 1 is overwritten below.
+    # Descending order (eigh ascends); a fallback matrix's placeholder 1 is overwritten below.
     s = np.sqrt(np.where(resolved[:, None], lam[:, :-k - 1:-1], 1.0))
     if d <= t:
         u = vec[:, :, :-k - 1:-1]

@@ -468,6 +468,23 @@ class TestSourceBlocks:
         vec, _ = fit_attention_tensor(series, errors, 0.0, use_intercept=False)
         assert np.isfinite(vec).all()
 
+    def test_stack_failure_with_no_singular_source_is_numerical(self, monkeypatch):
+        # A library caller gets the package's typed error, never a raw LinAlgError.
+        cholesky = np.linalg.cholesky
+
+        def stack_fails(a):
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", stack_fails)
+        fields = SnapshotSet(np.random.default_rng(48).standard_normal((12, 8, 8, 1)))
+        with pytest.raises(NumericalError) as info:
+            train_attention_model(normalize(fields, range(0, 12)), 4, 2)
+        assert str(info.value) == (
+            "Matrix is not positive definite, though each matrix passes alone"
+        )
+
     def test_validation_precedes_factorization(self):
         latents = np.random.default_rng(47).standard_normal((10, 5, 2))
         latents[:, 0, :] = 0.0  # singular at ridge 0 in both fits

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from lamp import (
-    FlowSpec, SnapshotSet, generate, metrics, normalize, read_dataset, read_model, synthetic,
-    write_dataset,
+    FlowSpec, FormatError, NumericalError, SnapshotSet, ValidationError, generate, metrics,
+    normalize, read_dataset, read_model, split, synthetic, train_attention_model, write_dataset,
+    write_model,
 )
+from lamp import cli
 from lamp.cli import _seed, build_parser, main
 from lamp.formats import DATASET_MAGIC, MODEL_MAGIC, model_nbytes
 
@@ -44,6 +46,13 @@ def trained(tmp_path_factory, laminar_path):
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def error_line(capsys):
+    """All of stderr, which must be one ``error:`` line; returned without its newline."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    return err[:-1]
 
 
 class TestGenerate:
@@ -112,6 +121,19 @@ class TestTrain:
         code = run("train", "--dataset", tmp_path / "nope.lampds", "--patch-size", 8,
                    "--latent-dim", 4, "--out-dir", tmp_path / "x")
         assert code == 3
+
+    def test_standardized_dataset_trains_on_its_stored_stats(self, tmp_path, laminar_path):
+        path = tmp_path / "standardized.lampds"
+        write_dataset(normalize(read_dataset(laminar_path), range(0, 40)), path)
+        stored = read_dataset(path)
+        out = tmp_path / "m"
+        assert run("train", "--dataset", path, "--patch-size", 8, "--latent-dim", 4,
+                   "--out-dir", out) == 0
+        model = read_model(out / "model.lampmd")
+        assert np.array_equal(model.norm_stats.mean, stored.norm_stats.mean)
+        assert np.array_equal(model.norm_stats.std, stored.norm_stats.std)
+        write_model(train_attention_model(split(stored)[0], 8, 4), tmp_path / "library.lampmd")
+        assert (out / "model.lampmd").read_bytes() == (tmp_path / "library.lampmd").read_bytes()
 
     def test_singular_fit_exits_4(self, tmp_path, capsys):
         # one patch identically equal to the component mean: its latents are
@@ -201,6 +223,21 @@ class TestPowerAndSensors:
         manifest = json.loads((rec / "manifest.json").read_text())
         assert manifest["results"]["unmasked"] == sensors["unmasked"]
 
+    def test_place_sensors_checks_coverage_beside_count(self, tmp_path, trained, capsys):
+        out = tmp_path / "sensors"
+        assert run("place-sensors", "--model", trained, "--count", 3, "--coverage", 7,
+                   "--out-dir", out) == 2
+        assert error_line(capsys) == "error: coverage must be in (0, 1], got 7.0"
+        assert list(out.iterdir()) == []
+
+    def test_power_map_of_one_patch_model_exits_2(self, tmp_path, laminar_path, capsys):
+        assert run("train", "--dataset", laminar_path, "--patch-size", 32, "--latent-dim", 4,
+                   "--out-dir", tmp_path / "m") == 0
+        out = tmp_path / "pm"
+        assert run("power-map", "--model", tmp_path / "m" / "model.lampmd", "--out-dir", out) == 2
+        assert error_line(capsys) == "error: predictive power needs at least two patches"
+        assert list(out.iterdir()) == []
+
 
 class TestGappyCommand:
     def test_outputs(self, tmp_path, laminar_path):
@@ -209,6 +246,18 @@ class TestGappyCommand:
                    "--rank", 4, "--coverage", 0.5, "--seed", 1, "--out-dir", out) == 0
         rows = read_rows(out / "loss.csv")
         assert float(rows[0]["pred_loss"]) > 0
+
+    def test_singular_observed_normal_matrix_exits_4(self, tmp_path, laminar_path, capsys):
+        # Seed 0 observes only patch 13, outside the wake: its values are
+        # constant in time, every mode vanishes there to rounding, and the
+        # unridged normal matrix of those pixels fails its Cholesky.
+        out = tmp_path / "gp"
+        assert run("gappy", "--dataset", laminar_path, "--patch-size", 8, "--rank", 4,
+                   "--coverage", 0.07, "--seed", 0, "--ridge-lambda", 0, "--out-dir", out) == 4
+        assert error_line(capsys) == (
+            "error: observed-pixel normal matrix is singular; pass a positive ridge_lambda"
+        )
+        assert list(out.iterdir()) == []
 
 
 class TestCompare:
@@ -331,6 +380,49 @@ class TestMalformedInputs:
                    "--coverage", 0.25, "--sensors-from", path, "--out-dir", out) == 3
         assert str(path) in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "edit, code, line",
+        [
+            (lambda rows: rows[:4], 2, "error: power map {path} has 4 patches, expected 16"),
+            (lambda rows: [{**rows[0], "patch_index": "x"}, *rows[1:]], 3,
+             "error: {path}: not a power-map CSV: invalid literal for int() with base 10: 'x'"),
+        ],
+        ids=["four-rows", "index-not-int"],
+    )
+    def test_short_or_unparsable_power_map(self, tmp_path, laminar_path, trained, capsys,
+                                           edit, code, line):
+        assert run("power-map", "--model", trained, "--out-dir", tmp_path / "pm") == 0
+        rows = edit(read_rows(tmp_path / "pm" / "power.csv"))
+        path = tmp_path / "edited.csv"
+        with open(path, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        out = tmp_path / "x"
+        assert run("reconstruct", "--dataset", laminar_path, "--model", trained,
+                   "--coverage", 0.25, "--sensors-from", path, "--out-dir", out) == code
+        assert error_line(capsys) == line.format(path=path)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, extra, line",
+        [
+            ("reconstruct", ["--coverage", 0.25, "--snr-db", "abc"],
+             "error: invalid --snr-db value: 'abc'"),
+            ("sweep", ["--patch-size", 8, "--latent-dim", 2, "--coverage", "abc"],
+             "error: expected comma-separated numbers, got 'abc'"),
+        ],
+        ids=["reconstruct-snr", "sweep-coverage"],
+    )
+    def test_unparsable_number_exits_2(self, tmp_path, laminar_path, trained, capsys, command,
+                                       extra, line):
+        model = ["--model", trained] if command == "reconstruct" else []
+        out = tmp_path / "x"
+        assert run(command, "--dataset", laminar_path, *model, *extra, "--out-dir", out) == 2
+        assert error_line(capsys) == line
+        assert list(out.iterdir()) == []
 
     def test_non_utf8_power_map_exits_3(self, tmp_path, laminar_path, trained):
         path = tmp_path / "latin1.csv"
@@ -658,6 +750,31 @@ class TestMalformedInputs:
         (tmp_path / "manifest.json").write_text(json.dumps({"command": "generate", "config": config}))
         assert run("rerun", "manifest.json") == 0
         assert (tmp_path / "-gen" / "dataset.lampds").exists()
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "exc, code, line",
+        [
+            (ValidationError("bad value"), 2, "error: bad value"),
+            (MemoryError("no room"), 2, "error: out of memory: no room"),
+            (FormatError("bad file"), 3, "error: bad file"),
+            (OSError("no disk"), 3, "error: no disk"),
+            (NumericalError("no convergence"), 4, "error: no convergence"),
+            (np.linalg.LinAlgError("singular"), 4, "error: singular"),
+        ],
+        ids=["validation", "memory", "format", "os", "numerical", "linalg"],
+    )
+    def test_each_failure_kind_exits_with_its_code(self, tmp_path, monkeypatch, capsys, exc,
+                                                   code, line):
+        def failing(args, out):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_power_map", failing)
+        out = tmp_path / "x"
+        assert run("power-map", "--model", "model.lampmd", "--out-dir", out) == code
+        assert error_line(capsys) == line
+        assert list(out.iterdir()) == []
 
 
 class TestUsage:

@@ -329,10 +329,12 @@ class TestSweepEngine:
         finite_snrs = 2
         assert len(draws) == len(axes.patch_sizes) * finite_snrs * len(axes.coverages) * 3
 
+    @pytest.mark.parametrize("snr", [math.inf, 20.0])
     def test_sweep_and_reconstruct_see_identical_observed_latents(self, small_laminar,
-                                                                  monkeypatch):
+                                                                  monkeypatch, snr):
         # The sweep's latent-space call, then the reconstruct call of its
-        # first-evaluation check: both must get the same observed rows.
+        # first-evaluation check: both must get the same observed rows, with
+        # noise or without.
         observed = []
         real = attention.predict_masked
 
@@ -342,7 +344,7 @@ class TestSweepEngine:
 
         monkeypatch.setattr(metrics, "predict_masked", recording)
         monkeypatch.setattr(attention, "predict_masked", recording)
-        axes = SweepAxes(patch_sizes=(8,), latent_dims=(4,), snr_dbs=(20.0,), coverages=(0.5,))
+        axes = SweepAxes(patch_sizes=(8,), latent_dims=(4,), snr_dbs=(snr,), coverages=(0.5,))
         run_sweep(small_laminar, axes, n_arrangements=1, seed=5)
         assert len(observed) == 2
         assert np.array_equal(observed[0], observed[1])

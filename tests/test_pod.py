@@ -162,6 +162,19 @@ class TestGramKernel:
         with pytest.raises(NumericalError, match="patch 2"):
             fit_patch_pod(rand_series(np.random.default_rng(33)), 2)
 
+    def test_eigh_failure_of_the_stack_alone_keeps_lapack_message(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def stack_fails(a, *args, **kwargs):
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", stack_fails)
+        with pytest.raises(NumericalError) as info:
+            fit_patch_pod(rand_series(np.random.default_rng(34)), 2)
+        assert str(info.value) == "Eigenvalues did not converge, though each matrix passes alone"
+
 
 class TestEncodeDecode:
     def test_basis_column_maps_to_unit_vector(self):
