@@ -16,7 +16,10 @@ Then each step of ``FAILING`` runs, steps that must fail: malformed numbers
 and power maps, singular fits, a one-patch power map, a missing dataset and
 a malformed rerun manifest.  Of each, the exit code and the last ``error:``
 line of stderr (the run directory masked the same way) are compared; the
-lines before it can be warnings, which carry source paths.  It exits 1 and
+lines before it can be warnings, which carry source paths.  Of a differing
+CSV, manifest or ``.lampds`` dataset it prints the largest relative
+difference of its numbers (CSV cells, numeric manifest leaves, the dataset's
+arrays read by ``lamp.formats``), or why they cannot be paired.  It exits 1 and
 lists the differences when any file differs or is missing on one side, a
 step of ``STEPS`` fails, a step of ``FAILING`` exits 0, or a failing step
 differs.  Run it from the repository root; nothing in the working tree is
@@ -34,7 +37,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from bench_pairs import ROOT, _export
+
+sys.path.insert(0, str(ROOT / "src"))
+from lamp.formats import read_dataset  # noqa: E402
 
 LAMINAR = ["--dataset", "laminar/dataset.lampds"]
 CHAOTIC = ["--dataset", "chaotic/dataset.lampds"]
@@ -88,6 +95,9 @@ FAILING = [
     ("fail-gappy-singular", ["gappy", "--dataset", "laminar-1/dataset.lampds", "--patch-size",
                              "8", "--rank", "4", "--coverage", "0.07", "--seed", "0",
                              "--ridge-lambda", "0"]),
+    # The same mask on the seed-7 dataset: LAPACK may pass its Cholesky, the pivot rule does not.
+    ("fail-gappy-singular-7", ["gappy", *LAMINAR, "--patch-size", "8", "--rank", "4",
+                               "--coverage", "0.07", "--seed", "0", "--ridge-lambda", "0"]),
     ("fail-power-one-patch", ["power-map", "--model", "model-one-patch/model.lampmd"]),
     ("fail-missing-dataset", ["train", "--dataset", "missing.lampds", "--patch-size", "8",
                               "--latent-dim", "4"]),
@@ -155,6 +165,54 @@ def outputs(run_dir: Path) -> dict[str, bytes]:
     return files
 
 
+def numbers(path: Path) -> list[float] | None:
+    """The numbers of a CSV, manifest or dataset file, in file order; None for other files."""
+    if path.suffix == ".csv":
+        found = []
+        with open(path, newline="") as handle:
+            for cell in (cell for row in csv.reader(handle) for cell in row):
+                try:
+                    found.append(float(cell))
+                except ValueError:  # a header or a skip reason
+                    pass
+        return found
+    if path.name == "manifest.json":
+        found, stack = [], [json.loads(path.read_text())]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, dict):
+                stack.extend(node[key] for key in sorted(node, reverse=True))
+            elif isinstance(node, list):
+                stack.extend(reversed(node))
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                found.append(float(node))
+        return found
+    if path.suffix == ".lampds":
+        data = read_dataset(path)
+        stats = data.norm_stats
+        arrays = [] if stats is None else [stats.mean, stats.std]
+        return np.concatenate([*arrays, data.data.ravel()]).tolist()
+    return None
+
+
+def largest_relative_difference(base: Path, head: Path) -> str:
+    """How far the numbers of two versions of a file are apart, as one phrase."""
+    try:
+        a, b = numbers(base), numbers(head)
+    except (ValueError, OSError) as exc:  # FormatError, bad JSON or UTF-8 on one side
+        return f"numbers unreadable ({exc})"
+    if a is None:
+        return "no numbers compared"
+    if len(a) != len(b):
+        return f"{len(a)} numbers in base, {len(b)} in head"
+    a, b = np.array(a), np.array(b)
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore"):  # Inf against a finite number reads NaN, then Inf
+        rel = np.where(same, 0.0, np.abs(a - b) / np.maximum(np.abs(a), np.abs(b)))
+    worst = float(np.nan_to_num(rel, nan=np.inf).max(initial=0.0))
+    return f"largest relative difference {worst:.2g} over {len(a)} numbers"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="git revision to compare against")
@@ -170,12 +228,13 @@ def main(argv=None) -> int:
             failures += tree_failures
             failed.append(tree_failed)
         base, head = outputs(base_run), outputs(head_run)
-
-    both = base.keys() & head.keys()
-    differing = sorted(name for name in base.keys() | head.keys() if base.get(name) != head.get(name))
-    for name in differing:
-        print(f"{name}: " + ("differs" if name in both else
-                             "only in base" if name in base else "only in head"))
+        both = base.keys() & head.keys()
+        differing = sorted(name for name in base.keys() | head.keys()
+                           if base.get(name) != head.get(name))
+        for name in differing:
+            print(f"{name}: " + (
+                f"differs, {largest_relative_difference(base_run / name, head_run / name)}"
+                if name in both else "only in base" if name in base else "only in head"))
     failing_differ = [out for out, _ in FAILING if failed[0][out] != failed[1][out]]
     for out in failing_differ:
         print(f"failing step {out}: base {failed[0][out]} != head {failed[1][out]}")

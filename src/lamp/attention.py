@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.blas import dgemm
 
-from .errors import NumericalError, ValidationError, batched
+from .errors import NumericalError, ValidationError, cholesky
 from .patches import (
     MaskSpec,
     NormStats,
@@ -87,8 +87,7 @@ class AttentionModel:
         }
         for name, want in shapes.items():
             freeze(self, name, want)
-        if self.ridge_lambda is not None:
-            check_ridge(self.ridge_lambda)
+        check_ridge(self.ridge_lambda)
         check_positive("error_floor", self.error_floor)
         diag = np.arange(n)
         if not np.array_equal(self.value_maps[diag, diag], np.tile(np.eye(e), (n, 1, 1))):
@@ -131,7 +130,7 @@ def _source_systems(
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """One block of sources' latents z (S, N_e, T), their time means (S, N_e)
     if ``centre`` (z is then centred; else None), and the lower Cholesky
-    factors of z_j z_j^T + lambda_j I, all factored in one batched call.
+    factors of z_j z_j^T + lambda_j I, from one :func:`lamp.errors.cholesky`.
 
     lambda_j is ``ridge_lambda`` or RIDGE_SCALE * max(tr G_j, E) / N_e, with
     G_j the uncentred Gram and E the mean energy over all N patches: the floor
@@ -144,8 +143,7 @@ def _source_systems(
         energy = np.maximum(np.trace(grams, axis1=1, axis2=2), latent.mean_energy)
         lams = RIDGE_SCALE * energy / latent.latent_dim
     else:
-        check_ridge(ridge_lambda)
-        lams = np.full(len(sources), float(ridge_lambda))
+        lams = np.full(len(sources), check_ridge(ridge_lambda))
     z_mean = None
     if centre:
         z_mean = z.mean(axis=2)
@@ -153,7 +151,7 @@ def _source_systems(
         grams = z @ z.transpose(0, 2, 1)
     mats = grams + lams[:, None, None] * np.eye(grams.shape[-1])
     failure = f"{system} of source patch {{}} is singular; pass a positive ridge_lambda"
-    return z, z_mean, batched(np.linalg.cholesky, mats, failure, sources)
+    return z, z_mean, cholesky(mats, failure, sources)
 
 
 def fit_value_tensor(

@@ -267,7 +267,7 @@ def cmd_sweep(args, out: Path) -> tuple[list[str], dict]:
         snr_dbs=_float_list(args.snr_db),
         coverages=_float_list(args.coverage),
     )
-    names = [_sweep_heatmap_name(snr, cov) for snr in axes.snr_dbs for cov in axes.coverages]
+    names = [f"sweep_snr{snr:g}_cov{cov:g}.ppm" for snr in axes.snr_dbs for cov in axes.coverages]
     if len(set(names)) < len(names):
         raise ValidationError(
             "--snr-db or --coverage values equal to 6 significant digits would "
@@ -300,30 +300,14 @@ def cmd_sweep(args, out: Path) -> tuple[list[str], dict]:
         for c in result.cells
         if c.skip_reason
     ]
-    images = _emit_sweep_heatmaps(out, result)
-    return ["sweep.csv", *images], {"cells": len(result.cells), "skipped": skipped}
-
-
-def _sweep_heatmap_name(snr: float, cov: float) -> str:
-    return f"sweep_snr{snr:g}_cov{cov:g}.ppm"
-
-
-def _emit_sweep_heatmaps(out: Path, result: metrics.SweepResult, scale: int = 16) -> list[str]:
-    """One PPM per (snr, coverage): log10 median loss over the (P, N_e) grid."""
-    axes = result.axes
-    files = []
-    for snr in axes.snr_dbs:
-        for cov in axes.coverages:
-            cells = np.full((len(axes.patch_sizes), len(axes.latent_dims)), np.nan)
-            for i, p in enumerate(axes.patch_sizes):
-                for j, ne in enumerate(axes.latent_dims):
-                    c = result.cell(p, ne, snr, cov)
-                    if c.median_pred_loss is not None:
-                        cells[i, j] = math.log10(max(c.median_pred_loss, 1e-300))
-            name = _sweep_heatmap_name(snr, cov)
-            formats.write_heatmap(cells, out / name, scale)
-            files.append(name)
-    return files
+    # One PPM per (SNR, coverage): log10 median loss over the (P, N_e) grid,
+    # a plane of the cells taken in their (P, N_e, SNR, coverage) order.
+    loss = np.array([np.nan if c.median_pred_loss is None else
+                     math.log10(max(c.median_pred_loss, 1e-300)) for c in result.cells])
+    loss = loss.reshape(len(axes.patch_sizes), len(axes.latent_dims), len(names))
+    for plane, name in enumerate(names):
+        formats.write_heatmap(loss[:, :, plane], out / name, 16)
+    return ["sweep.csv", *names], {"cells": len(result.cells), "skipped": skipped}
 
 
 def cmd_power_map(args, out: Path) -> tuple[list[str], dict]:

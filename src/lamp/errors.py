@@ -1,6 +1,7 @@
 """The package's failure contract: its exception types, the CLI exit code of
-each failure (:data:`EXIT_CODES`), and :func:`batched`, which names the
-matrix that a LAPACK call over a stack of matrices failed on.
+each failure (:data:`EXIT_CODES`), and the only handlers of LAPACK's error:
+:func:`batched`, which names the matrix a LAPACK call over a stack failed on,
+and :func:`cholesky`, which factors every ridge system under one singular rule.
 """
 
 import numpy as np
@@ -40,3 +41,18 @@ def batched(op, mats, failure: str, labels=None):
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(failure.format(label)) from exc
         raise NumericalError(f"{stacked}, though each matrix passes alone") from stacked
+
+
+def cholesky(mats, failure: str, labels=None):
+    """Lower Cholesky factors of a stack of ridge systems.  A matrix is singular
+    if its factorization fails or a squared pivot is at most eps * its trace
+    (eps the float64 machine epsilon: rounding); :func:`batched` names the first."""
+
+    def factor(a):
+        lower = np.linalg.cholesky(a)
+        pivot2 = np.diagonal(lower, axis1=-2, axis2=-1).min(axis=-1) ** 2
+        if np.any(pivot2 <= np.finfo(float).eps * np.trace(a, axis1=-2, axis2=-1)):
+            raise np.linalg.LinAlgError("Cholesky pivot at rounding level")
+        return lower
+
+    return batched(factor, mats, failure, labels)

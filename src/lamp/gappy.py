@@ -2,9 +2,11 @@
 
 Reference reconstruction method for head-to-head comparison.  A global POD
 of the (unpatched) training snapshots gives r orthonormal modes, by the same
-Gram-eigh kernel as the patch-wise bases; reconstruction solves a
+Gram-eigh kernel as the patch-wise bases; reconstruction solves a ridge
 least-squares fit of the mode coefficients restricted to the pixels of
-unmasked patches, then evaluates the modes everywhere.
+unmasked patches, then evaluates the modes everywhere.  Its normal matrix is
+factored by :func:`lamp.errors.cholesky`, as the attention fits' are, so it
+is singular by the same rule: a squared pivot at most eps * its trace.
 """
 
 from __future__ import annotations
@@ -12,15 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, cholesky
 from .patches import MaskSpec, PatchGrid, SnapshotSet, check_ridge, freeze, pixel_mask
 from .pod import _leading_modes
 
 #: Relative ridge scale for the observed-pixel normal equations.  Smaller
 #: than the attention module's scale so that full observation reproduces the
-#: plain POD projection to much better than 1e-10.
+#: plain POD projection to much better than 1e-10; above eps * r, so the
+#: default system passes the singular rule for rank r below about 4 500.
 GAPPY_RIDGE_SCALE = 1e-12
 
 
@@ -92,18 +95,12 @@ def reconstruct_gappy(
         )
     phi = model.modes[obs_flat]                       # (n_obs, r)
     gram = phi.T @ phi
-    if ridge_lambda is None:
+    lam = check_ridge(ridge_lambda)
+    if lam is None:
         lam = GAPPY_RIDGE_SCALE * float(np.trace(gram)) / model.rank
-    else:
-        check_ridge(ridge_lambda)
-        lam = float(ridge_lambda)
-    try:
-        factor = cho_factor(gram + lam * np.eye(model.rank))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "observed-pixel normal matrix is singular; pass a positive ridge_lambda"
-        ) from exc
+    failure = "observed-pixel normal matrix is singular; pass a positive ridge_lambda"
+    lower = cholesky((gram + lam * np.eye(model.rank))[None], failure)[0]
     x_obs = fields.data.reshape(fields.snapshots, dim)[:, obs_flat]
-    coeffs = cho_solve(factor, phi.T @ x_obs.T)       # (r, T)
+    coeffs = cho_solve((lower, True), phi.T @ x_obs.T)  # (r, T)
     recon = (model.modes @ coeffs).T.reshape(fields.data.shape)
     return SnapshotSet(recon, norm_stats=fields.norm_stats)

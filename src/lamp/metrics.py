@@ -157,6 +157,8 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's cells, in the product order of its axes: (P, N_e, SNR, coverage)."""
+
     axes: SweepAxes
     cells: tuple[SweepCell, ...] = field(default_factory=tuple)
 
@@ -220,8 +222,7 @@ def run_sweep(
         raise ValidationError("run_sweep expects an unnormalized dataset")
     if n_arrangements < 1:
         raise ValidationError(f"n_arrangements must be at least 1, got {n_arrangements}")
-    if ridge_lambda is not None:
-        check_ridge(ridge_lambda)
+    check_ridge(ridge_lambda)
     check_positive("error_floor", error_floor)
     train_norm, test_norm, test_raw = split_standardized(dataset, split_spec)
     sigma2s = {snr: noise_sigma2(test_raw, snr) for snr in axes.snr_dbs}

@@ -50,9 +50,13 @@ def positive_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
-def check_ridge(ridge_lambda: float) -> None:
+def check_ridge(ridge_lambda: float | None) -> float | None:
+    """An explicit ridge as a float; None, the caller's scale-aware default, as is."""
+    if ridge_lambda is None:
+        return None
     if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
         raise ValidationError(f"ridge_lambda must be finite and nonnegative, got {ridge_lambda}")
+    return float(ridge_lambda)
 
 
 def check_positive(name: str, value: float) -> None:

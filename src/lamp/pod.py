@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, batched
+from .errors import ValidationError, batched
 from .patches import PatchedSeries, PatchGrid, freeze
 
 #: A matrix takes its k retained modes from its Gram only if the k-th Gram
@@ -155,11 +155,9 @@ def _leading_modes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             u[i] = (mats[i] @ vec[i])[:, :-k - 1:-1]
         u /= s[:, None, :]
     for i in np.flatnonzero(~resolved):
-        try:
-            u_i, s_i, _ = np.linalg.svd(mats[i], full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"SVD did not converge for patch {i}") from exc
-        u[i], s[i] = u_i[:, :k], s_i[:k]
+        u_i, s_i, _ = batched(lambda m: np.linalg.svd(m, full_matrices=False), mats[i : i + 1],
+                              "SVD did not converge for patch {}", [i])
+        u[i], s[i] = u_i[0, :, :k], s_i[0, :k]
     return _fix_signs(u), s
 
 

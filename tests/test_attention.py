@@ -500,6 +500,11 @@ class TestSourceBlocks:
 
 
 class TestTrainInSourceBlocks:
+    def test_unnormalized_fields_rejected(self):
+        fields = SnapshotSet(np.random.default_rng(49).standard_normal((12, 8, 8, 1)))
+        with pytest.raises(ValidationError, match=r"^training snapshots must be normalized"):
+            train_attention_model(fields, 4, 2)
+
     def test_ragged_blocks_match_full_fits(self, monkeypatch):
         # N=16 sources in blocks of 3: five full blocks and a ragged one.
         t, side, p, e = 24, 16, 4, 3
@@ -636,6 +641,18 @@ class TestPredictMasked:
         z[1, 2, 0] = bad
         mask = MaskSpec((0, 2), 3)
         with pytest.raises(ValidationError, match="observed latent rows"):
+            predict_masked(model, observed(z, mask), mask)
+
+    def test_overflowing_logit_raises_numerical_error(self):
+        # Small training latents give confidence vectors of norm ~1e3, so a
+        # finite observed latent near the float64 maximum overflows a logit.
+        rng = np.random.default_rng(27)
+        model = model_from_latents(1e-3 * rng.standard_normal((20, 3, 4)))
+        mask = MaskSpec((0, 2), 3)
+        z = np.zeros((1, 3, 4))
+        z[0, 0] = 1e308 * np.sign(model.attn_vectors[1, 0])
+        assert np.abs(model.attn_vectors[1, 0]).sum() > np.finfo(float).max / 1e308
+        with pytest.raises(NumericalError, match="^non-finite attention logit encountered$"):
             predict_masked(model, observed(z, mask), mask)
 
     @pytest.mark.parametrize(

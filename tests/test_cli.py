@@ -1,5 +1,6 @@
 import argparse
 import csv
+import itertools
 import json
 import math
 import struct
@@ -12,7 +13,7 @@ from lamp import (
     normalize, read_dataset, read_model, split, synthetic, train_attention_model, write_dataset,
     write_model,
 )
-from lamp import cli
+from lamp import cli, formats
 from lamp.cli import _seed, build_parser, main
 from lamp.formats import DATASET_MAGIC, MODEL_MAGIC, model_nbytes
 
@@ -189,6 +190,40 @@ class TestSweepAndRerun:
         for ppm in sorted(out.glob("*.ppm")):
             assert ppm.read_bytes() == (out2 / ppm.name).read_bytes()
 
+    def test_heatmap_planes_are_the_cells_of_each_snr_and_coverage(self, tmp_path, laminar_path,
+                                                                   monkeypatch):
+        def fake_sweep(raw, axes, **kwargs):  # distinct losses and one skipped cell
+            coords = itertools.product(axes.patch_sizes, axes.latent_dims, axes.snr_dbs,
+                                       axes.coverages)
+            return metrics.SweepResult(axes, tuple(
+                metrics.SweepCell(*c, None if i == 5 else 10.0 ** (i % 7 - 3), 0.0, 0.0, 2, 0)
+                for i, c in enumerate(coords)
+            ))
+
+        monkeypatch.setattr(metrics, "run_sweep", fake_sweep)
+        out = tmp_path / "sweep"
+        assert run("sweep", "--dataset", laminar_path, "--patch-size", "16,8",
+                   "--latent-dim", "4,2,3", "--snr-db", "inf,20", "--coverage", "0.5,0.25",
+                   "--out-dir", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == [
+            "sweep.csv", "sweep_snr20_cov0.25.ppm", "sweep_snr20_cov0.5.ppm",
+            "sweep_snrinf_cov0.25.ppm", "sweep_snrinf_cov0.5.ppm",
+        ]
+        axes = metrics.SweepAxes((16, 8), (4, 2, 3), (math.inf, 20.0), (0.5, 0.25))
+        result = fake_sweep(None, axes)
+        for snr in axes.snr_dbs:
+            for cov in axes.coverages:
+                plane = np.full((2, 3), np.nan)
+                for i, p in enumerate(axes.patch_sizes):
+                    for j, ne in enumerate(axes.latent_dims):
+                        loss = result.cell(p, ne, snr, cov).median_pred_loss
+                        plane[i, j] = np.nan if loss is None else math.log10(loss)
+                want = tmp_path / "want.ppm"
+                formats.write_heatmap(plane, want, 16)
+                got = out / f"sweep_snr{snr:g}_cov{cov:g}.ppm"
+                assert got.read_bytes() == want.read_bytes(), got.name
+
     def test_skipped_cells_recorded(self, tmp_path, laminar_path):
         out = tmp_path / "skip"
         assert run("sweep", "--dataset", laminar_path, "--patch-size", "5,8",
@@ -258,6 +293,22 @@ class TestGappyCommand:
             "error: observed-pixel normal matrix is singular; pass a positive ridge_lambda"
         )
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("generator_seed", [1, 7])
+    def test_singular_verdict_does_not_hang_on_rounding(self, tmp_path, capsys, generator_seed):
+        # Both datasets give the observed patch a 4x4 normal matrix with
+        # eigenvalues from -1e-69 to 3e-37.  Whether LAPACK's Cholesky fails
+        # on it is rounding (with OpenBLAS seed 7's passed, and its solve read
+        # pred_loss ~1e29); a squared pivot at most eps * trace fails both.
+        data = tmp_path / "laminar.lampds"
+        write_dataset(generate(FlowSpec("laminar-surrogate", 32, 32, 80, seed=generator_seed)),
+                      data)
+        out = tmp_path / "gp"
+        assert run("gappy", "--dataset", data, "--patch-size", 8, "--rank", 4,
+                   "--coverage", 0.07, "--seed", 0, "--ridge-lambda", 0, "--out-dir", out) == 4
+        assert error_line(capsys) == (
+            "error: observed-pixel normal matrix is singular; pass a positive ridge_lambda"
+        )
 
 
 class TestCompare:
@@ -734,6 +785,31 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert str(path) in err and (key is None or repr(key) in err)
         assert not (tmp_path / "x").exists()
+
+    def test_rerun_manifest_without_config_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "power-map"}))
+        assert run("rerun", path, "--out-dir", tmp_path / "x") == 3
+        assert error_line(capsys) == f"error: {path}: manifest missing 'config'"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "geometry, message",
+        [
+            ((32, 32, 2, 5, 4, 1), "patch size 5 does not divide field 32x32"),
+            ((32, 32, 2, 8, 0, 1), "latent dimension 0 out of range for D=128"),
+            ((32, 32, 2, 8, 129, 1), "latent dimension 129 out of range for D=128"),
+            ((32, 32, 2, 8, 4, 2), "invalid intercept flag 2"),
+        ],
+        ids=["patch-not-dividing", "latent-zero", "latent-above-D", "intercept-flag-2"],
+    )
+    def test_invalid_model_header_exits_3(self, tmp_path, capsys, geometry, message):
+        # The header alone: each check comes before the file size is compared.
+        path = tmp_path / "crafted.lampmd"
+        path.write_bytes(MODEL_MAGIC + struct.pack("<5IB2d", *geometry, 1e-8, 1e-12))
+        assert run("power-map", "--model", path, "--out-dir", tmp_path / "pm") == 3
+        assert error_line(capsys) == f"error: {path}: {message}"
+        assert list((tmp_path / "pm").iterdir()) == []
 
     def test_rerun_rejects_string_switch_before_training(self, tmp_path, laminar_path):
         # bool("false") is True: read loosely, this replay would train with the intercept.

@@ -3,6 +3,7 @@ import pytest
 
 from lamp import (
     MaskSpec,
+    NumericalError,
     SnapshotSet,
     ValidationError,
     fit_gappy,
@@ -73,6 +74,16 @@ class TestFitGappy:
         for j in range(3):
             col = a.modes[:, j]
             assert col[np.argmax(np.abs(col))] >= 0.0
+
+    def test_eigh_failure_names_the_global_pod(self, monkeypatch):
+        def failing(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        fields = fields_of_rank(np.random.default_rng(9), 10, 4, 4, 2, rank=3)
+        with pytest.raises(NumericalError,
+                           match="^POD of the global snapshot matrix did not converge$"):
+            fit_gappy(fields, 2)
 
 
 class TestReconstructGappy:

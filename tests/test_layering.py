@@ -188,3 +188,39 @@ def test_only_formats_handles_file_layouts(module):
 def test_file_layout_guard_catches_a_planted_bypass(planted):
     source = (PACKAGE / "cli.py").read_text() + "\n\n" + planted + "\n"
     assert file_layout_offenders(source)
+
+
+def lapack_handler_offenders(source: str) -> list[str]:
+    """Lines of ``except`` clauses that name ``LinAlgError``, alone or in a tuple."""
+    return [
+        f"except at line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for name in ast.walk(node.type)
+        if (isinstance(name, ast.Attribute) and name.attr == "LinAlgError")
+        or (isinstance(name, ast.Name) and name.id == "LinAlgError")
+    ]
+
+
+@pytest.mark.parametrize("module", sorted((set(ALLOWED) | FACADES) - {"errors"}))
+def test_only_errors_catches_lapack_failures(module):
+    """Every factorization goes through ``errors.batched`` or ``errors.cholesky``."""
+    offenders = lapack_handler_offenders((PACKAGE / f"{module}.py").read_text())
+    assert not offenders, f"{module}.py: {offenders}"
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        "try:\n    pass\nexcept np.linalg.LinAlgError:\n    pass",
+        "try:\n    pass\nexcept (ValueError, LinAlgError) as exc:\n    pass",
+    ],
+    ids=["attribute", "tuple-name"],
+)
+def test_lapack_handler_guard_catches_a_planted_handler(planted):
+    source = (PACKAGE / "gappy.py").read_text() + "\n\n" + planted + "\n"
+    assert lapack_handler_offenders(source)
+
+
+def test_errors_is_where_lapack_failures_are_caught():
+    assert lapack_handler_offenders((PACKAGE / "errors.py").read_text())

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -190,6 +191,21 @@ class TestRunSweep:
         assert skipped[0].patch_size == 7
         assert "divide" in skipped[0].skip_reason
         assert result.cell(16, 4, math.inf, 0.5).median_pred_loss is not None
+
+    def test_cells_in_product_order_of_the_axes(self, laminar_fields):
+        axes = SweepAxes(patch_sizes=(32, 16), latent_dims=(2, 4), snr_dbs=(20.0, math.inf),
+                         coverages=(0.5, 0.25))
+        result = run_sweep(laminar_fields, axes, n_arrangements=1, seed=0)
+        coords = [(c.patch_size, c.latent_dim, c.snr_db, c.coverage) for c in result.cells]
+        assert coords == list(itertools.product(axes.patch_sizes, axes.latent_dims,
+                                                axes.snr_dbs, axes.coverages))
+
+    def test_cell_off_the_axes_is_a_key_error(self, laminar_fields):
+        axes = SweepAxes(patch_sizes=(16,), latent_dims=(4,), coverages=(0.5,))
+        result = run_sweep(laminar_fields, axes, n_arrangements=2, seed=0)
+        assert result.cell(16, 4, math.inf, 0.5) is result.cells[0]
+        with pytest.raises(KeyError):
+            result.cell(16, 4, math.inf, 0.25)
 
     def test_oversized_latent_dim_skipped(self, laminar_fields):
         axes = SweepAxes(patch_sizes=(16,), latent_dims=(4, 10_000), coverages=(0.5,))

@@ -175,6 +175,21 @@ class TestGramKernel:
             fit_patch_pod(rand_series(np.random.default_rng(34)), 2)
         assert str(info.value) == "Eigenvalues did not converge, though each matrix passes alone"
 
+    def test_svd_fallback_failure_names_the_patch(self, monkeypatch):
+        series = rand_series(np.random.default_rng(35))
+        vals = series.values.copy()
+        vals[:, 2] *= 1e-60                         # only patch 2 takes the SVD
+        calls = []
+
+        def failing(a, *args, **kwargs):
+            calls.append(a.shape)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(NumericalError, match="^SVD did not converge for patch 2$"):
+            fit_patch_pod(PatchedSeries(series.grid, vals), 2)
+        assert calls == [(1, 8, 12), (8, 12)]      # the one-patch stack, then the patch alone
+
 
 class TestEncodeDecode:
     def test_basis_column_maps_to_unit_vector(self):
