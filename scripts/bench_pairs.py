@@ -11,8 +11,11 @@ with the same seed (seeds ``--seed`` .. ``--seed + pairs - 1``);
 the order inside a pair alternates, so slow drift of the machine does not
 favour either side.  For every end-to-end metric of ``BENCHMARK.json`` it
 prints the medians and quartiles of both sides, the parent's interquartile
-range, the relative change of the medians and in how many pairs the working
-tree was better.  It exits 1 when any run of either side is not correct or
+range, the relative change of the medians, in how many pairs the working
+tree was better, and a verdict against the metric's ``bound`` (see
+:func:`verdict`): ``worse``, ``unresolved`` or ``ok``, then ``, gain`` when
+the working tree wins at least 9 of every 10 pairs by more than the parent's
+interquartile range.  It exits 1 when any run of either side is not correct or
 has failed operations, and names those runs' seeds.  Run it from the
 repository root; nothing under ``perfbench/`` is modified.
 """
@@ -64,7 +67,32 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             **{k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def _summary(name: str, better: str, base: list[float], head: list[float]) -> str:
+def verdict(better: str, bound: float, base: list[float], head: list[float]) -> str:
+    """The label a metric earns against its relative ``bound``.
+
+    ``worse``: the head's median is worse than the base's by more than the
+    bound.  ``unresolved``: not worse, but the base's IQR exceeds bound times
+    its median and not every head run beats every base run.  ``ok``: neither.
+    ``, gain`` follows when the head wins at least 9 of every 10 pairs (ties
+    count for neither side) and its median is better by more than the base's
+    IQR.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # sign * value is lower when better
+    b, h = sign * np.array(base), sign * np.array(head)
+    bq1, bmed, bq3 = np.percentile(b, [25, 50, 75])
+    hmed = np.median(h)
+    if hmed - bmed > bound * abs(bmed):
+        label = "worse"
+    elif bq3 - bq1 > bound * abs(bmed) and not h.max() < b.min():
+        label = "unresolved"
+    else:
+        label = "ok"
+    if 10 * np.sum(h < b) >= 9 * len(b) and bmed - hmed > bq3 - bq1:
+        label += ", gain"
+    return label
+
+
+def _summary(name: str, better: str, bound: float, base: list[float], head: list[float]) -> str:
     b, h = np.array(base), np.array(head)
     bq1, bmed, bq3 = np.percentile(b, [25, 50, 75])
     hq1, hmed, hq3 = np.percentile(h, [25, 50, 75])
@@ -72,7 +100,8 @@ def _summary(name: str, better: str, base: list[float], head: list[float]) -> st
     change = (hmed - bmed) / bmed * 100 if bmed else float("nan")
     return (f"{name:<16} base {bmed:11.4g} [{bq1:.4g}, {bq3:.4g}] IQR {bq3 - bq1:.4g}   "
             f"head {hmed:11.4g} [{hq1:.4g}, {hq3:.4g}]   {change:+6.1f} %   "
-            f"wins {wins}/{len(b)} ({better} is better)")
+            f"wins {wins}/{len(b)} ({better} is better)   "
+            f"{verdict(better, bound, base, head)}")
 
 
 def main(argv=None) -> int:
@@ -107,7 +136,7 @@ def main(argv=None) -> int:
           f"seeds {args.seed}..{args.seed + args.pairs - 1}; medians [quartiles]")
     for metric in spec["end_to_end"]:
         name = metric["name"]
-        print(_summary(name, metric["better"], [r[name] for r in runs["base"]],
+        print(_summary(name, metric["better"], metric["bound"], [r[name] for r in runs["base"]],
                        [r[name] for r in runs["head"]]))
     bad_runs = 0
     for side in ("base", "head"):

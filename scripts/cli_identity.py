@@ -10,8 +10,13 @@ relative to it: generate (laminar and chaotic, 32x32), train, reconstruct
 (SNR inf and 20, with and without copy-through, with ``--sensors-from``),
 a small sweep, power-map, place-sensors, gappy, compare (with
 ``--place-sensors`` and with ``--rank``), and then a rerun of every
-manifest.  Every output file is compared byte for byte; a ``manifest.json``
-is compared after the run directory's path is replaced by a placeholder.
+manifest.  Then ``SWEEPS`` runs the ``sweep-laminar`` benchmark's sweep
+(64x64, T=160, 36 cells, 25 arrangements) on its input sets 0, 3, 7 and 11,
+with the benchmark's seeds, once with copy-through and once without.  Every
+output file is compared byte for byte; a ``manifest.json`` is compared after
+the run directory's path is replaced by a placeholder, and each differing
+cell of a ``sweep.csv`` is printed with its coordinates, both
+``median_pred_loss`` values and their relative change.
 Then each step of ``FAILING`` runs, steps that must fail: malformed numbers
 and power maps, singular fits, a one-patch power map, a missing dataset and
 a malformed rerun manifest.  Of each, the exit code and the last ``error:``
@@ -23,7 +28,8 @@ arrays read by ``lamp.formats``), or why they cannot be paired.  It exits 1 and
 lists the differences when any file differs or is missing on one side, a
 step of ``STEPS`` fails, a step of ``FAILING`` exits 0, or a failing step
 differs.  Run it from the repository root; nothing in the working tree is
-modified.
+modified.  It takes about 75 s on a 2-vCPU VM with OpenBLAS at 1 thread, most
+of it in the sixteen benchmark sweeps.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from lamp.formats import read_dataset  # noqa: E402
 LAMINAR = ["--dataset", "laminar/dataset.lampds"]
 CHAOTIC = ["--dataset", "chaotic/dataset.lampds"]
 EVAL = ["--coverage", "0.25", "--seed", "3"]
+COORDINATES = ["patch_size", "latent_dim", "snr_db", "coverage"]  # the key of a sweep.csv row
 
 #: (output directory, lamp arguments); each step writes into its own directory.
 STEPS = [
@@ -79,6 +86,33 @@ STEPS = [
                    "--snapshots", "80", "--seed", "1"]),
     ("model-one-patch", ["train", *LAMINAR, "--patch-size", "32", "--latent-dim", "4"]),
 ]
+
+
+def derive(k: int, j: int) -> int:
+    """Seed ``j`` of input set ``k``, derived as the benchmark derives its inputs."""
+    return int(np.random.SeedSequence([k, j]).generate_state(1)[0])
+
+
+def sweep_steps() -> list[tuple[str, list[str]]]:
+    """The ``sweep-laminar`` benchmark's sweep on its input sets 0, 3, 7 and 11,
+    each with copy-through on and off."""
+    axes = ["--patch-size", "8,16,32", "--latent-dim", "2,4,8", "--snr-db", "inf,30,20,10",
+            "--coverage", "0.1", "--arrangements", "25"]
+    steps = []
+    for k in (0, 3, 7, 11):
+        steps.append((f"laminar64-{k}", ["generate", "--kind", "laminar-surrogate", "--height",
+                                         "64", "--width", "64", "--snapshots", "160",
+                                         "--seed", str(derive(k, 0))]))
+        for suffix, flags in (("", []), ("-nocopy", ["--no-copy-through"])):
+            steps.append((f"sweep64-{k}{suffix}", ["sweep", "--dataset",
+                                                   f"laminar64-{k}/dataset.lampds", *axes,
+                                                   "--seed", str(derive(k, 1)), *flags]))
+    return steps
+
+
+#: (output directory, lamp arguments) of the benchmark sweeps, run after
+#: ``STEPS`` and their reruns and not rerun themselves.
+SWEEPS = sweep_steps()
 
 #: (output directory, lamp arguments) of steps that must fail, run after
 #: ``STEPS`` and after :func:`write_malformed_inputs`.
@@ -123,10 +157,11 @@ def write_malformed_inputs(run_dir: Path) -> None:
 
 
 def run_script(tree: Path, run_dir: Path) -> tuple[list[str], dict[str, tuple[int, str]]]:
-    """Run every step, then a rerun of each step's manifest, then the failing steps.
+    """Run every step, then a rerun of each step's manifest, then the benchmark
+    sweeps, then the failing steps.
 
-    Returns the failures of the first two and, for each failing step, its exit
-    code and its last ``error:`` line.
+    Returns the failures of all but the failing steps and, for each failing
+    step, its exit code and its last ``error:`` line.
     """
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
 
@@ -137,6 +172,7 @@ def run_script(tree: Path, run_dir: Path) -> tuple[list[str], dict[str, tuple[in
     steps = [(out, [*argv, "--out-dir", out]) for out, argv in STEPS]
     steps += [(f"rerun-{out}", ["rerun", f"{out}/manifest.json", "--out-dir", f"rerun-{out}"])
               for out, _ in STEPS]
+    steps += [(out, [*argv, "--out-dir", out]) for out, argv in SWEEPS]
     failures = []
     for out, argv in steps:
         proc = lamp(argv)
@@ -213,6 +249,31 @@ def largest_relative_difference(base: Path, head: Path) -> str:
     return f"largest relative difference {worst:.2g} over {len(a)} numbers"
 
 
+def sweep_cell_differences(base: Path, head: Path) -> list[str]:
+    """One line per differing cell of two ``sweep.csv`` files: its coordinates,
+    both ``median_pred_loss`` values and their relative change."""
+
+    def cells(path):
+        with open(path, newline="") as handle:
+            return {tuple(row[k] for k in COORDINATES): row for row in csv.DictReader(handle)}
+
+    a, b = cells(base), cells(head)
+    lines = []
+    for key in [*a, *(key for key in b if key not in a)]:
+        if a.get(key) == b.get(key):
+            continue
+        where = ", ".join(f"{name}={value}" for name, value in zip(COORDINATES, key))
+        if key not in a or key not in b:
+            lines.append(f"  cell {where}: only in {'base' if key in a else 'head'}")
+            continue
+        old, new = a[key]["median_pred_loss"], b[key]["median_pred_loss"]
+        change = (f"{(float(new) - float(old)) / abs(float(old)):+.2g}"
+                  if old and new and float(old) else "n/a")
+        lines.append(f"  cell {where}: median_pred_loss {old or 'none'} (base) "
+                     f"{new or 'none'} (head), relative change {change}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="git revision to compare against")
@@ -235,6 +296,9 @@ def main(argv=None) -> int:
             print(f"{name}: " + (
                 f"differs, {largest_relative_difference(base_run / name, head_run / name)}"
                 if name in both else "only in base" if name in base else "only in head"))
+            if name in both and Path(name).name == "sweep.csv":
+                for line in sweep_cell_differences(base_run / name, head_run / name):
+                    print(line)
     failing_differ = [out for out, _ in FAILING if failed[0][out] != failed[1][out]]
     for out in failing_differ:
         print(f"failing step {out}: base {failed[0][out]} != head {failed[1][out]}")

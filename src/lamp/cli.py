@@ -96,8 +96,8 @@ def _split_spec(args) -> SplitSpec:
     return SplitSpec(args.train_fraction, args.test_fraction, args.gap_fraction)
 
 
-def _config(args, skip=("command",)) -> dict:
-    return {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k not in skip}
+def _config(args) -> dict:
+    return {k: _jsonable(v) for k, v in sorted(vars(args).items()) if k != "command"}
 
 
 def _load_raw(path: str) -> SnapshotSet:

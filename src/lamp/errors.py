@@ -21,8 +21,7 @@ class NumericalError(RuntimeError):
 
 #: The CLI exit code of each failure: 2 validation (out of memory exits like a
 #: request over ``--budget-bytes``), 3 I/O or file format, 4 numerical.
-EXIT_CODES = {ValidationError: 2, MemoryError: 2, FormatError: 3, OSError: 3,
-              NumericalError: 4, np.linalg.LinAlgError: 4}
+EXIT_CODES = {ValidationError: 2, MemoryError: 2, FormatError: 3, OSError: 3, NumericalError: 4}
 
 
 def batched(op, mats, failure: str, labels=None):

@@ -29,16 +29,14 @@ GAPPY_RIDGE_SCALE = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class GappyPodModel:
-    """Global POD modes (H*W*C x r, orthonormal columns) and their scales."""
+    """Global POD modes (H*W*C x r, orthonormal columns)."""
 
     modes: np.ndarray
-    singular_values: np.ndarray
 
     def __post_init__(self):
         if np.ndim(self.modes) != 2:
             raise ValidationError(f"gappy modes must be (H*W*C, r), got {np.shape(self.modes)}")
-        modes = freeze(self, "modes", finite=False)
-        freeze(self, "singular_values", (modes.shape[1],), finite=False)
+        freeze(self, "modes", finite=False)
 
     @property
     def rank(self) -> int:
@@ -60,10 +58,10 @@ def fit_gappy(train: SnapshotSet, rank: int) -> GappyPodModel:
         )
     snapshots = train.data.reshape(1, t, dim).transpose(0, 2, 1)  # columns are snapshots
     try:
-        u, s = _leading_modes(snapshots, rank)
+        u, _ = _leading_modes(snapshots, rank)
     except NumericalError as exc:
         raise NumericalError("POD of the global snapshot matrix did not converge") from exc
-    return GappyPodModel(u[0], s[0])
+    return GappyPodModel(u[0])
 
 
 def reconstruct_gappy(

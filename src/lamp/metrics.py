@@ -11,7 +11,7 @@ import itertools
 import math
 import struct
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,19 +159,7 @@ class SweepCell:
 class SweepResult:
     """A sweep's cells, in the product order of its axes: (P, N_e, SNR, coverage)."""
 
-    axes: SweepAxes
-    cells: tuple[SweepCell, ...] = field(default_factory=tuple)
-
-    def cell(self, patch_size: int, latent_dim: int, snr_db: float, coverage: float) -> SweepCell:
-        for c in self.cells:
-            if (
-                c.patch_size == patch_size
-                and c.latent_dim == latent_dim
-                and c.snr_db == snr_db
-                and c.coverage == coverage
-            ):
-                return c
-        raise KeyError((patch_size, latent_dim, snr_db, coverage))
+    cells: tuple[SweepCell, ...]
 
 
 def derive_seed(*keys: int) -> int:
@@ -267,7 +255,7 @@ def run_sweep(
                 noise_variance_normalized(sigma2s[snr], train_norm.norm_stats),
             )
             cells.append(SweepCell(p, ne, snr, cov, *measured, n_arrangements, seed, reason))
-    return SweepResult(axes=axes, cells=tuple(cells))
+    return SweepResult(tuple(cells))
 
 
 #: Largest relative gap allowed between a latent-space loss and the same

@@ -59,6 +59,15 @@ def criterion(num, desc):
     print(f"ACCEPTANCE {num:02d} PASS: {desc}")
 
 
+#: The shared laminar sweep: P x N_e x SNR at 10% coverage.
+LAMINAR_AXES = SweepAxes(
+    patch_sizes=(8, 16, 32),
+    latent_dims=(2, 4, 8),
+    snr_dbs=(math.inf, 30.0, 20.0, 10.0),
+    coverages=(0.1,),
+)
+
+
 @pytest.fixture(scope="module")
 def laminar():
     """The laminar surrogate: H=W=64, C=2, T=160, six harmonics."""
@@ -68,13 +77,7 @@ def laminar():
 @pytest.fixture(scope="module")
 def laminar_sweep(laminar):
     """Shared sweep over P x N_e x SNR at 10% coverage, 25 arrangements."""
-    axes = SweepAxes(
-        patch_sizes=(8, 16, 32),
-        latent_dims=(2, 4, 8),
-        snr_dbs=(math.inf, 30.0, 20.0, 10.0),
-        coverages=(0.1,),
-    )
-    return run_sweep(laminar, axes, n_arrangements=25, seed=0)
+    return run_sweep(laminar, LAMINAR_AXES, n_arrangements=25, seed=0)
 
 
 def test_01_pod_exactness_and_monotonicity(laminar):
@@ -120,7 +123,8 @@ def test_02_regression_oracle_equivalence():
 def test_03_masked_reconstruction_floor(laminar_sweep):
     desc = "10%-coverage noise-free median loss sits near the compression floor"
     with criterion(3, desc):
-        cell = laminar_sweep.cell(16, 8, math.inf, 0.1)
+        cells = {(c.patch_size, c.latent_dim, c.snr_db, c.coverage): c for c in laminar_sweep.cells}
+        cell = cells[16, 8, math.inf, 0.1]
         assert cell.median_pred_loss <= 10.0 * cell.ae_loss
         assert cell.median_pred_loss <= 1e-4
     print(
@@ -151,11 +155,15 @@ def test_04_denoising_below_noise_variance(laminar_sweep):
 def test_05_noise_shifts_optimum_toward_lower_latent_dim(laminar_sweep):
     desc = "at 10 dB the best latent dimension is no larger than the noise-free one"
     with criterion(5, desc):
-        dims = laminar_sweep.axes.latent_dims
+        dims = LAMINAR_AXES.latent_dims
+        cells = {
+            (c.latent_dim, c.snr_db): c
+            for c in laminar_sweep.cells
+            if c.patch_size == 16 and c.coverage == 0.1
+        }
 
         def argmin_dim(snr):
-            cells = [laminar_sweep.cell(16, ne, snr, 0.1) for ne in dims]
-            return dims[int(np.argmin([c.median_pred_loss for c in cells]))]
+            return dims[int(np.argmin([cells[ne, snr].median_pred_loss for ne in dims]))]
 
         noisy, clean = argmin_dim(10.0), argmin_dim(math.inf)
         assert noisy <= clean

@@ -50,8 +50,8 @@ TYPES = {
     ),
     "GappyPodModel": (
         GappyPodModel,
-        lambda: {"modes": np.eye(8, E), "singular_values": np.ones(E)},
-        ("modes", "singular_values"),
+        lambda: {"modes": np.eye(8, E)},
+        ("modes",),
     ),
     "PowerMap": (lambda **a: PowerMap(GRID, **a), lambda: {"values": np.arange(N, dtype=float)}, ()),
 }

@@ -224,3 +224,67 @@ def test_lapack_handler_guard_catches_a_planted_handler(planted):
 
 def test_errors_is_where_lapack_failures_are_caught():
     assert lapack_handler_offenders((PACKAGE / "errors.py").read_text())
+
+
+#: The only ``scipy.linalg`` names the package may import; both report bad
+#: input as ``ValueError``, never as ``LinAlgError``.
+SCIPY_LINALG = {"scipy.linalg.cho_solve", "scipy.linalg.blas.dgemm"}
+
+
+def lapack_call_offenders(source: str) -> list[str]:
+    """``np.linalg`` outside the op of a ``batched(...)`` call, and imports that
+    reach LAPACK some other way: so no ``LinAlgError`` can leave the package
+    and :data:`lamp.errors.EXIT_CODES` needs no entry for it."""
+    tree = ast.parse(source)
+    ops = set()  # nodes of a batched call's op: the np.linalg routine itself or a lambda
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "batched" and isinstance(node.args[0], (ast.Attribute, ast.Lambda)):
+                ops.update(map(id, ast.walk(node.args[0])))
+    offenders = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                and id(node) not in ops):
+            offenders.append(f"np.linalg at line {node.lineno}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            for alias in node.names:
+                dotted = prefix + alias.name
+                if dotted.startswith("numpy.linalg") or dotted == "scipy" or (
+                    dotted.startswith("scipy.linalg") and dotted not in SCIPY_LINALG
+                ):
+                    offenders.append(f"import of {dotted} at line {node.lineno}")
+    return offenders
+
+
+@pytest.mark.parametrize("module", sorted((set(ALLOWED) | FACADES) - {"errors"}))
+def test_lapack_is_called_only_through_batched(module):
+    """Outside ``errors.py``, every LAPACK call is the op of ``errors.batched``."""
+    offenders = lapack_call_offenders((PACKAGE / f"{module}.py").read_text())
+    assert not offenders, f"{module}.py: {offenders}"
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        "np.linalg.solve(a, b)",
+        "from scipy.linalg import cho_factor",
+        'lam = batched(np.linalg.eigh(gram), gram, "failed {}")',
+        "import scipy.linalg",
+        "from numpy import linalg",
+    ],
+    ids=["module-body", "cho-factor", "evaluated-op", "import-scipy-linalg", "import-numpy-linalg"],
+)
+def test_lapack_call_guard_catches_a_planted_bypass(planted):
+    source = (PACKAGE / "pod.py").read_text() + "\n\n" + planted + "\n"
+    assert lapack_call_offenders(source)
+
+
+def test_pod_calls_lapack_only_as_the_op_of_batched():
+    """pod's Gram eigh and SVD fallback pass only because ``batched`` runs them."""
+    source = (PACKAGE / "pod.py").read_text()
+    assert not lapack_call_offenders(source)
+    assert len(lapack_call_offenders(source.replace("batched(", "apply("))) == 2
