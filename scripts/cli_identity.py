@@ -18,18 +18,19 @@ the run directory's path is replaced by a placeholder, and each differing
 cell of a ``sweep.csv`` is printed with its coordinates, both
 ``median_pred_loss`` values and their relative change.
 Then each step of ``FAILING`` runs, steps that must fail: malformed numbers
-and power maps, singular fits, a one-patch power map, a missing dataset and
-a malformed rerun manifest.  Of each, the exit code and the last ``error:``
-line of stderr (the run directory masked the same way) are compared; the
-lines before it can be warnings, which carry source paths.  Of a differing
-CSV, manifest or ``.lampds`` dataset it prints the largest relative
-difference of its numbers (CSV cells, numeric manifest leaves, the dataset's
-arrays read by ``lamp.formats``), or why they cannot be paired.  It exits 1 and
-lists the differences when any file differs or is missing on one side, a
-step of ``STEPS`` fails, a step of ``FAILING`` exits 0, or a failing step
-differs.  Run it from the repository root; nothing in the working tree is
-modified.  It takes about 75 s on a 2-vCPU VM with OpenBLAS at 1 thread, most
-of it in the sixteen benchmark sweeps.
+and power maps, a power map over another grid, singular fits, a one-patch
+power map, a missing dataset and a malformed rerun manifest.  Of each, the
+exit code and the last ``error:`` line of stderr (the run directory masked
+the same way) are compared; the lines before it can be warnings, which carry
+source paths.  Of a differing CSV, manifest or ``.lampds`` dataset it
+prints the largest relative difference of its numbers (CSV cells, numeric
+manifest leaves, the dataset's arrays read by ``lamp.formats``), or why they
+cannot be paired.  It exits 1 and lists the differences when any file
+differs or is missing on one side, a step of ``STEPS`` fails, a step of
+``FAILING`` exits 0, or a failing step differs.  Run it from the repository
+root; nothing in the working tree is modified.  It takes about 75 s on a
+2-vCPU VM with OpenBLAS at 1 thread, most of it in the sixteen benchmark
+sweeps.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ FAILING = [
                          "--sensors-from", "power-4-rows.csv"]),
     ("fail-power-index", ["reconstruct", *CHAOTIC, "--model", "model-chaotic/model.lampmd",
                           *EVAL, "--sensors-from", "power-bad-index.csv"]),
+    ("fail-power-grid", ["reconstruct", *CHAOTIC, "--model", "model-chaotic/model.lampmd",
+                         *EVAL, "--sensors-from", "power-4x16-grid.csv"]),
     # Seed 0 observes one patch outside the wake, whose modes vanish to rounding.
     ("fail-gappy-singular", ["gappy", "--dataset", "laminar-1/dataset.lampds", "--patch-size",
                              "8", "--rank", "4", "--coverage", "0.07", "--seed", "0",
@@ -146,7 +149,10 @@ def write_malformed_inputs(run_dir: Path) -> None:
     with open(run_dir / "power" / "power.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     edits = {"power-4-rows.csv": rows[:4],
-             "power-bad-index.csv": [{**rows[0], "patch_index": "x"}, *rows[1:]]}
+             "power-bad-index.csv": [{**rows[0], "patch_index": "x"}, *rows[1:]],
+             # The 64 patches of the 8x8 model grid, placed as on a 4x16 grid.
+             "power-4x16-grid.csv": [{**row, "row": i // 16, "col": i % 16}
+                                     for i, row in enumerate(rows)]}
     for name, edited in edits.items():
         with open(run_dir / name, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=list(rows[0]))

@@ -292,7 +292,8 @@ def write_patch_map(values: np.ndarray, grid: PatchGrid, path: str | Path) -> No
 
 
 def read_patch_map(path: str | Path, grid: PatchGrid) -> np.ndarray:
-    """The (N,) values of a patch map, placed by ``patch_index``."""
+    """The (N,) values of a patch map, placed by ``patch_index``; its ``row`` and
+    ``col`` columns, if it has them, must be those of ``grid``."""
     n = grid.n_patches
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -308,12 +309,15 @@ def read_patch_map(path: str | Path, grid: PatchGrid) -> np.ndarray:
     try:
         indices = [int(row["patch_index"]) for row in rows]
         values = [float(row["value"]) for row in rows]
+        cells = [(int(r["row"]), int(r["col"])) for r in rows if {"row", "col"} <= r.keys()]
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: not a power-map CSV: {exc}") from exc
     if not all(math.isfinite(v) for v in values):
         raise FormatError(f"{path}: power-map values must be finite")
     if sorted(indices) != list(range(n)):
         raise FormatError(f"{path}: patch_index must list each of 0..{n - 1} once")
+    if cells and cells != [divmod(i, grid.cols) for i in indices]:
+        raise ValidationError(f"power map {path} is over another grid than {grid.rows}x{grid.cols}")
     out = np.empty(n)
     out[indices] = values
     return out

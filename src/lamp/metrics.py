@@ -32,14 +32,13 @@ from .patches import (
     check_positive,
     check_ridge,
     freeze,
-    patch_vectors,
     patchify,
     positive_int,
     sensor_count,
     split_standardized,
 )
 from .pod import ae_loss, encode
-from .synthetic import add_noise_fixed, draw_noise, noise_sigma2
+from .synthetic import add_noise_fixed, noise_sigma2, observe
 
 
 def pred_loss(recon: SnapshotSet, truth: SnapshotSet) -> float:
@@ -272,11 +271,10 @@ def _sweep_patch_size(
 
     The clean test split is encoded once per model.  Each mask is drawn once
     per (coverage, arrangement), each noise field once per SNR on top of it,
-    and both are shared by every N_e.  Observed patch vectors, with noise/std
-    at a finite SNR, are encoded as :func:`add_noise_fixed` and
-    :func:`reconstruct` do it, bit for bit.  The bases are orthonormal, so the
-    pixel-space error ||U z_hat - x||^2 equals ||z_hat - U^T x||^2 +
-    ||(I - U U^T) x||^2, whose second term is the autoencoding floor.
+    and both are shared by every N_e.  The observed patch vectors are
+    :func:`observe`'s, encoded as :func:`reconstruct` encodes them.  The bases
+    are orthonormal, so the pixel-space error ||U z_hat - x||^2 equals
+    ||z_hat - U^T x||^2 + ||(I - U U^T) x||^2, whose second term is the floor.
 
     The first evaluation of each model is also decoded and scored in pixel
     space (:func:`add_noise_fixed`, :func:`reconstruct`, :func:`pred_loss`,
@@ -287,23 +285,17 @@ def _sweep_patch_size(
     """
     series = patchify(test_norm, p)
     grid, size = series.grid, series.values.size
-    stats = test_norm.norm_stats
     clean = {ne: encode(m.pod, series).values for ne, m in models.items()}
     floor_sums = {ne: ae_loss(m.pod, series, per_element=False) for ne, m in models.items()}
-    std = np.tile(stats.std, p * p)  # per patch-vector entry; components vary fastest
     losses = defaultdict(list)
     for cov in coverages:
         cov_key = int(round(cov * 1e9))
         for arr_idx in range(n_arrangements):
             mask = MaskSpec.random(grid.n_patches, cov, derive_seed(seed, 0, p, cov_key, arr_idx))
             sources = np.asarray(mask.unmasked, dtype=np.intp)
-            x_obs = patch_vectors(test_norm.data, grid, sources)  # (k, T, D)
             for snr, sigma2 in sigma2s.items():
                 noise_seed = derive_seed(seed, 1, p, cov_key, arr_idx, _float_key(snr))
-                x_in = x_obs  # (k, T, D) observed patch vectors, standardized, noisy if sigma2
-                if sigma2 > 0.0:
-                    eps = draw_noise(test_norm.data.shape, sigma2, noise_seed)
-                    x_in = x_obs + patch_vectors(eps, grid, sources) / std
+                x_in = observe(test_norm, mask, sigma2, noise_seed, grid)  # (k, T, D)
                 first = (cov, arr_idx, snr) == (coverages[0], 0, next(iter(sigma2s)))
                 if first:
                     test_in = add_noise_fixed(test_norm, mask, sigma2, noise_seed, grid)

@@ -346,7 +346,7 @@ def patchify(fields: SnapshotSet, patch_size: int) -> PatchedSeries:
     a pure reindexing, so :func:`unpatchify` inverts it bit-exactly.
     """
     grid = PatchGrid(fields.height, fields.width, fields.components, patch_size)
-    blocks = _patch_blocks(fields.data, grid)
+    blocks = patch_blocks(fields.data, grid)
     values = blocks.reshape(fields.snapshots, grid.n_patches, grid.patch_dim)
     return PatchedSeries(grid, values)
 
@@ -357,13 +357,13 @@ def patch_vectors(data: np.ndarray, grid: PatchGrid, patches: np.ndarray) -> np.
     The same ordering as :func:`patchify`, patch-major, with no copy of the
     other patches and no check of the values.
     """
-    blocks = _patch_blocks(data, grid).transpose(1, 2, 0, 3, 4, 5)  # (rows, cols, T, P, P, C)
+    blocks = patch_blocks(data, grid).transpose(1, 2, 0, 3, 4, 5)  # (rows, cols, T, P, P, C)
     return blocks[patches // grid.cols, patches % grid.cols].reshape(
         len(patches), len(data), grid.patch_dim
     )
 
 
-def _patch_blocks(data: np.ndarray, grid: PatchGrid) -> np.ndarray:
+def patch_blocks(data: np.ndarray, grid: PatchGrid) -> np.ndarray:
     """(T, H, W, C) as a (T, rows, cols, P, P, C) view of the patches."""
     t, p, c = data.shape[0], grid.patch_size, grid.components
     return data.reshape(t, grid.rows, p, grid.cols, p, c).transpose(0, 1, 3, 2, 4, 5)

@@ -1,4 +1,4 @@
-"""Synthetic 2D wake surrogates and SNR-parameterized noise injection.
+"""Synthetic 2D wake surrogates and the SNR-parameterized noise protocol.
 
 Two generators stand in for unpublished CFD datasets:
 
@@ -11,7 +11,8 @@ Two generators stand in for unpublished CFD datasets:
   high effective rank, non-repeating over the series.
 
 Both are pure functions of their spec: the same spec reproduces the dataset
-bit for bit.
+bit for bit.  Noise is observed in one place, :func:`observe`, which both the
+sweep and :func:`add_noise_fixed` take their noisy patch vectors from.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .patches import MaskSpec, PatchGrid, SnapshotSet, check_positive, pixel_mask
+from .patches import MaskSpec, PatchGrid, SnapshotSet, check_positive, patch_blocks, patch_vectors
 
 LAMINAR = "laminar-surrogate"
 CHAOTIC = "chaotic-surrogate"
@@ -264,35 +265,41 @@ def noise_sigma2(fields: SnapshotSet, snr_db: float) -> float:
 
 
 def draw_noise(shape: tuple[int, ...], sigma2: float, seed: int) -> np.ndarray:
-    """The noise protocol's one draw: i.i.d. N(0, sigma2) of ``shape`` from ``seed``.
-
-    Every noisy input in the package comes from here, so the sweep's patch
-    noise and :func:`add_noise_fixed`'s pixel noise are the same numbers.
-    """
+    """The noise protocol's one draw: i.i.d. N(0, sigma2) of ``shape`` from ``seed``."""
     if not 0.0 <= sigma2 < math.inf:
         raise ValidationError(f"noise variance must be finite and nonnegative, got {sigma2}")
     return np.random.default_rng(seed).normal(0.0, math.sqrt(sigma2), size=shape)
 
 
+def observe(
+    fields: SnapshotSet, mask: MaskSpec, sigma2: float, seed: int, grid: PatchGrid
+) -> np.ndarray:
+    """The (k, T, D) vectors of the unmasked patches, in mask order, as observed:
+    unless ``sigma2`` (raw units) is 0, plus the same patches of a whole-field
+    :func:`draw_noise` draw, divided by the training std on standardized fields."""
+    grid.check_fields(fields)
+    grid.check_mask(mask)
+    sources = np.asarray(mask.unmasked, dtype=np.intp)
+    x = patch_vectors(fields.data, grid, sources)
+    if sigma2 != 0.0:
+        eps = patch_vectors(draw_noise(fields.data.shape, sigma2, seed), grid, sources)
+        if fields.norm_stats is not None:
+            eps /= np.tile(fields.norm_stats.std, grid.patch_size**2)  # components vary fastest
+        x += eps
+    return x
+
+
 def add_noise_fixed(
     fields: SnapshotSet, mask: MaskSpec, sigma2: float, seed: int, grid: PatchGrid
 ) -> SnapshotSet:
-    """Add i.i.d. N(0, sigma2) noise to the pixels of unmasked patches.
-
-    ``sigma2`` is in raw units: on standardized fields the draw is divided by
-    the training std first.  Masked patch content is left untouched (it is
-    discarded downstream anyway).  Deterministic given the seed.
-    """
+    """A copy of ``fields`` whose unmasked patches hold :func:`observe`'s vectors."""
     grid.check_fields(fields)
     grid.check_mask(mask)
     if sigma2 == 0.0:
         return fields
-    # (T, H, W*C) rows, as in apply_stats: inner loops of length W*C, not C.
-    t, h, w, c = fields.data.shape
-    eps = draw_noise(fields.data.shape, sigma2, seed).reshape(t, h, w * c)
-    if fields.norm_stats is not None:
-        eps /= np.tile(fields.norm_stats.std, w)
     data = fields.data.copy()
-    rows = data.reshape(eps.shape)
-    np.add(rows, eps, out=rows, where=np.repeat(pixel_mask(grid, mask), c, axis=1))
+    rows, cols = np.divmod(np.asarray(mask.unmasked, dtype=np.intp), grid.cols)
+    blocks = patch_blocks(data, grid)  # (T, rows, cols, P, P, C), a view of data
+    x = observe(fields, mask, sigma2, seed, grid)
+    blocks[:, rows, cols] = x.reshape(len(rows), len(data), *blocks.shape[3:]).swapaxes(0, 1)
     return SnapshotSet(data, norm_stats=fields.norm_stats)

@@ -259,6 +259,23 @@ class TestPowerAndSensors:
         manifest = json.loads((rec / "manifest.json").read_text())
         assert manifest["results"]["unmasked"] == sensors["unmasked"]
 
+    @pytest.mark.parametrize("command", ["reconstruct", "compare"])
+    def test_power_map_over_another_grid_exits_2(self, tmp_path, laminar_path, trained, capsys,
+                                                 command):
+        # A 2x8 grid has the 16 patches of the trained 4x4 grid, at other places.
+        wide = tmp_path / "wide.lampds"
+        write_dataset(generate(FlowSpec("chaotic-surrogate", 16, 64, 80, seed=2)), wide)
+        assert run("train", "--dataset", wide, "--patch-size", 8, "--latent-dim", 4,
+                   "--out-dir", tmp_path / "model") == 0
+        assert run("power-map", "--model", tmp_path / "model" / "model.lampmd",
+                   "--out-dir", tmp_path / "pm") == 0
+        path, out = tmp_path / "pm" / "power.csv", tmp_path / "x"
+        capsys.readouterr()
+        assert run(command, "--dataset", laminar_path, "--model", trained, "--coverage", 0.25,
+                   "--sensors-from", path, "--out-dir", out) == 2
+        assert error_line(capsys) == f"error: power map {path} is over another grid than 4x4"
+        assert not out.exists() or not any(out.iterdir())
+
     def test_place_sensors_checks_coverage_beside_count(self, tmp_path, trained, capsys):
         out = tmp_path / "sensors"
         assert run("place-sensors", "--model", trained, "--count", 3, "--coverage", 7,

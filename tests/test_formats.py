@@ -453,6 +453,27 @@ class TestPatchMap:
         with pytest.raises(FormatError, match="not a power-map CSV: header"):
             read_patch_map(path, PatchGrid(2, 4, 1, 2))
 
+    @pytest.mark.parametrize(
+        "body, error, match",
+        [
+            ("0,0,0,1.0\n1,1,0,2.0\n", ValidationError, "is over another grid than 1x2"),
+            ("0,0,0,1.0\n1,0,x,2.0\n", FormatError, "not a power-map CSV: invalid literal"),
+            # Index 2 is out of range and (0, 1) is not its place: the index error wins.
+            ("0,0,0,1.0\n2,0,1,2.0\n", FormatError, "patch_index must list each"),
+        ],
+        ids=["other-grid", "col-not-int", "index-checked-first"],
+    )
+    def test_row_and_col_must_be_the_grids(self, tmp_path, body, error, match):
+        path = tmp_path / "power.csv"
+        path.write_text("patch_index,row,col,value\n" + body)
+        with pytest.raises(error, match=match):
+            read_patch_map(path, PatchGrid(2, 4, 1, 2))  # 1 row by 2 cols
+
+    def test_row_and_col_follow_patch_index(self, tmp_path):
+        path = tmp_path / "power.csv"
+        path.write_text("patch_index,col,value,row\n1,1,3.0,0\n0,0,4.0,0\n")
+        np.testing.assert_array_equal(read_patch_map(path, PatchGrid(2, 4, 1, 2)), [4.0, 3.0])
+
 
 class TestManifestAndCsv:
     def test_manifest_sorted_and_stable(self):

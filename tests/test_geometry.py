@@ -10,7 +10,7 @@ from lamp.attention import predict_masked, reconstruct, train_attention_model
 from lamp.formats import masked_outline
 from lamp.gappy import fit_gappy, reconstruct_gappy
 from lamp.patches import pixel_mask
-from lamp.synthetic import add_noise_fixed
+from lamp.synthetic import add_noise_fixed, observe
 
 GRID = PatchGrid(8, 8, 2, 4)  # N = 4 patches
 T = 6
@@ -29,6 +29,8 @@ FIELD_CALLS = {
     "reconstruct_gappy": lambda m, f, mask: reconstruct_gappy(m[1], f, mask, GRID),
     "add_noise_fixed": lambda m, f, mask: add_noise_fixed(f, mask, 0.5, 3, GRID),
     "add_noise_fixed-noise-free": lambda m, f, mask: add_noise_fixed(f, mask, 0.0, 3, GRID),
+    "observe": lambda m, f, mask: observe(f, mask, 0.5, 3, GRID),
+    "observe-noise-free": lambda m, f, mask: observe(f, mask, 0.0, 3, GRID),
 }
 MASK_CALLS = {
     "predict_masked": lambda m, f, mask: predict_masked(m[0], np.zeros((1, T, 2)), mask),

@@ -288,3 +288,48 @@ def test_pod_calls_lapack_only_as_the_op_of_batched():
     source = (PACKAGE / "pod.py").read_text()
     assert not lapack_call_offenders(source)
     assert len(lapack_call_offenders(source.replace("batched(", "apply("))) == 2
+
+
+def noise_draw_offenders(source: str) -> list[str]:
+    """Lines that name ``draw_noise``, as a name, an attribute or an import: the
+    noise protocol is implemented once, in ``synthetic.py``."""
+    return [
+        f"draw_noise at line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and node.id == "draw_noise")
+        or (isinstance(node, ast.Attribute) and node.attr == "draw_noise")
+        or (isinstance(node, ast.alias) and node.name == "draw_noise")
+    ]
+
+
+@pytest.mark.parametrize("module", sorted((set(ALLOWED) | FACADES) - {"synthetic"}))
+def test_only_synthetic_references_draw_noise(module):
+    """Every other module observes noise through ``synthetic.observe``."""
+    offenders = noise_draw_offenders((PACKAGE / f"{module}.py").read_text())
+    assert not offenders, f"{module}.py: {offenders}"
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        "eps = draw_noise(test_norm.data.shape, sigma2, noise_seed)",
+        "from .synthetic import draw_noise",
+        "eps = synthetic.draw_noise((2, 2), 1.0, 0)",
+    ],
+    ids=["call", "import", "attribute"],
+)
+def test_noise_guard_catches_a_planted_draw(planted):
+    source = (PACKAGE / "metrics.py").read_text() + "\n\n" + planted + "\n"
+    assert noise_draw_offenders(source)
+
+
+def test_only_observe_calls_draw_noise():
+    tree = ast.parse((PACKAGE / "synthetic.py").read_text())
+    callers = {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "draw_noise"
+    }
+    assert callers == {"observe"}

@@ -18,8 +18,9 @@ from lamp import (
     pixel_mask,
     signal_power,
 )
-from lamp.patches import PatchGrid, apply_stats
-from lamp.synthetic import add_noise_fixed, draw_noise
+from lamp import synthetic
+from lamp.patches import PatchGrid, apply_stats, patch_vectors
+from lamp.synthetic import add_noise_fixed, draw_noise, observe
 from oracles import add_noise_oracle
 
 
@@ -222,11 +223,21 @@ class TestNoise:
         obs = pixel_mask(grid, mask)
         np.testing.assert_array_equal(noisy.data[:, obs], fields.data[:, obs] + eps[:, obs])
 
-    @pytest.mark.parametrize("unmasked", [(), (0,), (1, 6, 11), tuple(range(16))])
-    def test_matches_full_field_formula(self, unmasked):
+    @pytest.mark.parametrize(
+        "shape, p, unmasked",
+        [
+            *(pytest.param((64, 64, 2), 16, u, id=f"unmasked{i}")
+              for i, u in enumerate([(), (0,), (1, 6, 11), tuple(range(16))])),
+            pytest.param((32, 64, 2), 16, (1, 6, 7), id="2x4-grid"),
+            pytest.param((4, 6, 2), 1, (0, 5, 13, 23), id="P1"),
+            pytest.param((16, 24, 1), 8, (0, 4), id="C1"),
+            pytest.param((16, 24, 3), 8, (1, 2, 5), id="C3"),
+        ],
+    )
+    def test_matches_full_field_formula(self, shape, p, unmasked):
         rng = np.random.default_rng(12)
-        fields = SnapshotSet(rng.standard_normal((3, 64, 64, 2)))
-        grid = self.grid()
+        fields = SnapshotSet(rng.standard_normal((3, *shape)))
+        grid = PatchGrid(*shape, p)
         mask = MaskSpec(unmasked, grid.n_patches)
         noisy = add_noise_fixed(fields, mask, 0.3, seed=13, grid=grid)
         want = add_noise_oracle(fields.data, pixel_mask(grid, mask), draw_noise(fields.data.shape, 0.3, 13))
@@ -264,15 +275,38 @@ class TestNoise:
         assert add_noise_fixed(norm, mask, 0.0, seed=4, grid=grid) is norm
 
     @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
-    @pytest.mark.parametrize("call", ["draw_noise", "add_noise_fixed"])
+    @pytest.mark.parametrize("call", ["draw_noise", "add_noise_fixed", "observe"])
     def test_bad_noise_variance_rejected(self, call, sigma2):
         fields, mask, grid = self.unit_power_fields(2), self.full_mask(), self.grid()
         draw = {
             "draw_noise": lambda: draw_noise((2, 2), sigma2, 1),
             "add_noise_fixed": lambda: add_noise_fixed(fields, mask, sigma2, 1, grid),
+            "observe": lambda: observe(fields, mask, sigma2, 1, grid),
         }[call]
         with pytest.raises(ValidationError, match="noise variance must be finite and nonnegative"):
             draw()
+
+    def test_observe_without_noise_is_the_patch_vectors(self, monkeypatch):
+        fields = SnapshotSet(np.random.default_rng(23).standard_normal((3, 64, 64, 2)))
+        grid = self.grid()
+        mask = MaskSpec((11, 1, 6), grid.n_patches)
+        monkeypatch.setattr(synthetic, "draw_noise", None)  # a call would raise TypeError
+        sources = np.array([1, 6, 11])
+        assert np.array_equal(observe(fields, mask, 0.0, 5, grid),
+                              patch_vectors(fields.data, grid, sources))
+
+    @pytest.mark.parametrize("standardized", [False, True], ids=["raw", "standardized"])
+    def test_add_noise_fixed_writes_the_observed_vectors(self, standardized):
+        rng = np.random.default_rng(22)
+        fields = SnapshotSet(rng.standard_normal((4, 64, 64, 2)))
+        if standardized:
+            fields = apply_stats(fields, NormStats(np.array([1.0, -2.0]), np.array([3.0, 0.5])))
+        grid = self.grid()
+        mask = MaskSpec((2, 9, 15), grid.n_patches)
+        noisy = add_noise_fixed(fields, mask, 0.3, seed=6, grid=grid)
+        sources = np.array(mask.unmasked)
+        assert np.array_equal(patch_vectors(noisy.data, grid, sources),
+                              observe(fields, mask, 0.3, 6, grid))
 
     def test_finite_snr_that_underflows_rejected(self):
         # 10**-400 underflows to zero: a finite SNR must never mean noise-free.
