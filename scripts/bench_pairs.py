@@ -63,7 +63,10 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"run failed in {tree} (seed {seed}):\n{proc.stderr}")
     result = json.loads(lines[-1])
-    return {"correct": result["correct"], "failed": result["failed"],
+    env = next((json.loads(line[len("# env "):]) for line in lines if line.startswith("# env ")),
+               None)
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"], "env": env,
             **{k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -111,7 +114,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     parser.add_argument("--rev", default="HEAD", help="git revision to compare against")
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--json", type=Path, help="also write every run's metrics here")
+    parser.add_argument("--json", type=Path,
+                        help="also write every run's metrics, op counts and # env record here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")

@@ -22,15 +22,19 @@ and power maps, a power map over another grid, singular fits, a one-patch
 power map, a missing dataset and a malformed rerun manifest.  Of each, the
 exit code and the last ``error:`` line of stderr (the run directory masked
 the same way) are compared; the lines before it can be warnings, which carry
-source paths.  Of a differing CSV, manifest or ``.lampds`` dataset it
-prints the largest relative difference of its numbers (CSV cells, numeric
-manifest leaves, the dataset's arrays read by ``lamp.formats``), or why they
-cannot be paired.  It exits 1 and lists the differences when any file
-differs or is missing on one side, a step of ``STEPS`` fails, a step of
+source paths.  Of a differing CSV or manifest it prints the largest relative
+difference of its numbers (CSV cells, numeric manifest leaves), or why they
+cannot be paired, and of a manifest also the keys whose values differ.  Each
+side reads its ``.lampds`` datasets and ``.lampmd`` models with its own
+``lamp.formats``, in a subprocess with its tree's ``src`` on ``PYTHONPATH``,
+so a change of binary layout still compares the numbers: of a differing
+binary file it prints whether its arrays and header fields are identical
+and, if not, which differ and by how much.  It exits 1 and lists the
+differences when any file differs or is missing on one side, a step of ``STEPS`` fails, a step of
 ``FAILING`` exits 0, or a failing step differs.  Run it from the repository
 root; nothing in the working tree is modified.  It takes about 75 s on a
 2-vCPU VM with OpenBLAS at 1 thread, most of it in the sixteen benchmark
-sweeps.
+sweeps, and a few seconds more for each differing binary file.
 """
 
 from __future__ import annotations
@@ -47,13 +51,38 @@ from pathlib import Path
 import numpy as np
 from bench_pairs import ROOT, _export
 
-sys.path.insert(0, str(ROOT / "src"))
-from lamp.formats import read_dataset  # noqa: E402
-
 LAMINAR = ["--dataset", "laminar/dataset.lampds"]
 CHAOTIC = ["--dataset", "chaotic/dataset.lampds"]
 EVAL = ["--coverage", "0.25", "--seed", "3"]
 COORDINATES = ["patch_size", "latent_dim", "snr_db", "coverage"]  # the key of a sweep.csv row
+BINARY = (".lampds", ".lampmd")
+
+#: Run with a tree's ``src`` on ``PYTHONPATH``: read the dataset or model
+#: ``argv[1]`` with that tree's ``lamp.formats`` and save its header fields and
+#: arrays, in file order, to the ``.npz`` file ``argv[2]``.  An automatic ridge
+#: is saved as NaN.
+READ_FIELDS = """
+import sys
+import numpy as np
+from lamp.formats import read_dataset, read_model
+path, out = sys.argv[1:]
+if path.endswith(".lampds"):
+    d = read_dataset(path)
+    t, h, w, c = d.data.shape
+    stats = {} if d.norm_stats is None else {"mean": d.norm_stats.mean, "std": d.norm_stats.std}
+    fields = {"H, W, C, T": (h, w, c, t), "normalized": bool(stats), **stats, "values": d.data}
+else:
+    m = read_model(path)
+    g = m.grid
+    fields = {"H, W, C, P, N_e": (g.height, g.width, g.components, g.patch_size, m.latent_dim),
+              "intercept": m.use_intercept,
+              "ridge_lambda": np.nan if m.ridge_lambda is None else m.ridge_lambda,
+              "error_floor": m.error_floor, "mean": m.norm_stats.mean, "std": m.norm_stats.std,
+              "bases": m.pod.bases, "singular_values": m.pod.singular_values,
+              "value_maps": m.value_maps, "attn_vectors": m.attn_vectors,
+              "attn_intercepts": m.attn_intercepts, "pair_losses": m.pair_losses}
+np.savez(out, **fields)
+"""
 
 #: (output directory, lamp arguments); each step writes into its own directory.
 STEPS = [
@@ -208,7 +237,7 @@ def outputs(run_dir: Path) -> dict[str, bytes]:
 
 
 def numbers(path: Path) -> list[float] | None:
-    """The numbers of a CSV, manifest or dataset file, in file order; None for other files."""
+    """The numbers of a CSV or manifest file, in file order; None for other files."""
     if path.suffix == ".csv":
         found = []
         with open(path, newline="") as handle:
@@ -229,11 +258,6 @@ def numbers(path: Path) -> list[float] | None:
             elif isinstance(node, (int, float)) and not isinstance(node, bool):
                 found.append(float(node))
         return found
-    if path.suffix == ".lampds":
-        data = read_dataset(path)
-        stats = data.norm_stats
-        arrays = [] if stats is None else [stats.mean, stats.std]
-        return np.concatenate([*arrays, data.data.ravel()]).tolist()
     return None
 
 
@@ -241,18 +265,64 @@ def largest_relative_difference(base: Path, head: Path) -> str:
     """How far the numbers of two versions of a file are apart, as one phrase."""
     try:
         a, b = numbers(base), numbers(head)
-    except (ValueError, OSError) as exc:  # FormatError, bad JSON or UTF-8 on one side
+    except (ValueError, OSError) as exc:  # bad JSON or UTF-8 on one side
         return f"numbers unreadable ({exc})"
     if a is None:
         return "no numbers compared"
+    return relative_difference(np.array(a, dtype=float), np.array(b, dtype=float))
+
+
+def relative_difference(a: np.ndarray, b: np.ndarray) -> str:
+    """The largest relative difference of two equally long number vectors, as one phrase."""
     if len(a) != len(b):
         return f"{len(a)} numbers in base, {len(b)} in head"
-    a, b = np.array(a), np.array(b)
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     with np.errstate(invalid="ignore"):  # Inf against a finite number reads NaN, then Inf
         rel = np.where(same, 0.0, np.abs(a - b) / np.maximum(np.abs(a), np.abs(b)))
     worst = float(np.nan_to_num(rel, nan=np.inf).max(initial=0.0))
     return f"largest relative difference {worst:.2g} over {len(a)} numbers"
+
+
+def binary_fields(tree: Path, path: Path, scratch: Path) -> dict[str, np.ndarray]:
+    """The header fields and arrays of a dataset or model, read by ``tree``'s own
+    ``lamp.formats`` (see ``READ_FIELDS``); ValueError with its last error line."""
+    out = scratch / "fields.npz"
+    proc = subprocess.run([sys.executable, "-c", READ_FIELDS, str(path), str(out)],
+                          env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise ValueError((proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[-1])
+    with np.load(out) as saved:
+        return {name: saved[name] for name in saved.files}
+
+
+def binary_difference(base: tuple[Path, Path], head: tuple[Path, Path], scratch: Path) -> str:
+    """Whether the fields of a dataset or model, each a (tree, path) read by its
+    tree, are identical, as one phrase; if not, which differ and by how much."""
+    try:
+        a, b = binary_fields(*base, scratch), binary_fields(*head, scratch)
+    except ValueError as exc:
+        return f"fields unreadable ({exc})"
+    if a.keys() != b.keys():
+        return f"fields {', '.join(a)} in base, {', '.join(b)} in head"
+    differ = [name for name in a if not np.array_equal(a[name], b[name], equal_nan=True)]
+    if not differ:
+        return "arrays and header fields identical"
+    flat = [np.concatenate([np.ravel(side[name]).astype(float) for name in side]) for side in (a, b)]
+    return f"fields {', '.join(differ)} differ, {relative_difference(*flat)}"
+
+
+def manifest_key_differences(base: bytes, head: bytes) -> list[str]:
+    """The dotted keys of the leaves in which two manifests, as compared, differ."""
+
+    def leaves(node, key=""):
+        if isinstance(node, dict):
+            return {k: v for name in node for k, v in leaves(node[name], f"{key}.{name}").items()}
+        return {key.lstrip("."): node}
+
+    a, b = (leaves(json.loads(text)) for text in (base, head))
+    return sorted(key for key in a.keys() | b.keys()
+                  if key not in a or key not in b or a[key] != b[key])
 
 
 def sweep_cell_differences(base: Path, head: Path) -> list[str]:
@@ -299,12 +369,20 @@ def main(argv=None) -> int:
         differing = sorted(name for name in base.keys() | head.keys()
                            if base.get(name) != head.get(name))
         for name in differing:
-            print(f"{name}: " + (
-                f"differs, {largest_relative_difference(base_run / name, head_run / name)}"
-                if name in both else "only in base" if name in base else "only in head"))
+            if name not in both:
+                print(f"{name}: only in {'base' if name in base else 'head'}")
+            elif Path(name).suffix in BINARY:
+                print(f"{name}: differs, " + binary_difference(
+                    (base_tree, base_run / name), (ROOT, head_run / name), Path(tmp)))
+            else:
+                print(f"{name}: differs, "
+                      f"{largest_relative_difference(base_run / name, head_run / name)}")
             if name in both and Path(name).name == "sweep.csv":
                 for line in sweep_cell_differences(base_run / name, head_run / name):
                     print(line)
+            if name in both and Path(name).name == "manifest.json":
+                keys = manifest_key_differences(base[name], head[name])
+                print(f"  keys differing: {', '.join(keys) or 'none'}")
     failing_differ = [out for out, _ in FAILING if failed[0][out] != failed[1][out]]
     for out in failing_differ:
         print(f"failing step {out}: base {failed[0][out]} != head {failed[1][out]}")

@@ -2,29 +2,30 @@
 
 No other module of the package reads or writes what a file holds.
 
-Binary layouts (all little-endian, f64 values):
+Binary layouts (little-endian): the 8-byte magic, the f64 arrays from byte 8,
+then a trailer of the fields that size them.
 
-LAMP-DS v1 (magic ``LAMPDS01``)
-    u32 H, W, C, T; u8 normalized flag; if normalized, C pairs of f64
-    (mean, std); then T*H*W*C f64 values in snapshot-major, row-major,
-    component-fastest order.
+LAMP-DS v2 (magic ``LAMPDS02``)
+    if normalized, C pairs of f64 (mean, std); T*H*W*C f64 values in
+    snapshot-major, row-major, component-fastest order; trailer: u32 H, W,
+    C, T; u8 normalized flag.
 
-LAMP-MODEL v1 (magic ``LAMPMD01``)
-    u32 H, W, C, P, N_e; u8 intercept flag; f64 ridge lambda (negative
-    encodes the automatic scale-aware policy); f64 error floor; C pairs of
-    f64 norm stats; N blocks of D*N_e f64 (bases, column-major per block);
-    N vectors of N_e f64 (singular values); N^2 blocks of N_e*N_e f64
-    (value maps, row-major by (m, n), row-major inside each block);
-    N^2 * N_e f64 (attention vectors); N^2 f64 (intercepts); N^2 f64
-    (mean pair losses).
+LAMP-MODEL v2 (magic ``LAMPMD02``)
+    C pairs of f64 norm stats; N blocks of D*N_e f64 (bases, column-major per
+    block); N vectors of N_e f64 (singular values); N^2 blocks of N_e*N_e f64
+    (value maps, row-major by (m, n) and inside each block); N^2 * N_e f64
+    (attention vectors); N^2 f64 (intercepts); N^2 f64 (mean pair losses);
+    trailer: u32 H, W, C, P, N_e; u8 intercept flag; f64 ridge lambda
+    (negative for the automatic scale-aware policy); f64 error floor.
 
-Each layout is declared once, as a header ``struct.Struct`` (magic first) and
-the list of its f64 array shapes; the model's list is shared by ``write_model``,
-``read_model`` and ``model_nbytes``. Readers reject unknown magic bytes, and
-check the file size against the layout once, before any array is read.
-Writers are deterministic, so save/load/save round-trips are byte-identical.
-All files are written atomically (temp file + rename); datasets and models
-are streamed to the temp file array by array, with no in-memory copy.
+A trailer holds v1's header fields, so files keep their v1 sizes (25 or 45
+bytes plus 8 per f64) and arrays are 8-byte aligned.  A layout is declared
+once: a trailer ``struct.Struct`` and its f64 array shapes.  Readers map the
+file read-only, reject unknown magic (v1's too), check its size before any
+view is taken, and return read-only views of the mapping.  A mapped file
+truncated in place raises SIGBUS, not a FormatError; the writers never do
+that: they stream to a temp file, array by array, and rename it into place,
+which leaves a mapped file intact.  Save/load/save is byte-identical.
 
 PPM heatmaps use a piecewise-linear blue-white-red colormap with anchors
 (0,0,255) at t=0, (255,255,255) at t=0.5, (255,0,0) at t=1, where t maps
@@ -38,6 +39,7 @@ import csv
 import io
 import json
 import math
+import mmap
 import os
 import struct
 import tempfile
@@ -51,16 +53,17 @@ from .errors import FormatError, ValidationError
 from .patches import MaskSpec, NormStats, PatchGrid, SnapshotSet, pixel_mask
 from .pod import PatchPodModel
 
-DATASET_MAGIC = b"LAMPDS01"
-MODEL_MAGIC = b"LAMPMD01"
-DATASET_FORMAT = "LAMP-DS v1"
-MODEL_FORMAT = "LAMP-MODEL v1"
-_DATASET_HEADER = struct.Struct("<8s4IB")  # magic, H, W, C, T, normalized flag
-_MODEL_HEADER = struct.Struct("<8s5IB2d")  # magic, H, W, C, P, N_e, intercept flag, ridge, floor
+DATASET_MAGIC = b"LAMPDS02"
+MODEL_MAGIC = b"LAMPMD02"
+DATASET_FORMAT = "LAMP-DS v2"
+MODEL_FORMAT = "LAMP-MODEL v2"
+_DATASET_TRAILER = struct.Struct("<4IB")  # H, W, C, T, normalized flag
+_MODEL_TRAILER = struct.Struct("<5IB2d")  # H, W, C, P, N_e, intercept flag, ridge, floor
 
 
-def _atomic_write(path: str | Path, head: bytes, arrays: Iterable[np.ndarray] = ()) -> None:
-    """Stream ``head``, then each array as f64, to a temp file in the same directory,
+def _atomic_write(path: str | Path, head: bytes, arrays: Iterable[np.ndarray] = (),
+                  tail: bytes = b"") -> None:
+    """Stream ``head``, each array as f64 and ``tail`` to a temp file beside ``path``,
     then rename it into place; on any error neither the temp file nor ``path`` is left."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
@@ -69,6 +72,7 @@ def _atomic_write(path: str | Path, head: bytes, arrays: Iterable[np.ndarray] = 
             handle.write(head)
             for arr in arrays:
                 handle.write(_f64(arr))
+            handle.write(tail)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -81,33 +85,31 @@ def _f64(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype="<f8")
 
 
-def _read_header(path: str | Path, header: struct.Struct, magic: bytes) -> tuple[tuple, memoryview]:
-    """The header fields after the magic, and the whole file read once into a
-    read-only buffer whose header end is 8-byte aligned: so is every f64 after
-    it, and so are the model header's two f64 fields, 16 bytes before it."""
-    with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        raw = np.empty(size + 8, np.uint8)
-        shift = -(raw.ctypes.data + header.size) % 8
-        size = handle.readinto(memoryview(raw)[shift : shift + size])
-    buf = memoryview(raw)[shift : shift + size].toreadonly()
-    found = bytes(buf[: len(magic)])
+def _read_trailer(path: str | Path, trailer: struct.Struct, magic: bytes) -> tuple[tuple, mmap.mmap]:
+    """The trailer's fields, and the whole file mapped read-only."""
+    try:
+        with open(path, "rb") as handle:
+            buf = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except ValueError:  # mmap rejects an empty file
+        raise FormatError(f"{path}: empty file, expected {magic!r}") from None
+    found = buf[: len(magic)]
     if found != magic[: len(buf)]:  # a short prefix of the magic is a truncation
         raise FormatError(f"{path}: unknown magic {found!r}, expected {magic!r}")
-    if len(buf) < header.size:
-        raise FormatError(f"{path}: truncated file ({len(buf)} bytes, header needs {header.size})")
-    return header.unpack_from(buf)[1:], buf
+    fixed = len(magic) + trailer.size
+    if len(buf) < fixed or (len(buf) - fixed) % 8:  # no trailer where one was written
+        raise FormatError(f"{path}: truncated file or trailing bytes ({len(buf)} bytes is not "
+                          f"{fixed} plus a multiple of 8)")
+    return trailer.unpack_from(buf, len(buf) - trailer.size), buf
 
 
-def _read_arrays(path: str | Path, buf: memoryview, start: int, shapes: list) -> list[np.ndarray]:
-    """Read-only f64 views of ``shapes``, packed in order from byte ``start``; the
-    file size is checked against them before any view is taken."""
-    need = start + 8 * sum(math.prod(shape) for shape in shapes)
+def _read_arrays(path: str | Path, buf: mmap.mmap, trailer: struct.Struct, shapes: list) -> list:
+    """Read-only views of the f64 ``shapes`` packed from byte 8, once the size is checked."""
+    need = 8 + 8 * sum(math.prod(shape) for shape in shapes) + trailer.size
     if len(buf) < need:
-        raise FormatError(f"{path}: truncated file ({len(buf)} bytes, header needs {need})")
+        raise FormatError(f"{path}: truncated file ({len(buf)} bytes, layout needs {need})")
     if len(buf) > need:
         raise FormatError(f"{path}: {len(buf) - need} trailing bytes")
-    arrays = []
+    arrays, start = [], 8
     for shape in shapes:
         arrays.append(np.frombuffer(buf, "<f8", math.prod(shape), start).reshape(shape))
         start += 8 * math.prod(shape)
@@ -119,20 +121,19 @@ def _read_arrays(path: str | Path, buf: memoryview, start: int, shapes: list) ->
 def write_dataset(fields: SnapshotSet, path: str | Path) -> None:
     stats = fields.norm_stats
     pairs = [] if stats is None else [np.stack([stats.mean, stats.std], axis=1)]
-    header = _DATASET_HEADER.pack(
-        DATASET_MAGIC, fields.height, fields.width, fields.components, fields.snapshots, len(pairs)
-    )
-    _atomic_write(path, header, [*pairs, fields.data])
+    trailer = _DATASET_TRAILER.pack(fields.height, fields.width, fields.components,
+                                    fields.snapshots, len(pairs))
+    _atomic_write(path, DATASET_MAGIC, [*pairs, fields.data], trailer)
 
 
 def read_dataset(path: str | Path) -> SnapshotSet:
-    (h, w, c, t, flag), buf = _read_header(path, _DATASET_HEADER, DATASET_MAGIC)
+    (h, w, c, t, flag), buf = _read_trailer(path, _DATASET_TRAILER, DATASET_MAGIC)
     if min(h, w, c, t) < 1:
         raise FormatError(f"{path}: invalid dimensions H={h} W={w} C={c} T={t}")
     if flag not in (0, 1):
         raise FormatError(f"{path}: invalid normalized flag {flag}")
     # (mean, std) pairs if normalized, then the snapshots
-    *pairs, data = _read_arrays(path, buf, _DATASET_HEADER.size, [(c, 2)] * flag + [(t, h, w, c)])
+    *pairs, data = _read_arrays(path, buf, _DATASET_TRAILER, [(c, 2)] * flag + [(t, h, w, c)])
     try:
         stats = NormStats(pairs[0][:, 0], pairs[0][:, 1]) if pairs else None
         return SnapshotSet(data, norm_stats=stats)
@@ -143,7 +144,7 @@ def read_dataset(path: str | Path) -> SnapshotSet:
 # Models ---------------------------------------------------------------------
 
 def _model_shapes(grid: PatchGrid, latent_dim: int) -> list[tuple[int, ...]]:
-    """Shapes of the model's f64 arrays after the header, in file order."""
+    """Shapes of the model's f64 arrays after the magic, in file order."""
     n, d, e = grid.n_patches, grid.patch_dim, latent_dim
     return [(grid.components, 2), (n, e, d), (n, e), (n, n, e, e), (n, n, e), (n, n), (n, n)]
 
@@ -151,24 +152,23 @@ def _model_shapes(grid: PatchGrid, latent_dim: int) -> list[tuple[int, ...]]:
 def model_nbytes(height: int, width: int, components: int, patch_size: int, latent_dim: int) -> int:
     """Serialized size of a model with this geometry, in bytes."""
     shapes = _model_shapes(PatchGrid(height, width, components, patch_size), latent_dim)
-    return _MODEL_HEADER.size + 8 * sum(math.prod(shape) for shape in shapes)
+    return len(MODEL_MAGIC) + _MODEL_TRAILER.size + 8 * sum(math.prod(shape) for shape in shapes)
 
 
 def write_model(model: AttentionModel, path: str | Path) -> None:
     grid, stats = model.grid, model.norm_stats
     ridge = -RIDGE_SCALE if model.ridge_lambda is None else model.ridge_lambda
-    header = _MODEL_HEADER.pack(
-        MODEL_MAGIC, grid.height, grid.width, grid.components, grid.patch_size,
-        model.latent_dim, model.use_intercept, ridge, model.error_floor,
-    )
+    trailer = _MODEL_TRAILER.pack(grid.height, grid.width, grid.components, grid.patch_size,
+                                  model.latent_dim, model.use_intercept, ridge, model.error_floor)
     arrays = (np.stack([stats.mean, stats.std], axis=1), model.pod.bases.transpose(0, 2, 1),
               model.pod.singular_values, model.value_maps, model.attn_vectors,
               model.attn_intercepts, model.pair_losses)
-    _atomic_write(path, header, map(np.reshape, arrays, _model_shapes(grid, model.latent_dim)))
+    _atomic_write(path, MODEL_MAGIC, map(np.reshape, arrays, _model_shapes(grid, model.latent_dim)),
+                  trailer)
 
 
 def read_model(path: str | Path) -> AttentionModel:
-    (h, w, c, p, e, flag, ridge, floor), buf = _read_header(path, _MODEL_HEADER, MODEL_MAGIC)
+    (h, w, c, p, e, flag, ridge, floor), buf = _read_trailer(path, _MODEL_TRAILER, MODEL_MAGIC)
     try:
         grid = PatchGrid(h, w, c, p)
     except ValidationError as exc:
@@ -178,7 +178,7 @@ def read_model(path: str | Path) -> AttentionModel:
     if flag not in (0, 1):
         raise FormatError(f"{path}: invalid intercept flag {flag}")
     pairs, bases, svals, value_maps, attn_vectors, intercepts, pair_losses = _read_arrays(
-        path, buf, _MODEL_HEADER.size, _model_shapes(grid, e)
+        path, buf, _MODEL_TRAILER, _model_shapes(grid, e)
     )
     try:
         return AttentionModel(

@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 
 from lamp import (
     AttentionModel,
+    FlowSpec,
     LatentSeries,
     MaskSpec,
     NormStats,
     NumericalError,
     SnapshotSet,
+    SplitSpec,
     ValidationError,
     decode,
     encode,
     fit_attention_tensor,
     fit_value_tensor,
+    generate,
     normalize,
     patchify,
     pixel_mask,
@@ -27,8 +30,8 @@ from lamp import (
 )
 from lamp import attention
 from lamp.attention import _PREDICT_CHUNK, masked_softmax
-from lamp.patches import PatchGrid
-from lamp.pod import PatchPodModel
+from lamp.patches import PatchGrid, split_standardized
+from lamp.pod import PatchPodModel, fit_patch_pod
 
 
 from oracles import attention_oracle, predict_oracle, reconstruct_oracle, value_oracle
@@ -812,3 +815,31 @@ class TestReconstruct:
         for t in range(10):
             single = predict_masked(model, observed(latents[t : t + 1], mask), mask)
             np.testing.assert_array_equal(batch[t], single[0])
+
+
+class TestValueFitGram:
+    """Training latents are U^T X for the POD of the same series, so each
+    source's Gram Z_n Z_n^T, the value fit's normal matrix less its ridge, is
+    diag(sigma_n^2) up to rounding."""
+
+    @pytest.mark.parametrize(
+        "kind, snapshots, patch_size",
+        [("laminar-surrogate", 160, 8), ("chaotic-surrogate", 400, 4)],
+        ids=["laminar-P8", "chaotic-P4"],
+    )
+    def test_source_grams_are_the_pod_spectrum(self, kind, snapshots, patch_size):
+        raw = generate(FlowSpec(kind, 64, 64, snapshots, seed=3))
+        series = patchify(split_standardized(raw, SplitSpec())[0], patch_size)
+        pod = fit_patch_pod(series, 8)
+        latent = encode(pod, series)
+        z = latent.by_patch                                       # (N, N_e, T)
+        grams = z @ z.transpose(0, 2, 1)
+        sigma2 = pod.singular_values**2                           # (N, N_e)
+        # The automatic ridge of attention._source_systems.
+        energy = np.maximum(np.trace(grams, axis1=1, axis2=2), latent.mean_energy)
+        lam = attention.RIDGE_SCALE * energy / latent.latent_dim
+        diag = np.diagonal(grams, axis1=1, axis2=2)
+        off = np.abs(grams - diag[:, :, None] * np.eye(8)).max(axis=(1, 2))
+        # Measured at most 4.0e-14 and 6.0e-12 (laminar P=8) of these scales.
+        assert np.all(off <= 1e-12 * (sigma2[:, 0] + lam))
+        assert np.all(np.abs(diag - sigma2) <= 1e-10 * (sigma2 + lam[:, None]))

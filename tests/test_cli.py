@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,11 +397,25 @@ class TestRunSkeleton:
 class TestMalformedInputs:
     def test_model_header_larger_than_file_exits_3(self, tmp_path, laminar_path, capsys):
         model = tmp_path / "huge.lampmd"
-        header = MODEL_MAGIC + struct.pack("<5IB4d", 2**20, 2**20, 1, 1, 1, 1, -1e-8, 1e-12, 0.0, 1.0)
-        model.write_bytes(header + bytes(66 - len(header)))
+        trailer = struct.pack("<5IB2d", 2**20, 2**20, 1, 1, 1, 1, -1e-8, 1e-12)
+        model.write_bytes(MODEL_MAGIC + bytes(48) + trailer)
         assert run("reconstruct", "--dataset", laminar_path, "--model", model,
                    "--coverage", 0.25, "--out-dir", tmp_path / "x") == 3
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["empty", "v1"])
+    @pytest.mark.parametrize("which", ["dataset", "model"])
+    def test_empty_or_v1_file_exits_3(self, tmp_path, laminar_path, trained, capsys, which,
+                                      content):
+        files = {"dataset": laminar_path, "model": trained}
+        magic, trailer = {"dataset": (DATASET_MAGIC, 17), "model": (MODEL_MAGIC, 37)}[which]
+        raw = Path(files[which]).read_bytes()
+        v1 = magic[:-1] + b"1" + raw[-trailer:] + raw[8:-trailer]  # v1: the fields lead
+        files[which] = tmp_path / f"bad.{which}"
+        files[which].write_bytes(b"" if content == "empty" else v1)
+        assert run("reconstruct", "--dataset", files["dataset"], "--model", files["model"],
+                   "--coverage", 0.25, "--out-dir", tmp_path / "x") == 3
+        assert f"expected {magic!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "indices",
@@ -750,7 +765,7 @@ class TestMalformedInputs:
         data = np.array(read_dataset(laminar_path).data)
         data[3, 5, 7, 1] = np.nan  # snapshot 3 of 80: a train row
         path = tmp_path / "nan.lampds"
-        path.write_bytes(DATASET_MAGIC + struct.pack("<4IB", 32, 32, 2, 80, 0) + data.tobytes())
+        path.write_bytes(DATASET_MAGIC + data.tobytes() + struct.pack("<4IB", 32, 32, 2, 80, 0))
         out = tmp_path / "x"
         assert run("reconstruct", "--dataset", path, "--model", trained, "--coverage", 0.25,
                    "--out-dir", out) == 3

@@ -1,5 +1,6 @@
 import functools
 import json
+import mmap
 import re
 import struct
 import tempfile
@@ -111,7 +112,7 @@ class TestDatasetFormat:
     def test_bad_flag_rejected(self, tmp_path):
         fields = SnapshotSet(np.zeros((1, 2, 2, 1)))
         raw = bytearray(_written(write_dataset, fields))
-        raw[8 + 16] = 7  # normalized flag byte
+        raw[-1] = 7  # normalized flag byte, the trailer's last
         path = tmp_path / "f.lampds"
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="flag"):
@@ -119,7 +120,7 @@ class TestDatasetFormat:
 
     def test_zero_dims_rejected(self, tmp_path):
         raw = bytearray(_written(write_dataset, SnapshotSet(np.zeros((1, 2, 2, 1)))))
-        raw[8:12] = (0).to_bytes(4, "little")  # H = 0
+        raw[-17:-13] = (0).to_bytes(4, "little")  # H = 0, the trailer's first field
         path = tmp_path / "z.lampds"
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="dimensions"):
@@ -128,9 +129,9 @@ class TestDatasetFormat:
     def test_non_finite_payload_rejected(self, tmp_path):
         import struct
 
-        head = DATASET_MAGIC + struct.pack("<4I", 1, 1, 1, 1) + struct.pack("<B", 0)
+        trailer = struct.pack("<4I", 1, 1, 1, 1) + struct.pack("<B", 0)
         path = tmp_path / "nan.lampds"
-        path.write_bytes(head + struct.pack("<d", float("nan")))
+        path.write_bytes(DATASET_MAGIC + struct.pack("<d", float("nan")) + trailer)
         with pytest.raises(FormatError, match="NaN"):
             read_dataset(path)
 
@@ -174,20 +175,20 @@ class TestModelFormat:
             read_model(path)
 
     @pytest.mark.parametrize(
-        "header, reader",
+        "magic, trailer, reader",
         [
             # 2**15 in each of H, W, C, T declares 2**60 values
-            (DATASET_MAGIC + struct.pack("<4IB", *[2**15] * 4, 0), read_dataset),
+            (DATASET_MAGIC, struct.pack("<4IB", *[2**15] * 4, 0), read_dataset),
             # H = W = 2**20 at P = 1 declares 2**40 patches
-            (MODEL_MAGIC + struct.pack("<5IB4d", 2**20, 2**20, 1, 1, 1, 1, -1e-8, 1e-12, 0.0, 1.0),
+            (MODEL_MAGIC, struct.pack("<5IB2d", 2**20, 2**20, 1, 1, 1, 1, -1e-8, 1e-12),
              read_model),
         ],
         ids=["dataset", "model"],
     )
-    def test_header_geometry_larger_than_file_rejected_before_allocation(self, tmp_path, header,
-                                                                         reader):
+    def test_header_geometry_larger_than_file_rejected_before_allocation(self, tmp_path, magic,
+                                                                         trailer, reader):
         path = tmp_path / "huge.bin"
-        path.write_bytes(header + bytes(66 - len(header)))  # a 66-byte file
+        path.write_bytes(magic + bytes(48) + trailer)  # six f64 values between them
         tracemalloc.start()
         try:
             with pytest.raises(FormatError, match="truncated"):
@@ -254,7 +255,7 @@ def _standardized(shape, seed):
 
 
 # One small valid file of each format: a standardized 3x2x2x2 dataset (std of
-# component 0 at bytes 33-40, its sign and top exponent bits in byte 40) and
+# component 0 at bytes 16-23, its sign and top exponent bits in byte 23) and
 # a 4x4 model at P=2, N_e=2.
 VALID_FILES = {
     "lampds": (_written(write_dataset, _standardized((3, 2, 2, 2), 4)), read_dataset),
@@ -300,17 +301,17 @@ class TestReaders:
     @pytest.mark.parametrize("std", [-1.0, 0.0, float("nan")])
     def test_corrupt_norm_stats_name_the_file(self, tmp_path, std):
         raw = bytearray(VALID_FILES["lampds"][0])
-        raw[33:41] = struct.pack("<d", std)
+        raw[16:24] = struct.pack("<d", std)
         path = tmp_path / "stats.lampds"
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=re.escape(str(path)) + ".*norm stats"):
             read_dataset(path)
 
-    @pytest.mark.parametrize("at", [29, 61, 61 + 8 * 32], ids=["ridge", "basis", "singular-value"])
+    @pytest.mark.parametrize("at", [-16, 24, 24 + 8 * 32], ids=["ridge", "basis", "singular-value"])
     def test_non_finite_model_field_rejected(self, tmp_path, at):
-        # Offsets in the 4x4 C=1 model: the ridge follows the 29-byte header,
-        # the bases follow the one norm-stats pair, the singular values
-        # follow N*D*N_e = 32 basis entries.
+        # Offsets in the 4x4 C=1 model: the ridge is the trailer's first f64,
+        # 16 bytes from the end; the bases follow the magic and the one
+        # norm-stats pair, the singular values N*D*N_e = 32 basis entries.
         raw = bytearray(VALID_FILES["lampmd"][0])
         raw[at : at + 8] = struct.pack("<d", float("nan"))
         path = tmp_path / "nan.lampmd"
@@ -321,8 +322,8 @@ class TestReaders:
     @settings(max_examples=300, deadline=None)
     @given(fmt=st.sampled_from(sorted(VALID_FILES)), at=st.integers(0, 2**16),
            flip=st.integers(0, 255))
-    @example(fmt="lampds", at=40, flip=0x80)  # std of component 0 made negative
-    @example(fmt="lampds", at=40, flip=0x40)  # ... and infinite
+    @example(fmt="lampds", at=23, flip=0x80)  # std of component 0 made negative
+    @example(fmt="lampds", at=23, flip=0x40)  # ... and infinite
     def test_truncated_or_flipped_file_raises_only_format_error(self, tmp_path_factory, fmt,
                                                                 at, flip):
         # flip == 0 truncates the file at byte ``at``; otherwise byte ``at``
@@ -339,6 +340,69 @@ class TestReaders:
         except FormatError:
             pass
 
+
+
+def _mapping(arr: np.ndarray):
+    """The object at the end of ``arr``'s ``.base`` chain, through a memoryview."""
+    while isinstance(arr, np.ndarray) and arr.base is not None:
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+def _as_v1(payload: bytes, fmt: str) -> bytes:
+    """A v2 file laid out as v1: the v1 magic, the trailer's fields as a header, the arrays."""
+    magic, trailer = {"lampds": (b"LAMPDS01", 17), "lampmd": (b"LAMPMD01", 37)}[fmt]
+    return magic + payload[-trailer:] + payload[8:-trailer]
+
+
+class TestMappedReaders:
+    def test_arrays_are_views_of_a_read_only_mapping(self, small_model, tmp_path):
+        write_dataset(_standardized((4, 4, 6, 2), 6), tmp_path / "d.lampds")
+        write_model(small_model, tmp_path / "m.lampmd")
+        data, model = read_dataset(tmp_path / "d.lampds"), read_model(tmp_path / "m.lampmd")
+        # The bases and the norm stats are copied out of their column layouts.
+        for arr in [data.data, model.pod.singular_values, model.value_maps, model.attn_vectors,
+                    model.attn_intercepts, model.pair_losses]:
+            assert not arr.flags.writeable
+            assert arr.flags.aligned
+            assert isinstance(_mapping(arr), mmap.mmap)
+
+    @pytest.mark.parametrize("fmt", ["dataset", "model"])
+    def test_rename_over_a_mapped_file_leaves_loaded_arrays(self, fmt, small_model, tmp_path):
+        write, read, first, second, arrays = {
+            "dataset": (write_dataset, read_dataset, _standardized((4, 4, 6, 2), 6),
+                        _standardized((4, 4, 6, 2), 7), lambda d: [d.data]),
+            "model": (write_model, read_model, small_model,
+                      train_attention_model(_standardized((24, 8, 8, 2), 11), 4, 3),
+                      lambda m: [m.value_maps, m.attn_vectors, m.pair_losses]),
+        }[fmt]
+        path = tmp_path / "f"
+        write(first, path)
+        loaded = read(path)
+        kept = [np.array(arr) for arr in arrays(loaded)]
+        write(second, path)  # a temp file renamed over the mapped one
+        for arr, want in zip(arrays(loaded), kept):
+            np.testing.assert_array_equal(arr, want)
+        assert not np.array_equal(arrays(read(path))[0], kept[0])
+
+    @pytest.mark.parametrize("content", ["empty", "v1"])
+    @pytest.mark.parametrize("fmt", sorted(VALID_FILES))
+    def test_empty_or_v1_file_names_the_expected_magic(self, tmp_path, fmt, content):
+        payload, reader = VALID_FILES[fmt]
+        magic = {"lampds": DATASET_MAGIC, "lampmd": MODEL_MAGIC}[fmt]
+        path = tmp_path / f"f.{fmt}"
+        path.write_bytes(b"" if content == "empty" else _as_v1(payload, fmt))
+        with pytest.raises(FormatError, match=re.escape(f"expected {magic!r}")):
+            reader(path)
+
+    def test_model_size_is_pinned(self, tmp_path):
+        # 64x64, C=2, P=4, N_e=8: N = 256 patches of D = 32 values.
+        c, n, d, e = 2, 256, 32, 8
+        values = 2 * c + n * e * d + n * e + n * n * e * e + n * n * e + 2 * n * n
+        model = train_attention_model(_standardized((12, 64, 64, 2), 12), 4, 8)
+        write_model(model, tmp_path / "m.lampmd")
+        size = (tmp_path / "m.lampmd").stat().st_size
+        assert size == model_nbytes(64, 64, 2, 4, 8) == 45 + 8 * values == 39_338_061
 
 class TestHeatmap:
     def test_documented_colormap_stops(self):
