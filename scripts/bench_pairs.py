@@ -133,7 +133,8 @@ def main(argv=None) -> int:
                 tree = base_tree if side == "base" else head_tree
                 runs[side].append({"seed": seed, **_run(tree, args.workload, seed, args.seconds)})
             print(f"pair {i + 1}/{args.pairs} seed {seed}: " + "  ".join(
-                f"{side} op_p50 {runs[side][-1]['op_p50_ms']:.1f} ms" for side in ("base", "head")),
+                f"{side} op_p50 {runs[side][-1]['op_p50_ms']:.1f} ms "
+                f"setup {runs[side][-1]['setup_s']:.3f} s" for side in ("base", "head")),
                 flush=True)
 
     print(f"\n{args.workload}: {args.rev} (base) vs working tree (head), {args.pairs} pairs, "

@@ -389,8 +389,13 @@ def predict_masked(
         zc = z_src[:, lo : lo + _PREDICT_CHUNK]                     # (k, tc, e)
         tc = zc.shape[1]
         # dgemm on transposed (Fortran-ordered) views writes straight into the
-        # C-ordered buffers; unlike np.matmul it never switches to gemv for a
-        # one-row block, so every row rounds the same whatever the chunking.
+        # C-ordered buffers, and unlike np.matmul it never switches to gemv for
+        # a one-row block.  That alone does not make a row's rounding
+        # independent of the chunk width: the BLAS may pick its kernel by the
+        # product's shape.  With OpenBLAS the prediction product (M = R*e)
+        # rounds the same at every width; the logits product (M = R, K = e)
+        # does at M <= 64, but at M = 230, K = 8 most rows round differently
+        # at widths 1-8 than in one block of 80.
         logits = np.empty((k, tc, r))
         for j in range(k):
             dgemm(1.0, attn_vectors[j].T, zc[j].T, c=logits[j].T, trans_a=1, overwrite_c=1)

@@ -19,6 +19,10 @@ import numpy as np
 
 from .errors import ValidationError
 
+#: Bytes of one block of the standardization statistics: the block is copied
+#: once, transformed and summed, so it should stay in a core's L2 cache.
+_STATS_BLOCK_BYTES = 256 * 1024
+
 
 def freeze(
     obj, field: str, shape: tuple[int, ...] | None = None, *, finite: bool = True
@@ -296,9 +300,7 @@ def normalize(fields: SnapshotSet, train_range: range) -> SnapshotSet:
         raise ValidationError(
             f"train range {train_range} outside [0, {fields.snapshots}) or non-contiguous"
         )
-    block = fields.data[train_range.start : train_range.stop]
-    mean = block.mean(axis=(0, 1, 2))
-    std = block.std(axis=(0, 1, 2))  # population (1/T) convention
+    mean, std = _moments(fields.data[train_range.start : train_range.stop])
     for c in range(fields.components):
         if std[c] == 0.0:
             raise ValidationError(
@@ -307,6 +309,42 @@ def normalize(fields: SnapshotSet, train_range: range) -> SnapshotSet:
             )
     stats = NormStats(mean, std)
     return apply_stats(fields, stats)
+
+
+def _moments(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-component mean and population std of a C-contiguous (T, H, W, C) block.
+
+    Bit for bit ``block.mean(axis=(0, 1, 2))`` and ``block.std(axis=(0, 1, 2))``.
+    For C > 1 numpy adds pixel by pixel within each component, starting from
+    0.0; here each sum adds in that order, but one cache-sized block at a time,
+    so no temporary is the size of ``block``: a block is copied to one row per
+    component behind the running sums, and accumulated along the rows.  For
+    C = 1 numpy's contiguous reduction is pairwise, so numpy computes it.
+    """
+    c = block.shape[-1]
+    if c == 1:
+        return block.mean(axis=(0, 1, 2)), block.std(axis=(0, 1, 2))
+    pixels = block.reshape(-1, c)
+    n = len(pixels)
+    step = max(1, _STATS_BLOCK_BYTES // (8 * c))  # pixels per block
+
+    def total(mean: np.ndarray | None) -> np.ndarray:
+        """Per-component sum of x, or of (x - mean)**2 given the mean."""
+        buf = np.zeros((c, step + 1))  # column 0 carries the running sums
+        for lo in range(0, n, step):
+            rows = pixels[lo : lo + step].T
+            part = buf[:, : 1 + rows.shape[1]]
+            terms = part[:, 1:]
+            terms[...] = rows
+            if mean is not None:
+                terms -= mean[:, None]
+                np.square(terms, out=terms)
+            np.add.accumulate(part, axis=1, out=part)
+            buf[:, 0] = part[:, -1]
+        return buf[:, 0]
+
+    mean = total(None) / n
+    return mean, np.sqrt(total(mean) / n)
 
 
 def apply_stats(fields: SnapshotSet, stats: NormStats) -> SnapshotSet:

@@ -28,6 +28,11 @@ from .patches import MaskSpec, PatchGrid, SnapshotSet, check_positive, patch_blo
 LAMINAR = "laminar-surrogate"
 CHAOTIC = "chaotic-surrogate"
 
+#: Chaotic packets draw their wavenumber, in cycles across the shorter field
+#: side, and their frequency, in cycles per snapshot, uniformly from these.
+_WAVENUMBER_RANGE = (1.0, 8.0)
+_FREQUENCY_RANGE = (0.02, 0.35)
+
 
 @dataclass(frozen=True)
 class LaminarParams:
@@ -65,27 +70,22 @@ class LaminarParams:
 class ChaoticParams:
     """Broadband wave-packet parameters.
 
-    ``wavenumber_range`` is in cycles across the shorter field side and
-    ``frequency_range`` in cycles per snapshot.  Frequencies are drawn from a
-    continuous distribution, so they are incommensurate with probability one.
+    Each packet's wavenumber and frequency are drawn uniformly from fixed
+    ranges: 1 to 8 cycles across the shorter field side, and 0.02 to 0.35
+    cycles per snapshot.  Frequencies are drawn from a continuous
+    distribution, so they are incommensurate with probability one.
     ``packet_radius`` localizes each mode with a Gaussian envelope (defaults
     to a quarter of the shorter side), giving the field the spatially local
     correlation structure of a turbulent wake.
     """
 
     modes: int = 40
-    wavenumber_range: tuple[float, float] = (1.0, 8.0)
-    frequency_range: tuple[float, float] = (0.02, 0.35)
     decay: float = 0.5
     packet_radius: float | None = None
 
     def __post_init__(self):
         if self.modes < 1:
             raise ValidationError(f"mode count must be positive, got {self.modes}")
-        for name in ("wavenumber_range", "frequency_range"):
-            lo, hi = getattr(self, name)
-            if not 0 < lo <= hi:
-                raise ValidationError(f"invalid {name}: {(lo, hi)}")
         if self.packet_radius is not None:
             check_positive("packet_radius", self.packet_radius)
             # The envelope divides by 2 * radius**2, which must neither
@@ -195,11 +195,11 @@ def _chaotic(spec: FlowSpec) -> np.ndarray:
         space_mat = np.empty((2 * p.modes, h * w))
         for k in range(p.modes):
             angle = rng.uniform(0.0, 2.0 * np.pi)
-            cycles = rng.uniform(*p.wavenumber_range)
+            cycles = rng.uniform(*_WAVENUMBER_RANGE)
             kx = 2.0 * np.pi * cycles * np.cos(angle) / side
             ky = 2.0 * np.pi * cycles * np.sin(angle) / side
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            freq = 2.0 * np.pi * rng.uniform(*p.frequency_range)
+            freq = 2.0 * np.pi * rng.uniform(*_FREQUENCY_RANGE)
             cx = rng.uniform(0.0, w)
             cy = rng.uniform(0.0, h)
             amp = (1.0 + k) ** -p.decay

@@ -13,6 +13,7 @@ from lamp import (
     split,
     unpatchify,
 )
+from lamp import patches
 from lamp.patches import (
     NormStats,
     PatchedSeries,
@@ -21,6 +22,7 @@ from lamp.patches import (
     patch_vectors,
     split_standardized,
 )
+from lamp.synthetic import CHAOTIC, LAMINAR, FlowSpec, generate
 from oracles import apply_stats_oracle, denormalize_oracle
 
 
@@ -113,6 +115,46 @@ class TestAffineRows:
         back = denormalize(norm)
         assert np.array_equal(back.data, denormalize_oracle(norm.data, stats.mean, stats.std))
         assert back.norm_stats is None
+
+
+class TestNormStatsBits:
+    """normalize's blocked statistics are numpy's mean and population std, bit for bit."""
+
+    @staticmethod
+    def assert_numpy_bits(fields, train):
+        stats = normalize(fields, train).norm_stats
+        block = fields.data[train.start : train.stop]
+        assert np.array_equal(stats.mean, block.mean(axis=(0, 1, 2)))
+        assert np.array_equal(stats.std, block.std(axis=(0, 1, 2)))
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "extra", [-1, 0, 1, None], ids=["under", "one-block", "one-more", "ragged"]
+    )
+    def test_block_boundaries(self, c, extra):
+        step = patches._STATS_BLOCK_BYTES // (8 * c)  # the helper's pixels per block
+        pixels = 7 * step + step // 3 + 5 if extra is None else step + extra
+        rng = np.random.default_rng(100 * c + pixels % 97)
+        # Zero-mean values cancel, so the sums' roundings depend on the order of addition.
+        data = rng.standard_normal((pixels, 1, 1, c))
+        self.assert_numpy_bits(SnapshotSet(data), range(0, pixels))
+
+    def test_more_components_than_one_block_holds(self):
+        c = patches._STATS_BLOCK_BYTES // 8 + 1  # one pixel is more than a block
+        data = np.random.default_rng(9).standard_normal((3, 1, 2, c))
+        self.assert_numpy_bits(SnapshotSet(data), range(0, 3))
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    def test_train_block_of_a_longer_series(self, c):
+        rng = np.random.default_rng(c)
+        shape = (23, 37, 29, c)
+        data = 5.0 + rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4, shape)
+        self.assert_numpy_bits(SnapshotSet(data), range(3, 20))
+
+    @pytest.mark.parametrize("kind,snapshots", [(LAMINAR, 160), (CHAOTIC, 400)])
+    def test_generated_sets(self, kind, snapshots):
+        raw = generate(FlowSpec(kind, 64, 64, snapshots, seed=7))
+        self.assert_numpy_bits(raw, SplitSpec().train_range(snapshots))
 
 
 class TestPatchify:
