@@ -29,10 +29,14 @@ side reads its ``.lampds`` datasets and ``.lampmd`` models with its own
 ``lamp.formats``, in a subprocess with its tree's ``src`` on ``PYTHONPATH``,
 so a change of binary layout still compares the numbers: of a differing
 binary file it prints whether its arrays and header fields are identical
-and, if not, which differ and by how much.  It exits 1 and lists the
-differences when any file differs or is missing on one side, a step of ``STEPS`` fails, a step of
-``FAILING`` exits 0, or a failing step differs.  Run it from the repository
-root; nothing in the working tree is modified.  It takes about 75 s on a
+and, if not, which differ and by how much.  Each tree's parser is read too
+(see ``OPTION_TABLES``): of every subcommand, each option's option strings,
+dest, type, default, required flag, choices and help are compared, and each
+differing option is printed.  Each tree's per-module ``src/`` line counts
+are printed side by side.  It exits 1 and lists the differences when any
+file differs or is missing on one side, a step of ``STEPS`` fails, a step of
+``FAILING`` exits 0, a failing step differs, or an option differs.  Run it
+from the repository root; nothing in the working tree is modified.  It takes about 75 s on a
 2-vCPU VM with OpenBLAS at 1 thread, most of it in the sixteen benchmark
 sweeps, and a few seconds more for each differing binary file.
 """
@@ -82,6 +86,19 @@ else:
               "value_maps": m.value_maps, "attn_vectors": m.attn_vectors,
               "attn_intercepts": m.attn_intercepts, "pair_losses": m.pair_losses}
 np.savez(out, **fields)
+"""
+
+#: Run with a tree's ``src`` on ``PYTHONPATH``: print as JSON each subcommand's
+#: options, keyed by their option strings (a positional by its dest), each as
+#: [dest, type, default, required, choices, help] with type, default and
+#: choices as text.  Option order is not compared.
+OPTION_TABLES = """
+import argparse, json
+from lamp.cli import build_parser
+subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+print(json.dumps({command: {" ".join(a.option_strings) or a.dest: [
+    a.dest, getattr(a.type, "__name__", repr(a.type)), repr(a.default), a.required,
+    repr(a.choices), a.help] for a in sub._actions} for command, sub in subs.choices.items()}))
 """
 
 #: (output directory, lamp arguments); each step writes into its own directory.
@@ -350,6 +367,42 @@ def sweep_cell_differences(base: Path, head: Path) -> list[str]:
     return lines
 
 
+def option_tables(tree: Path) -> dict[str, dict[str, list]]:
+    """Each subcommand's options as ``tree``'s own parser declares them (see ``OPTION_TABLES``)."""
+    proc = subprocess.run([sys.executable, "-c", OPTION_TABLES],
+                          env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def option_differences(base: dict, head: dict) -> list[str]:
+    """One line per option that differs between two trees' option tables, or is in one only."""
+    lines = []
+    for command in sorted(base.keys() | head.keys()):
+        a, b = base.get(command, {}), head.get(command, {})
+        for option in sorted(a.keys() | b.keys()):
+            if a.get(option) != b.get(option):
+                lines.append(f"option {command} {option}: base {a.get(option)} != "
+                             f"head {b.get(option)}")
+    return lines
+
+
+def line_counts(tree: Path) -> dict[str, int]:
+    """Lines of each module under ``tree``'s ``src/``, by path relative to it."""
+    return {path.relative_to(tree / "src").as_posix(): len(path.read_bytes().splitlines())
+            for path in sorted((tree / "src").rglob("*.py"))}
+
+
+def print_line_counts(base: dict[str, int], head: dict[str, int]) -> None:
+    """The two trees' ``src/`` line counts side by side, with their change and total."""
+    print(f"{'src/ lines':32} {'base':>6} {'head':>6} {'change':>7}")
+    rows = [(name, base.get(name, 0), head.get(name, 0))
+            for name in sorted(base.keys() | head.keys())]
+    rows.append(("total", sum(base.values()), sum(head.values())))
+    for name, a, b in rows:
+        print(f"  {name:30} {a:6} {b:6} {b - a:+7}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="git revision to compare against")
@@ -358,6 +411,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="cli-identity-") as tmp:
         base_tree, base_run, head_run = (Path(tmp) / name for name in ("tree", "base", "head"))
         _export(args.rev, base_tree)
+        tables = [option_tables(tree) for tree in (base_tree, ROOT)]
+        counts = [line_counts(tree) for tree in (base_tree, ROOT)]
         failures, failed = [], []
         for tree, run_dir in ((base_tree, base_run), (ROOT, head_run)):
             run_dir.mkdir()
@@ -388,10 +443,16 @@ def main(argv=None) -> int:
         print(f"failing step {out}: base {failed[0][out]} != head {failed[1][out]}")
     for failure in failures:
         print(failure)
+    options_differ = option_differences(*tables)
+    for line in options_differ:
+        print(line)
+    print_line_counts(*counts)
     print(f"{args.rev} (base) vs working tree (head): {len(both)} files in both, "
           f"{len(differing)} differing, {len(failures)} failed steps, "
-          f"{len(failing_differ)} of {len(FAILING)} failing steps differing")
-    return 1 if differing or failures or failing_differ else 0
+          f"{len(failing_differ)} of {len(FAILING)} failing steps differing, "
+          f"{len(options_differ)} option-table differences across "
+          f"{len(tables[0].keys() | tables[1].keys())} subcommands")
+    return 1 if differing or failures or failing_differ or options_differ else 0
 
 
 if __name__ == "__main__":

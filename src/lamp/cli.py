@@ -51,27 +51,18 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        value = float(value)
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
     return value
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _numbers(text: str, kind: type) -> tuple:
+    """A comma-separated list of ``kind`` (int or float) values."""
     try:
-        return tuple(int(tok) for tok in str(text).split(","))
+        return tuple(kind(tok) for tok in str(text).split(","))
     except ValueError:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in str(text).split(","))
-    except ValueError:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}")
+        noun = "integers" if kind is int else "numbers"
+        raise ValidationError(f"expected comma-separated {noun}, got {text!r}")
 
 
 def _parse_snr(text) -> float:
@@ -104,14 +95,6 @@ def _load_raw(path: str) -> SnapshotSet:
     """Dataset in raw units: standardized files are inverted with their stats."""
     fields = formats.read_dataset(path)
     return denormalize(fields) if fields.norm_stats is not None else fields
-
-
-def _standardized_split(path: str, spec: SplitSpec) -> tuple[SnapshotSet, SnapshotSet]:
-    """(train, test) in standardized units; a file stored standardized keeps its stats."""
-    fields = formats.read_dataset(path)
-    if fields.norm_stats is not None:
-        return split(fields, spec)
-    return split_standardized(fields, spec)[:2]
 
 
 def _within_budget(args, need: int, what: str, remedy: str) -> int:
@@ -178,18 +161,10 @@ def _emit_field_images(out: Path, args, named_fields: dict, mask, grid) -> tuple
 # Each writes its outputs into ``out`` and returns (output names, results).
 
 def cmd_generate(args, out: Path) -> tuple[list[str], dict]:
-    decay = {} if args.decay is None else {"decay": args.decay}
-    if args.kind == LAMINAR:
-        params = LaminarParams(
-            speed=args.speed,
-            wavelength=args.wavelength,
-            envelope_width=args.envelope_width,
-            harmonics=args.harmonics,
-            amplitude=args.amplitude,
-            **decay,
-        )
-    else:
-        params = ChaoticParams(modes=args.modes, packet_radius=args.packet_radius, **decay)
+    kind = LaminarParams if args.kind == LAMINAR else ChaoticParams
+    # A flag left at None takes the kind's own default; --decay's differs by kind.
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(kind)}
+    params = kind(**{name: value for name, value in values.items() if value is not None})
     spec = FlowSpec(args.kind, args.height, args.width, args.snapshots, args.seed, params)
     _within_budget(args, synthetic.generate_nbytes(spec), "generating the dataset",
                    "reduce height, width or snapshots")
@@ -208,7 +183,10 @@ def cmd_generate(args, out: Path) -> tuple[list[str], dict]:
 
 
 def cmd_train(args, out: Path) -> tuple[list[str], dict]:
-    train_set, test_set = _standardized_split(args.dataset, _split_spec(args))
+    fields, spec = formats.read_dataset(args.dataset), _split_spec(args)
+    # A file stored standardized keeps its stats; a raw one takes its train split's.
+    train_set, test_set = (split(fields, spec) if fields.norm_stats is not None
+                           else split_standardized(fields, spec)[:2])
     need = _check_budget(args, train_set, args.patch_size, (args.latent_dim,))
     model = train_attention_model(
         train_set,
@@ -262,10 +240,10 @@ def cmd_reconstruct(args, out: Path) -> tuple[list[str], dict]:
 def cmd_sweep(args, out: Path) -> tuple[list[str], dict]:
     raw = _load_raw(args.dataset)
     axes = metrics.SweepAxes(
-        patch_sizes=_int_list(args.patch_size),
-        latent_dims=_int_list(args.latent_dim),
-        snr_dbs=_float_list(args.snr_db),
-        coverages=_float_list(args.coverage),
+        patch_sizes=_numbers(args.patch_size, int),
+        latent_dims=_numbers(args.latent_dim, int),
+        snr_dbs=_numbers(args.snr_db, float),
+        coverages=_numbers(args.coverage, float),
     )
     names = [f"sweep_snr{snr:g}_cov{cov:g}.ppm" for snr in axes.snr_dbs for cov in axes.coverages]
     if len(set(names)) < len(names):
@@ -455,6 +433,13 @@ def _add_split_flags(sub):
     sub.add_argument("--gap-fraction", type=float, default=SplitSpec.gap_fraction)
 
 
+def _add_fit_flags(sub):
+    sub.add_argument("--ridge-lambda", type=float, default=None)
+    sub.add_argument("--error-floor", type=float, default=DEFAULT_ERROR_FLOOR)
+    sub.add_argument("--no-intercept", dest="use_intercept", action="store_false")
+    sub.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES)
+
+
 def _add_eval_flags(sub):
     sub.add_argument("--coverage", type=float, required=True,
                      help="fraction of patches left unmasked")
@@ -484,28 +469,24 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--width", type=int, default=64)
     gen.add_argument("--snapshots", type=int, default=160)
     gen.add_argument("--seed", type=_seed, default=0)
-    gen.add_argument("--speed", type=float, default=LaminarParams.speed)
-    gen.add_argument("--wavelength", type=float, default=LaminarParams.wavelength)
-    gen.add_argument("--envelope-width", type=float, default=None)
-    gen.add_argument("--harmonics", type=int, default=LaminarParams.harmonics)
-    gen.add_argument("--amplitude", type=float, default=LaminarParams.amplitude)
-    gen.add_argument("--decay", type=float, default=None,
-                     help="amplitude decay exponent (defaults per kind)")
-    gen.add_argument("--modes", type=int, default=ChaoticParams.modes)
-    gen.add_argument("--packet-radius", type=float, default=None)
+    # One flag per generator parameter, typed by its default (float if None).
+    params = {f.name: f.default for kind in (LaminarParams, ChaoticParams)
+              for f in dataclasses.fields(kind)}
+    for name, default in params.items():
+        if name == "decay":  # its default depends on the kind
+            gen.add_argument("--decay", type=float, default=None,
+                             help="amplitude decay exponent (defaults per kind)")
+        else:
+            gen.add_argument("--" + name.replace("_", "-"), default=default,
+                             type=float if default is None else type(default))
     gen.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES)
-    gen.add_argument("--out-dir", required=True)
 
     train = subs.add_parser("train", help="fit compression and attention tensors")
     train.add_argument("--dataset", required=True)
     train.add_argument("--patch-size", type=int, required=True)
     train.add_argument("--latent-dim", type=int, required=True)
-    train.add_argument("--ridge-lambda", type=float, default=None)
-    train.add_argument("--error-floor", type=float, default=DEFAULT_ERROR_FLOOR)
-    train.add_argument("--no-intercept", dest="use_intercept", action="store_false")
-    train.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES)
+    _add_fit_flags(train)
     _add_split_flags(train)
-    train.add_argument("--out-dir", required=True)
 
     rec = subs.add_parser("reconstruct", help="masked reconstruction of the test split")
     rec.add_argument("--dataset", required=True)
@@ -513,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--no-copy-through", dest="copy_through", action="store_false")
     _add_eval_flags(rec)
     _add_split_flags(rec)
-    rec.add_argument("--out-dir", required=True)
 
     sweep = subs.add_parser("sweep", help="median loss over (P, N_e, SNR, coverage)")
     sweep.add_argument("--dataset", required=True)
@@ -523,24 +503,18 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--coverage", default="0.1", help="comma-separated list")
     sweep.add_argument("--arrangements", type=int, default=25)
     sweep.add_argument("--seed", type=_seed, default=0)
-    sweep.add_argument("--ridge-lambda", type=float, default=None)
-    sweep.add_argument("--error-floor", type=float, default=DEFAULT_ERROR_FLOOR)
-    sweep.add_argument("--no-intercept", dest="use_intercept", action="store_false")
     sweep.add_argument("--no-copy-through", dest="copy_through", action="store_false")
-    sweep.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES)
+    _add_fit_flags(sweep)
     _add_split_flags(sweep)
-    sweep.add_argument("--out-dir", required=True)
 
     power = subs.add_parser("power-map", help="predictive power per source patch")
     power.add_argument("--model", required=True)
-    power.add_argument("--out-dir", required=True)
 
     place = subs.add_parser("place-sensors", help="unmask the highest-power patches")
     place.add_argument("--model", required=True)
     place.add_argument("--coverage", type=float, default=0.1)
     place.add_argument("--count", type=int, default=None,
                        help="explicit sensor count (overrides --coverage)")
-    place.add_argument("--out-dir", required=True)
 
     gappy = subs.add_parser("gappy", help="gappy-POD baseline reconstruction")
     gappy.add_argument("--dataset", required=True)
@@ -550,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     gappy.add_argument("--ridge-lambda", type=float, default=None)
     _add_eval_flags(gappy)
     _add_split_flags(gappy)
-    gappy.add_argument("--out-dir", required=True)
 
     comp = subs.add_parser("compare", help="attention model vs gappy POD on identical inputs")
     comp.add_argument("--dataset", required=True)
@@ -563,12 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="unmask the model's highest-power patches instead of random ones")
     _add_eval_flags(comp)
     _add_split_flags(comp)
-    comp.add_argument("--out-dir", required=True)
 
     rerun = subs.add_parser("rerun", help="replay a run from its manifest")
     rerun.add_argument("manifest")
-    rerun.add_argument("--out-dir", default=None)
 
+    for name, sub in subs.choices.items():  # rerun defaults to the manifest's
+        sub.add_argument("--out-dir", required=name != "rerun")
     return parser
 
 

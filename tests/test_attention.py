@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -137,6 +138,17 @@ class TestMaskSpec:
         np.testing.assert_array_equal(obs, expect)
 
 
+class TestAttentionModel:
+    @pytest.mark.parametrize("at, value", [((0, 1), -1e-300), ((2, 2), 1e-300)],
+                             ids=["negative", "nonzero-diagonal"])
+    def test_bad_pair_losses_rejected(self, at, value):
+        model = random_model(3, 2, 0)
+        pair_losses = model.pair_losses.copy()
+        pair_losses[at] = value
+        with pytest.raises(ValidationError, match="pair losses must be nonnegative"):
+            dataclasses.replace(model, pair_losses=pair_losses)
+
+
 class TestSoftmaxRow:
     def test_neg_inf_gets_exact_zero(self):
         w = masked_softmax(np.array([0.0, -np.inf]))
@@ -167,6 +179,11 @@ class TestSoftmaxRow:
     def test_all_neg_inf_rejected(self):
         with pytest.raises(ValidationError, match="no finite"):
             masked_softmax(np.array([-np.inf, -np.inf]))
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0)])
+    def test_empty_row_rejected(self, shape):
+        with pytest.raises(ValidationError, match="needs rows of logits"):
+            masked_softmax(np.zeros(shape))
 
     def test_nan_and_pos_inf_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ from lamp import (
 from lamp import cli, formats
 from lamp.cli import _seed, build_parser, main
 from lamp.formats import DATASET_MAGIC, MODEL_MAGIC, model_nbytes
+from lamp.synthetic import ChaoticParams, LaminarParams
 
 
 def run(*argv):
@@ -83,6 +85,23 @@ class TestGenerate:
         assert default == (tmp_path / "explicit/dataset.lampds").read_bytes()
         manifest = json.loads((tmp_path / "default/manifest.json").read_text())
         assert manifest["config"]["decay"] is None
+
+    def test_one_flag_per_generator_parameter(self):
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        flags = {}
+        for action in subs.choices["generate"]._actions:
+            flags.setdefault(action.dest, []).append(action)
+        params = {f.name: f.default for kind in (LaminarParams, ChaoticParams)
+                  for f in dataclasses.fields(kind)}
+        params["decay"] = None  # its default depends on the kind
+        for name, default in params.items():
+            (action,) = flags[name]
+            assert action.option_strings == ["--" + name.replace("_", "-")]
+            assert action.default == default and type(action.default) is type(default), name
+            assert action.type is (float if default is None else type(default)), name
+        others = {"help", "kind", "height", "width", "snapshots", "seed", "budget_bytes", "out_dir"}
+        assert flags.keys() - params.keys() == others
 
 
 class TestTrain:
@@ -402,6 +421,27 @@ class TestMalformedInputs:
         assert run("reconstruct", "--dataset", laminar_path, "--model", model,
                    "--coverage", 0.25, "--out-dir", tmp_path / "x") == 3
         assert "truncated" in capsys.readouterr().err
+
+    def test_dataset_declaring_fewer_snapshots_exits_3(self, tmp_path, laminar_path, capsys):
+        raw = bytearray(Path(laminar_path).read_bytes())
+        struct.pack_into("<I", raw, len(raw) - 5, 79)  # T, the trailer's fourth u32, was 80
+        path = tmp_path / "short.lampds"
+        path.write_bytes(bytes(raw))
+        assert run("train", "--dataset", path, "--patch-size", 8, "--latent-dim", 4,
+                   "--out-dir", tmp_path / "x") == 3
+        assert error_line(capsys).endswith(f": {32 * 32 * 2 * 8} trailing bytes")
+
+    @pytest.mark.parametrize("at, value", [(1, -1.0), (0, 1.0)],
+                             ids=["negative", "nonzero-diagonal"])
+    def test_bad_pair_losses_exit_3(self, tmp_path, trained, capsys, at, value):
+        # The pair losses are the N^2 f64 before the 37-byte trailer, row-major.
+        raw = bytearray(Path(trained).read_bytes())
+        n = read_model(trained).n_patches
+        struct.pack_into("<d", raw, len(raw) - 37 - 8 * n * n + 8 * at, value)
+        model = tmp_path / "bad.lampmd"
+        model.write_bytes(bytes(raw))
+        assert run("power-map", "--model", model, "--out-dir", tmp_path / "x") == 3
+        assert "pair losses must be nonnegative with a zero diagonal" in error_line(capsys)
 
     @pytest.mark.parametrize("content", ["empty", "v1"])
     @pytest.mark.parametrize("which", ["dataset", "model"])

@@ -102,6 +102,14 @@ class TestDatasetFormat:
         with pytest.raises(FormatError, match="trailing"):
             read_dataset(path)
 
+    def test_fewer_declared_snapshots_rejected(self, tmp_path):
+        raw = bytearray(_written(write_dataset, SnapshotSet(np.zeros((3, 2, 2, 1)))))
+        struct.pack_into("<I", raw, len(raw) - 5, 2)  # T, the trailer's fourth u32
+        path = tmp_path / "t.lampds"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=": 32 trailing bytes$"):
+            read_dataset(path)
+
     def test_truncated_rejected(self, tmp_path):
         fields = SnapshotSet(np.zeros((1, 2, 2, 1)))
         path = tmp_path / "t.lampds"
@@ -481,6 +489,14 @@ class TestHeatmap:
         out = _ppm_pixels(tmp_path / "a.ppm")
         np.testing.assert_array_equal(out[0, 0], 0)
         np.testing.assert_array_equal(out[0, 1], 255)
+
+    @pytest.mark.parametrize("rgb", [np.zeros((2, 2, 3)), np.zeros((2, 2, 4), np.uint8),
+                                     np.zeros((2, 6), np.uint8)],
+                             ids=["float", "four-channel", "flat"])
+    def test_bad_ppm_payload_rejected(self, tmp_path, rgb):
+        with pytest.raises(ValidationError, match="PPM payload must be"):
+            write_ppm(rgb, tmp_path / "a.ppm")
+        assert not (tmp_path / "a.ppm").exists()
 
     @pytest.mark.parametrize("shape", [(2, 2), (4, 5)])
     def test_outline_shape_mismatch_rejected(self, tmp_path, shape):

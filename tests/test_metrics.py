@@ -251,6 +251,12 @@ class TestRunSweep:
         with pytest.raises(ValidationError, match=f"{axis} axis repeats"):
             SweepAxes(**kwargs)
 
+    @pytest.mark.parametrize("axis", ["patch_sizes", "latent_dims", "snr_dbs", "coverages"])
+    def test_empty_axis_rejected(self, axis):
+        kwargs = {"patch_sizes": (8,), "latent_dims": (2,), axis: ()}
+        with pytest.raises(ValidationError, match=f"{axis} axis is empty"):
+            SweepAxes(**kwargs)
+
     @pytest.mark.parametrize(
         "axis, values",
         [("coverages", (math.nan,)), ("coverages", (0.0,)), ("coverages", (0.1, 1.5)),

@@ -41,6 +41,15 @@ class TestSnapshotSet:
         with pytest.raises(ValidationError, match="shape"):
             SnapshotSet(np.zeros((4, 4, 1)))
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2, 1), (1, 2, 0, 1), (1, 2, 2, 0)])
+    def test_rejects_empty_dimension(self, shape):
+        with pytest.raises(ValidationError, match="empty snapshot dimensions"):
+            SnapshotSet(np.zeros(shape))
+
+    def test_rejects_stats_of_another_component_count(self):
+        with pytest.raises(ValidationError, match="norm stats do not match component count"):
+            SnapshotSet(np.zeros((1, 2, 2, 2)), norm_stats=NormStats(np.zeros(1), np.ones(1)))
+
     def test_immutable(self):
         fields = SnapshotSet(np.zeros((1, 2, 2, 1)))
         with pytest.raises(ValueError):
@@ -97,6 +106,22 @@ class TestNormalize:
         fields = rand_fields(np.random.default_rng(4), 4, 2, 2, 1)
         with pytest.raises(ValidationError, match="empty"):
             normalize(fields, range(0, 0))
+
+    @pytest.mark.parametrize("train_range", [range(0, 5), range(-1, 2), range(0, 4, 2)])
+    def test_train_range_outside_or_strided(self, train_range):
+        fields = rand_fields(np.random.default_rng(4), 4, 2, 2, 1)
+        with pytest.raises(ValidationError, match="outside .* or non-contiguous"):
+            normalize(fields, train_range)
+
+    def test_apply_stats_of_another_component_count(self):
+        fields = rand_fields(np.random.default_rng(4), 2, 2, 3, 2)
+        with pytest.raises(ValidationError, match="norm stats do not match component count"):
+            apply_stats(fields, NormStats(np.zeros(1), np.ones(1)))
+
+    def test_denormalize_without_stats(self):
+        fields = rand_fields(np.random.default_rng(4), 2, 2, 2, 1)
+        with pytest.raises(ValidationError, match="carries no normalization stats"):
+            denormalize(fields)
 
 
 class TestAffineRows:
