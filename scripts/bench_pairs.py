@@ -16,7 +16,10 @@ tree was better, and a verdict against the metric's ``bound`` (see
 :func:`verdict`): ``worse``, ``unresolved`` or ``ok``, then ``, gain`` when
 the working tree wins at least 9 of every 10 pairs by more than the parent's
 interquartile range.  It exits 1 when any run of either side is not correct or
-has failed operations, and names those runs' seeds.  Run it from the
+has failed operations, and names those runs' seeds.  It also prints each
+side's CPU count and BLAS thread variables, read from the runs' ``# env``
+records, and warns when the runs differ in them: a time measured with another
+CPU count or BLAS thread count does not compare.  Run it from the
 repository root; nothing under ``perfbench/`` is modified.
 """
 
@@ -68,6 +71,14 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "env": env,
             **{k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def _machine(run: dict) -> str:
+    """A run's CPU count and BLAS thread variables, from its ``# env`` record."""
+    env = run.get("env") or {}
+    threads = " ".join(f"{var}={'unset' if value is None else value}"
+                       for var, value in sorted(env.get("blas_threads", {}).items()))
+    return f"nproc {env.get('nproc', 'unknown')}, BLAS threads {threads or 'unknown'}"
 
 
 def verdict(better: str, bound: float, base: list[float], head: list[float]) -> str:
@@ -151,6 +162,11 @@ def main(argv=None) -> int:
         print(f"{side}: {incorrect} incorrect runs, {failed} failed ops"
               + (f"; bad runs at seeds {bad_seeds}" if bad_seeds else ""))
         bad_runs += len(bad_seeds)
+    machines = {side: sorted({_machine(r) for r in runs[side]}) for side in runs}
+    for side, seen in machines.items():
+        print(f"{side} env: " + " | ".join(seen))
+    if len(set(machines["base"] + machines["head"])) > 1:
+        print("warning: the runs differ in CPU count or BLAS threads, so their times do not compare")
     if args.json:
         args.json.write_text(json.dumps({"args": {**vars(args), "json": str(args.json)}, **runs},
                                         indent=1) + "\n", encoding="utf-8")

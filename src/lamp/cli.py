@@ -107,14 +107,15 @@ def _within_budget(args, need: int, what: str, remedy: str) -> int:
     return need
 
 
-def _check_budget(args, fields: SnapshotSet, patch_size: int, latent_dims: tuple[int, ...]) -> int:
-    """Total file size of the models of one patch size, held in memory together."""
+def _check_budget(args, fields: SnapshotSet, patch_sizes: tuple[int, ...],
+                  latent_dims: tuple[int, ...]) -> int:
+    """Total file size of the models of these patch sizes, held in memory together."""
     need = sum(
-        formats.model_nbytes(fields.height, fields.width, fields.components, patch_size, ne)
-        for ne in latent_dims
+        formats.model_nbytes(fields.height, fields.width, fields.components, p, ne)
+        for p in patch_sizes for ne in latent_dims
     )
-    dims = ",".join(str(ne) for ne in latent_dims)
-    return _within_budget(args, need, f"models (P={patch_size}, N_e={dims})",
+    sizes, dims = (",".join(str(v) for v in axis) for axis in (patch_sizes, latent_dims))
+    return _within_budget(args, need, f"models (P={sizes}, N_e={dims})",
                           "reduce patch count or latent dimension")
 
 
@@ -162,6 +163,10 @@ def _emit_field_images(out: Path, args, named_fields: dict, mask, grid) -> tuple
 
 def cmd_generate(args, out: Path) -> tuple[list[str], dict]:
     kind = LaminarParams if args.kind == LAMINAR else ChaoticParams
+    own = {f.name for f in dataclasses.fields(kind)}
+    for f in dataclasses.fields(LaminarParams) + dataclasses.fields(ChaoticParams):
+        if f.name not in own and getattr(args, f.name) != f.default:  # the other kind's flag
+            raise ValidationError(f"--{f.name.replace('_', '-')} is not a {args.kind} parameter")
     # A flag left at None takes the kind's own default; --decay's differs by kind.
     values = {f.name: getattr(args, f.name) for f in dataclasses.fields(kind)}
     params = kind(**{name: value for name, value in values.items() if value is not None})
@@ -187,7 +192,7 @@ def cmd_train(args, out: Path) -> tuple[list[str], dict]:
     # A file stored standardized keeps its stats; a raw one takes its train split's.
     train_set, test_set = (split(fields, spec) if fields.norm_stats is not None
                            else split_standardized(fields, spec)[:2])
-    need = _check_budget(args, train_set, args.patch_size, (args.latent_dim,))
+    need = _check_budget(args, train_set, (args.patch_size,), (args.latent_dim,))
     model = train_attention_model(
         train_set,
         args.patch_size,
@@ -251,12 +256,15 @@ def cmd_sweep(args, out: Path) -> tuple[list[str], dict]:
             "--snr-db or --coverage values equal to 6 significant digits would "
             f"share heatmap file names: {names}"
         )
+    trained = []  # the patch sizes run_sweep trains models for, None where it skips one
     for p in axes.patch_sizes:
         try:
-            PatchGrid(raw.height, raw.width, raw.components, p)
+            trained.append(PatchGrid(raw.height, raw.width, raw.components, p).patch_size)
         except ValidationError:
-            continue  # run_sweep records these cells as skipped
-        _check_budget(args, raw, p, axes.latent_dims)  # run_sweep holds them at once
+            trained.append(None)  # run_sweep records these cells as skipped
+    for prev, p in zip([None, *trained], trained):
+        if p is not None:  # run_sweep holds prev's models, still scored, while p's train
+            _check_budget(args, raw, tuple(q for q in (prev, p) if q), axes.latent_dims)
     result = metrics.run_sweep(
         raw,
         axes,

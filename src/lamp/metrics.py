@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 from collections import defaultdict
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +174,11 @@ def _float_key(x: float) -> int:
     return struct.unpack("<q", struct.pack("<d", float(x)))[0] & 0x7FFFFFFFFFFFFFFF
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def run_sweep(
     dataset: SnapshotSet,
     axes: SweepAxes,
@@ -204,6 +212,11 @@ def run_sweep(
     derived deterministically from ``seed`` and the cell coordinates; neither
     depends on N_e, so the models of one patch size are trained together and
     scored on the same masks and noise (see :func:`_sweep_patch_size`).
+
+    Training runs on the calling thread; a pool of one thread per usable CPU
+    scores each patch size while the next one trains.  Results are taken in
+    submission order, so no cell depends on the thread count, and a failure
+    raised is the first one in the serial (P, coverage, arrangement) order.
     """
     if dataset.norm_stats is not None:
         raise ValidationError("run_sweep expects an unnormalized dataset")
@@ -213,47 +226,22 @@ def run_sweep(
     check_positive("error_floor", error_floor)
     train_norm, test_norm, test_raw = split_standardized(dataset, split_spec)
     sigma2s = {snr: noise_sigma2(test_raw, snr) for snr in axes.snr_dbs}
-
+    fit = dict(ridge_lambda=ridge_lambda, error_floor=error_floor, use_intercept=use_intercept)
     cells: list[SweepCell] = []
-    for p in axes.patch_sizes:
-        models, skipped = {}, {}
-        pod = None  # fitted at the largest N_e in range; the others take its leading modes
-        for ne in sorted(axes.latent_dims, reverse=True):
-            try:
-                models[ne] = train_attention_model(
-                    train_norm,
-                    p,
-                    ne,
-                    ridge_lambda=ridge_lambda,
-                    error_floor=error_floor,
-                    use_intercept=use_intercept,
-                    pod=pod,
-                )
-            except ValidationError as exc:
-                skipped[ne] = str(exc)
-                continue
-            if pod is None:
-                pod = models[ne].pod
-        lone = {}  # coverage: reason, when its one observed patch would have to predict itself
-        if models:
-            n = next(iter(models.values())).n_patches
-            if not copy_through:
-                lone = {
-                    cov: f"coverage {cov} observes 1 of {n} patches; without copy-through "
-                    "it has no prediction source"
-                    for cov in axes.coverages if sensor_count(n, cov) == 1
-                }
-            coverages = [cov for cov in axes.coverages if cov not in lone]
-            floors, medians = _sweep_patch_size(
-                p, models, test_norm, sigma2s, coverages, n_arrangements, seed, copy_through
-            )
-        for ne, snr, cov in itertools.product(axes.latent_dims, axes.snr_dbs, axes.coverages):
-            reason = skipped.get(ne) or lone.get(cov)
-            measured = (None, None, None) if reason else (
-                medians[ne, snr, cov], floors[ne],
-                noise_variance_normalized(sigma2s[snr], train_norm.norm_stats),
-            )
-            cells.append(SweepCell(p, ne, snr, cov, *measured, n_arrangements, seed, reason))
+    with ThreadPoolExecutor(_usable_cpus()) as pool:
+        try:
+            previous: Callable[[], list[SweepCell]] = list  # the cells the pool is scoring
+            for p in axes.patch_sizes:
+                try:
+                    current = _sweep_patch_size(pool, p, axes, train_norm, test_norm, sigma2s,
+                                                n_arrangements, seed, copy_through, fit)
+                finally:  # a failure of the previous patch size comes first in serial order
+                    cells += previous()
+                previous = current
+            cells += previous()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return SweepResult(tuple(cells))
 
 
@@ -263,54 +251,92 @@ LATENT_LOSS_RTOL = 1e-6
 
 
 def _sweep_patch_size(
-    p: int, models: dict[int, AttentionModel], test_norm: SnapshotSet,
-    sigma2s: dict[float, float], coverages: list[float], n_arrangements: int, seed: int,
-    copy_through: bool,
-) -> tuple[dict, dict]:
-    """Score the models of one patch size in latent space, without decoding.
+    pool: ThreadPoolExecutor, p: int, axes: SweepAxes, train_norm: SnapshotSet,
+    test_norm: SnapshotSet, sigma2s: dict[float, float], n_arrangements: int, seed: int,
+    copy_through: bool, fit: dict,
+) -> Callable[[], list[SweepCell]]:
+    """Train the models of one patch size here and submit their scoring to ``pool``;
+    returns the function that waits for it, in order, and returns their cells.
 
-    The clean test split is encoded once per model.  Each mask is drawn once
-    per (coverage, arrangement), each noise field once per SNR on top of it,
-    and both are shared by every N_e.  The observed patch vectors are
-    :func:`observe`'s, encoded as :func:`reconstruct` encodes them.  The bases
-    are orthonormal, so the pixel-space error ||U z_hat - x||^2 equals
-    ||z_hat - U^T x||^2 + ||(I - U U^T) x||^2, whose second term is the floor.
-
-    The first evaluation of each model is also decoded and scored in pixel
-    space (:func:`add_noise_fixed`, :func:`reconstruct`, :func:`pred_loss`,
-    drawing its noise a second time if the first SNR is finite); a gap over
-    ``LATENT_LOSS_RTOL`` raises NumericalError.
-
-    Returns ({N_e: floor}, {(N_e, SNR, coverage): median loss}).
+    The clean test split is encoded once per model.  The first (coverage,
+    arrangement) is scored here, the others by ``pool``, all in latent space.
     """
-    series = patchify(test_norm, p)
-    grid, size = series.grid, series.values.size
-    clean = {ne: encode(m.pod, series).values for ne, m in models.items()}
-    floor_sums = {ne: ae_loss(m.pod, series, per_element=False) for ne, m in models.items()}
-    losses = defaultdict(list)
-    for cov in coverages:
+    models, skipped, pod = {}, {}, None
+    for ne in sorted(axes.latent_dims, reverse=True):
+        try:
+            models[ne] = train_attention_model(train_norm, p, ne, pod=pod, **fit)
+        except ValidationError as exc:
+            skipped[ne] = str(exc)
+            continue
+        if pod is None:
+            pod = models[ne].pod
+    lone, jobs, size = {}, [], test_norm.data.size  # lone: coverage -> skip reason
+    if models:
+        grid = next(iter(models.values())).grid
+        if not copy_through:  # a coverage whose one observed patch would predict itself
+            lone = {
+                cov: f"coverage {cov} observes 1 of {grid.n_patches} patches; without "
+                "copy-through it has no prediction source"
+                for cov in axes.coverages if sensor_count(grid.n_patches, cov) == 1
+            }
+        jobs = [(cov, arr_idx) for cov in axes.coverages if cov not in lone
+                for arr_idx in range(n_arrangements)]
+        series = patchify(test_norm, p)
+        clean = {ne: encode(m.pod, series).values for ne, m in models.items()}
+        floor_sums = {ne: ae_loss(m.pod, series, per_element=False) for ne, m in models.items()}
+
+    def score(cov: float, arr_idx: int, check: bool = False) -> dict:
+        """{(N_e, SNR, coverage): loss} of one (coverage, arrangement).
+
+        One mask, and one noise field per SNR on it, serve every N_e.  The
+        observed patch vectors are :func:`observe`'s, encoded as
+        :func:`reconstruct` encodes them.  The bases are orthonormal, so the
+        pixel-space error ||U z_hat - x||^2 is ||z_hat - U^T x||^2 plus the
+        floor ||(I - U U^T) x||^2.  With ``check`` the first SNR is also scored
+        in pixel space (:func:`add_noise_fixed`, :func:`reconstruct`,
+        :func:`pred_loss`); a gap over ``LATENT_LOSS_RTOL`` is NumericalError.
+        """
         cov_key = int(round(cov * 1e9))
-        for arr_idx in range(n_arrangements):
-            mask = MaskSpec.random(grid.n_patches, cov, derive_seed(seed, 0, p, cov_key, arr_idx))
-            sources = np.asarray(mask.unmasked, dtype=np.intp)
-            for snr, sigma2 in sigma2s.items():
-                noise_seed = derive_seed(seed, 1, p, cov_key, arr_idx, _float_key(snr))
-                x_in = observe(test_norm, mask, sigma2, noise_seed, grid)  # (k, T, D)
-                first = (cov, arr_idx, snr) == (coverages[0], 0, next(iter(sigma2s)))
-                if first:
-                    test_in = add_noise_fixed(test_norm, mask, sigma2, noise_seed, grid)
-                for ne, model in models.items():
-                    observed = np.matmul(x_in, model.pod.bases[sources])  # (k, T, N_e)
-                    err = predict_masked(model, observed, mask, copy_through) - clean[ne]
-                    loss = (float(np.sum(err * err)) + floor_sums[ne]) / size
-                    if first:
-                        recon = reconstruct(model, test_in, mask, copy_through)
-                        pixel = pred_loss(recon, test_norm)
-                        if not math.isclose(loss, pixel, rel_tol=LATENT_LOSS_RTOL, abs_tol=1e-12):
-                            raise NumericalError(
-                                f"latent-space loss {loss!r} disagrees with pixel-space loss "
-                                f"{pixel!r} at P={p}, N_e={ne}"
-                            )
-                    losses[ne, snr, cov].append(loss)
-    floors = {ne: total / size for ne, total in floor_sums.items()}
-    return floors, {key: float(np.median(v)) for key, v in losses.items()}
+        mask = MaskSpec.random(grid.n_patches, cov, derive_seed(seed, 0, p, cov_key, arr_idx))
+        sources = np.asarray(mask.unmasked, dtype=np.intp)
+        losses = {}
+        for snr, sigma2 in sigma2s.items():
+            noise_seed = derive_seed(seed, 1, p, cov_key, arr_idx, _float_key(snr))
+            x_in = observe(test_norm, mask, sigma2, noise_seed, grid)  # (k, T, D)
+            if check:
+                test_in = add_noise_fixed(test_norm, mask, sigma2, noise_seed, grid)
+            for ne, model in models.items():
+                observed = np.matmul(x_in, model.pod.bases[sources])  # (k, T, N_e)
+                err = predict_masked(model, observed, mask, copy_through) - clean[ne]
+                loss = (float(np.sum(err * err)) + floor_sums[ne]) / size
+                if check:
+                    recon = reconstruct(model, test_in, mask, copy_through)
+                    pixel = pred_loss(recon, test_norm)
+                    if not math.isclose(loss, pixel, rel_tol=LATENT_LOSS_RTOL, abs_tol=1e-12):
+                        raise NumericalError(
+                            f"latent-space loss {loss!r} disagrees with pixel-space loss "
+                            f"{pixel!r} at P={p}, N_e={ne}"
+                        )
+                losses[ne, snr, cov] = loss
+            check = False
+        return losses
+
+    futures = [pool.submit(score, *job) for job in jobs[1:]]
+    first = [score(*jobs[0], check=True)] if jobs else []
+
+    def cells() -> list[SweepCell]:
+        losses = defaultdict(list)
+        for result in first + [future.result() for future in futures]:
+            for key, loss in result.items():
+                losses[key].append(loss)
+        out = []
+        for ne, snr, cov in itertools.product(axes.latent_dims, axes.snr_dbs, axes.coverages):
+            reason = skipped.get(ne) or lone.get(cov)
+            measured = (None, None, None) if reason else (
+                float(np.median(losses[ne, snr, cov])), floor_sums[ne] / size,
+                noise_variance_normalized(sigma2s[snr], train_norm.norm_stats),
+            )
+            out.append(SweepCell(p, ne, snr, cov, *measured, n_arrangements, seed, reason))
+        return out
+
+    return cells

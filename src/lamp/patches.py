@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import ValidationError
 
-#: Bytes of one block of the standardization statistics: the block is copied
-#: once, transformed and summed, so it should stay in a core's L2 cache.
-_STATS_BLOCK_BYTES = 256 * 1024
+#: Bytes of one block of a streamed pass (standardization statistics, noise
+#: draws): a block is made and used at once, so it should stay in L2 cache.
+BLOCK_BYTES = 256 * 1024
 
 
 def freeze(
@@ -326,7 +326,7 @@ def _moments(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return block.mean(axis=(0, 1, 2)), block.std(axis=(0, 1, 2))
     pixels = block.reshape(-1, c)
     n = len(pixels)
-    step = max(1, _STATS_BLOCK_BYTES // (8 * c))  # pixels per block
+    step = max(1, BLOCK_BYTES // (8 * c))  # pixels per block
 
     def total(mean: np.ndarray | None) -> np.ndarray:
         """Per-component sum of x, or of (x - mean)**2 given the mean."""

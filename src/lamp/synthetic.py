@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .patches import MaskSpec, PatchGrid, SnapshotSet, check_positive, patch_blocks, patch_vectors
+from .patches import (BLOCK_BYTES, MaskSpec, PatchGrid, SnapshotSet, check_positive,
+                      patch_blocks, patch_vectors)
 
 LAMINAR = "laminar-surrogate"
 CHAOTIC = "chaotic-surrogate"
@@ -264,8 +265,9 @@ def noise_sigma2(fields: SnapshotSet, snr_db: float) -> float:
     return sigma2
 
 
-def draw_noise(shape: tuple[int, ...], sigma2: float, seed: int) -> np.ndarray:
-    """The noise protocol's one draw: i.i.d. N(0, sigma2) of ``shape`` from ``seed``."""
+def draw_noise(shape: tuple[int, ...], sigma2: float, seed: int | np.random.Generator) -> np.ndarray:
+    """The noise protocol's one draw: i.i.d. N(0, sigma2) of ``shape`` from ``seed``
+    (a Generator ``seed`` is drawn on from where it stands)."""
     if not 0.0 <= sigma2 < math.inf:
         raise ValidationError(f"noise variance must be finite and nonnegative, got {sigma2}")
     return np.random.default_rng(seed).normal(0.0, math.sqrt(sigma2), size=shape)
@@ -276,16 +278,20 @@ def observe(
 ) -> np.ndarray:
     """The (k, T, D) vectors of the unmasked patches, in mask order, as observed:
     unless ``sigma2`` (raw units) is 0, plus the same patches of a whole-field
-    :func:`draw_noise` draw, divided by the training std on standardized fields."""
+    :func:`draw_noise` draw, divided by the training std on standardized fields.
+    The draw is one stream, taken in snapshot blocks of about ``BLOCK_BYTES``."""
     grid.check_fields(fields)
     grid.check_mask(mask)
     sources = np.asarray(mask.unmasked, dtype=np.intp)
     x = patch_vectors(fields.data, grid, sources)
     if sigma2 != 0.0:
-        eps = patch_vectors(draw_noise(fields.data.shape, sigma2, seed), grid, sources)
-        if fields.norm_stats is not None:
-            eps /= np.tile(fields.norm_stats.std, grid.patch_size**2)  # components vary fastest
-        x += eps
+        rng, (t, *pixels) = np.random.default_rng(seed), fields.data.shape
+        step = max(1, BLOCK_BYTES // (8 * math.prod(pixels)))  # snapshots per block
+        stats = fields.norm_stats  # its std tiled as components vary fastest in a patch vector
+        std = 1.0 if stats is None else np.tile(stats.std, grid.patch_size**2)
+        for lo in range(0, t, step):
+            eps = patch_vectors(draw_noise((min(step, t - lo), *pixels), sigma2, rng), grid, sources)
+            x[:, lo : lo + step] += eps / std
     return x
 
 

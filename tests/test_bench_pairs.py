@@ -73,3 +73,23 @@ def test_higher_is_better(monkeypatch, capsys, head, label):
 
 def test_every_metric_gets_a_verdict(monkeypatch, capsys):
     assert set(verdicts(monkeypatch, capsys, {}).values()) == {"ok"}
+
+
+@pytest.mark.parametrize("head_nproc, warned", [(2, False), (1, True)])
+def test_env_of_each_side_printed_and_a_difference_warned(monkeypatch, capsys, head_nproc,
+                                                          warned):
+    monkeypatch.setattr(bench_pairs, "_export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "_export_worktree", lambda dest: None)
+
+    def fake_run(tree, workload, seed, seconds):
+        nproc = 2 if tree.name == "base" else head_nproc
+        env = {"nproc": nproc, "blas_threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}}
+        return {"correct": True, "failed": 0, "env": env, **{m["name"]: 1.0 for m in METRICS}}
+
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    assert bench_pairs.main(["--workload", "w", "--pairs", "2", "--rev", "r"]) == 0
+    out = capsys.readouterr().out
+    threads = "BLAS threads OMP_NUM_THREADS=unset OPENBLAS_NUM_THREADS=1"
+    assert f"base env: nproc 2, {threads}" in out
+    assert f"head env: nproc {head_nproc}, {threads}" in out
+    assert ("warning: the runs differ in CPU count or BLAS threads" in out) is warned

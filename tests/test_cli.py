@@ -86,6 +86,31 @@ class TestGenerate:
         manifest = json.loads((tmp_path / "default/manifest.json").read_text())
         assert manifest["config"]["decay"] is None
 
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("laminar-surrogate", "--modes", 0), ("laminar-surrogate", "--packet-radius", -3),
+        ("chaotic-surrogate", "--harmonics", 3), ("chaotic-surrogate", "--envelope-width", 4),
+    ])
+    def test_flag_of_the_other_kind_exits_2(self, tmp_path, capsys, kind, flag, value):
+        out = tmp_path / "gen"
+        assert run("generate", "--kind", kind, "--height", 16, "--width", 16, "--snapshots", 4,
+                   flag, value, "--out-dir", out) == 2
+        assert f"{flag} is not a {kind} parameter" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("laminar-surrogate", ["--modes", 40]),
+        ("chaotic-surrogate", ["--harmonics", 6, "--speed", 1.0, "--wavelength", 32.0]),
+    ])
+    def test_flag_of_the_other_kind_at_its_default_is_accepted(self, tmp_path, kind, flags):
+        # A manifest records the other kind's flags at their defaults, and its rerun passes them.
+        args = ["generate", "--kind", kind, "--height", 16, "--width", 16, "--snapshots", 4]
+        assert run(*args, "--out-dir", tmp_path / "plain") == 0
+        assert run(*args, *flags, "--out-dir", tmp_path / "flags") == 0
+        assert run("rerun", tmp_path / "plain/manifest.json", "--out-dir", tmp_path / "rerun") == 0
+        want = (tmp_path / "plain/dataset.lampds").read_bytes()
+        for out in ("flags", "rerun"):
+            assert (tmp_path / out / "dataset.lampds").read_bytes() == want
+
     def test_one_flag_per_generator_parameter(self):
         subs = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction))
@@ -686,6 +711,25 @@ class TestMalformedInputs:
         assert list(out.iterdir()) == []
         assert run("sweep", "--dataset", laminar_path, "--patch-size", 8, "--latent-dim", "2,4",
                    "--arrangements", 1, "--budget-bytes", sum(sizes), "--out-dir", out) == 0
+
+    @pytest.mark.parametrize("patch_sizes, held", [("8,16", "8,16"), ("8,5,16", None)])
+    def test_sweep_budget_counts_the_models_of_two_consecutive_patch_sizes(
+        self, tmp_path, laminar_path, capsys, patch_sizes, held
+    ):
+        # While one patch size trains, the pool still scores the one before,
+        # so a budget that fits each patch size alone may not fit the pair; a
+        # skipped patch size between them holds nothing, so they never meet.
+        sizes = [model_nbytes(32, 32, 2, p, 2) for p in (8, 16)]
+        argv = ["sweep", "--dataset", laminar_path, "--patch-size", patch_sizes,
+                "--latent-dim", 2, "--arrangements", 1]
+        code = run(*argv, "--budget-bytes", max(sizes), "--out-dir", tmp_path / "tight")
+        if held:
+            assert code == 2
+            assert f"models (P={held}, N_e=2)" in capsys.readouterr().err
+            assert list((tmp_path / "tight").iterdir()) == []
+        else:
+            assert code == 0
+        assert run(*argv, "--budget-bytes", sum(sizes), "--out-dir", tmp_path / "ok") == 0
 
     @pytest.mark.parametrize(
         "command, extra",

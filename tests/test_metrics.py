@@ -1,5 +1,12 @@
+import importlib.util
 import itertools
 import math
+import os
+import sys
+import threading
+from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +25,7 @@ from lamp import (
     predictive_power,
     run_sweep,
 )
-from lamp import NumericalError, SplitSpec, attention, metrics
+from lamp import NumericalError, SplitSpec, attention, metrics, synthetic
 from lamp.metrics import PowerMap, derive_seed
 from lamp.patches import MaskSpec, PatchGrid, split_standardized
 from lamp.pod import PatchPodModel
@@ -324,27 +331,23 @@ class TestSweepEngine:
         assert sum(c.skip_reason is not None for c in result.cells) == 3
 
     def test_noise_drawn_once_per_patch_size(self, small_laminar, monkeypatch):
-        # Every noise draw is one Generator.normal call; masks use choice.
-        draws = []
-        real = np.random.default_rng
+        # Every noise field is one stream of draw_noise calls, keyed by its
+        # seed or Generator, that draws the test split's T*H*W*C elements.
+        streams = defaultdict(int)
+        real = synthetic.draw_noise
 
-        class CountingRng:
-            def __init__(self, seed):
-                self._rng = real(seed)
+        def counting(shape, sigma2, seed):
+            streams[seed] += math.prod(shape)
+            return real(shape, sigma2, seed)
 
-            def normal(self, *args, **kwargs):
-                draws.append(kwargs.get("size"))
-                return self._rng.normal(*args, **kwargs)
-
-            def __getattr__(self, name):
-                return getattr(self._rng, name)
-
-        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        monkeypatch.setattr(synthetic, "draw_noise", counting)
         axes = SweepAxes(patch_sizes=(8, 16), latent_dims=(2, 4, 6),
                          snr_dbs=(math.inf, 20.0, 10.0), coverages=(0.5, 0.75))
         run_sweep(small_laminar, axes, n_arrangements=3, seed=2)
+        _, test_norm, _ = split_standardized(small_laminar, SplitSpec())
         finite_snrs = 2
-        assert len(draws) == len(axes.patch_sizes) * finite_snrs * len(axes.coverages) * 3
+        assert len(streams) == len(axes.patch_sizes) * finite_snrs * len(axes.coverages) * 3
+        assert set(streams.values()) == {test_norm.data.size}
 
     @pytest.mark.parametrize("snr", [math.inf, 20.0])
     def test_sweep_and_reconstruct_see_identical_observed_latents(self, small_laminar,
@@ -372,6 +375,114 @@ class TestSweepEngine:
         axes = SweepAxes(patch_sizes=(8,), latent_dims=(2,), coverages=(0.5,))
         with pytest.raises(NumericalError, match="pixel-space loss"):
             run_sweep(small_laminar, axes, n_arrangements=2)
+
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracing", Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+)
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+
+class TestSweepThreads:
+    """Scoring on a thread pool, overlapped with the next patch size's training."""
+
+    # P=16 on 32x32 has 4 patches, so coverage 0.25 observes one: a lone
+    # coverage without copy-through.  N_e = 10**6 is out of range.
+    AXES = SweepAxes(patch_sizes=(8, 16), latent_dims=(2, 10**6), snr_dbs=(math.inf, 20.0),
+                     coverages=(0.25, 0.75))
+
+    @staticmethod
+    def workers(monkeypatch, count):
+        """Make ``count`` CPUs usable, and record the size of every pool made."""
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        monkeypatch.setattr(metrics, "ThreadPoolExecutor", Recording)
+        return sizes
+
+    @pytest.mark.parametrize("copy_through", [True, False])
+    @pytest.mark.parametrize("n_arrangements", [2, 5])  # fewer and more than four workers
+    def test_cells_equal_with_one_and_four_workers(self, small_laminar, monkeypatch,
+                                                   copy_through, n_arrangements):
+        results, interval = {}, sys.getswitchinterval()
+        for count in (1, 4):  # four workers on fewer cores, switching threads often
+            sizes = self.workers(monkeypatch, count)
+            sys.setswitchinterval(1e-5 if count > 1 else interval)
+            try:
+                results[count] = run_sweep(small_laminar, self.AXES, seed=6,
+                                           n_arrangements=n_arrangements, copy_through=copy_through)
+            finally:
+                sys.setswitchinterval(interval)
+            assert sizes == [count]
+        assert results[1] == results[4]
+        reasons = [c.skip_reason for c in results[1].cells if c.skip_reason]
+        assert sum("10000" in r for r in reasons) == 8
+        assert sum("observes 1 of 4" in r for r in reasons) == (0 if copy_through else 2)
+
+    def test_traced_functions_run_on_the_main_thread(self, small_laminar, monkeypatch):
+        self.workers(monkeypatch, 4)
+        threads = defaultdict(set)
+        tracer = tracing.Tracer()
+        real_open = tracer.open
+
+        def recording_open(name, bound=None):
+            threads[name].add(threading.current_thread())
+            return real_open(name, bound)
+
+        tracer.open = recording_open
+        tracer.install()
+        try:
+            metrics.run_sweep(small_laminar, self.AXES, n_arrangements=5, seed=6)
+        finally:
+            tracer.uninstall()
+        assert {"metrics.run_sweep", "attention.train_attention_model", "pod.encode",
+                "attention.reconstruct", "synthetic.add_noise_fixed"} <= threads.keys()
+        assert all(seen == {threading.main_thread()} for seen in threads.values()), threads
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_first_failure_in_serial_order_wins(self, small_laminar, monkeypatch, count):
+        # P=8 fails at arrangements 1 and 3, on pool threads; arrangement 3
+        # fails first in time, and P=16 training fails too.  Arrangement 1 of
+        # P=8 comes first in serial order, so its error is raised, the queued
+        # jobs are cancelled, and no pool thread outlives the call.
+        self.workers(monkeypatch, count)
+        started = threading.active_count()
+        failed_later = threading.Event()
+        ran = []
+        mask_random, train = MaskSpec.random.__func__, metrics.train_attention_model
+        jobs = {derive_seed(6, 0, p, round(0.75e9), i): (p, i) for p in (8, 16) for i in range(40)}
+
+        def random(cls, n_patches, coverage, seed):
+            mask = mask_random(cls, n_patches, coverage, seed)
+            p, arr_idx = jobs[seed]
+            ran.append((p, arr_idx))
+            if (p, arr_idx) == (8, 1):
+                if count > 1:  # let arrangement 3 fail first
+                    failed_later.wait(timeout=5)
+                raise NumericalError("P=8 arrangement 1")
+            if (p, arr_idx) == (8, 3):
+                failed_later.set()
+                raise NumericalError("P=8 arrangement 3")
+            return mask
+
+        def failing_train(fields, p, ne, **kwargs):
+            if p == 16:
+                raise NumericalError("P=16 training")
+            return train(fields, p, ne, **kwargs)
+
+        monkeypatch.setattr(MaskSpec, "random", classmethod(random))
+        monkeypatch.setattr(metrics, "train_attention_model", failing_train)
+        axes = SweepAxes(patch_sizes=(8, 16), latent_dims=(2,), coverages=(0.75,))
+        with pytest.raises(NumericalError, match="P=8 arrangement 1"):
+            run_sweep(small_laminar, axes, n_arrangements=40, seed=6)
+        assert threading.active_count() == started
+        assert len(ran) < 40
 
 
 class TestOnePodPerPatchSize:

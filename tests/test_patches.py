@@ -157,7 +157,7 @@ class TestNormStatsBits:
         "extra", [-1, 0, 1, None], ids=["under", "one-block", "one-more", "ragged"]
     )
     def test_block_boundaries(self, c, extra):
-        step = patches._STATS_BLOCK_BYTES // (8 * c)  # the helper's pixels per block
+        step = patches.BLOCK_BYTES // (8 * c)  # the helper's pixels per block
         pixels = 7 * step + step // 3 + 5 if extra is None else step + extra
         rng = np.random.default_rng(100 * c + pixels % 97)
         # Zero-mean values cancel, so the sums' roundings depend on the order of addition.
@@ -165,7 +165,7 @@ class TestNormStatsBits:
         self.assert_numpy_bits(SnapshotSet(data), range(0, pixels))
 
     def test_more_components_than_one_block_holds(self):
-        c = patches._STATS_BLOCK_BYTES // 8 + 1  # one pixel is more than a block
+        c = patches.BLOCK_BYTES // 8 + 1  # one pixel is more than a block
         data = np.random.default_rng(9).standard_normal((3, 1, 2, c))
         self.assert_numpy_bits(SnapshotSet(data), range(0, 3))
 

@@ -18,7 +18,7 @@ from lamp import (
     pixel_mask,
     signal_power,
 )
-from lamp import synthetic
+from lamp import patches, synthetic
 from lamp.patches import PatchGrid, apply_stats, patch_vectors
 from lamp.synthetic import add_noise_fixed, draw_noise, observe
 from oracles import add_noise_oracle
@@ -307,6 +307,36 @@ class TestNoise:
         sources = np.array(mask.unmasked)
         assert np.array_equal(patch_vectors(noisy.data, grid, sources),
                               observe(fields, mask, 0.3, 6, grid))
+
+    @pytest.mark.parametrize("standardized", [False, True], ids=["raw", "standardized"])
+    @pytest.mark.parametrize(
+        "shape, p, unmasked",
+        [
+            pytest.param((100, 16, 16, 2), 8, (0, 3), id="ragged-last-block"),
+            pytest.param((3, 128, 128, 3), 16, (5, 17, 63), id="snapshot-over-a-block"),
+            pytest.param((70, 32, 32, 1), 8, (2, 9, 15), id="C1"),
+            pytest.param((40, 32, 32, 3), 8, (0, 15), id="C3"),
+            pytest.param((100, 16, 16, 2), 8, (), id="empty-mask"),
+        ],
+    )
+    def test_blocked_observe_equals_one_whole_field_draw(self, monkeypatch, standardized,
+                                                         shape, p, unmasked):
+        rng = np.random.default_rng(24)
+        fields, std, c = SnapshotSet(rng.standard_normal(shape)), 1.0, shape[-1]
+        if standardized:
+            stats = NormStats(rng.standard_normal(c), rng.uniform(0.5, 3.0, c))
+            fields, std = apply_stats(fields, stats), np.tile(stats.std, p * p)
+        grid = PatchGrid(*shape[1:], p)
+        sources = np.array(unmasked, dtype=np.intp)
+        want = (patch_vectors(fields.data, grid, sources)
+                + patch_vectors(draw_noise(shape, 0.3, 25), grid, sources) / std)
+        blocks = []
+        monkeypatch.setattr(synthetic, "draw_noise",
+                            lambda s, sigma2, seed: blocks.append(s) or draw_noise(s, sigma2, seed))
+        got = observe(fields, MaskSpec(unmasked, grid.n_patches), 0.3, 25, grid)
+        step = max(1, patches.BLOCK_BYTES // (8 * math.prod(shape[1:])))  # snapshots per block
+        assert len(blocks) == -(-shape[0] // step) > 1
+        assert np.array_equal(got, want)
 
     def test_finite_snr_that_underflows_rejected(self):
         # 10**-400 underflows to zero: a finite SNR must never mean noise-free.
