@@ -8,7 +8,8 @@ The revision is exported with ``git archive`` into a temporary directory
 tree's ``src`` on ``PYTHONPATH``, in a fresh run directory and with paths
 relative to it: generate (laminar and chaotic, 32x32), train, reconstruct
 (SNR inf and 20, with and without copy-through, with ``--sensors-from``),
-a small sweep, power-map, place-sensors, gappy, compare (with
+a small sweep and one whose cells are skipped for each of the three
+reasons, power-map, place-sensors, gappy, compare (with
 ``--place-sensors`` and with ``--rank``), and then a rerun of every
 manifest.  Then ``SWEEPS`` runs the ``sweep-laminar`` benchmark's sweep
 (64x64, T=160, 36 cells, 25 arrangements) on its input sets 0, 3, 7 and 11,
@@ -119,6 +120,11 @@ STEPS = [
     ("sweep", ["sweep", *LAMINAR, "--patch-size", "8,16", "--latent-dim", "2,4",
                "--snr-db", "inf,20", "--coverage", "0.25,0.5", "--arrangements", "3",
                "--seed", "5"]),
+    # Skips of every kind: P=12 does not divide 32, N_e=70 is over T_train,
+    # and without copy-through coverage 0.25 observes one of P=16's 4 patches.
+    ("sweep-skips", ["sweep", *LAMINAR, "--patch-size", "8,12,16", "--latent-dim", "2,70",
+                     "--snr-db", "inf,20", "--coverage", "0.25,0.5", "--arrangements", "3",
+                     "--seed", "5", "--no-copy-through"]),
     ("power", ["power-map", "--model", "model-chaotic/model.lampmd"]),
     ("sensors", ["place-sensors", "--model", "model-chaotic/model.lampmd", "--coverage", "0.1"]),
     ("recon-placed", ["reconstruct", *CHAOTIC, "--model", "model-chaotic/model.lampmd", *EVAL,

@@ -7,8 +7,8 @@ latent.  Both are plain ridge regressions with closed-form solutions, so
 training is deterministic and has no learning rate or initialization.
 
 Inference blends the pair-wise predictions of each target patch with softmax
-weights over the confidence logits; masked sources get a -inf logit and hence
-exactly zero weight.
+weights over the confidence logits of the unmasked sources; a target's own
+pair gets a -inf logit and hence exactly zero weight.
 """
 
 from __future__ import annotations
@@ -322,25 +322,6 @@ def train_attention_model(
     )
 
 
-def masked_softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis; logits may be -inf.
-
-    -inf entries map to exactly zero weight; each row is shifted by its
-    maximum before exponentiation.  NaN, +inf and rows without a finite
-    entry are rejected.
-    """
-    a = np.asarray(logits, dtype=np.float64)
-    if a.ndim == 0 or a.shape[-1] == 0:
-        raise ValidationError(f"softmax needs rows of logits, got shape {a.shape}")
-    if not (a < np.inf).all():
-        raise ValidationError("softmax logits must be finite or -inf")
-    rowmax = a.max(axis=-1, keepdims=True)
-    if np.isneginf(rowmax).any():
-        raise ValidationError("softmax over a row with no finite entries")
-    w = np.exp(a - rowmax)
-    return w / w.sum(axis=-1, keepdims=True)
-
-
 def predict_masked(
     model: AttentionModel,
     observed: np.ndarray,
@@ -383,8 +364,6 @@ def predict_masked(
     value_maps = model.value_maps[pairs].reshape(k, r * e, e)  # source j: (R*e, e)
     attn_vectors = model.attn_vectors[pairs]                   # (k, R, e)
     attn_intercepts = model.attn_intercepts[pairs]             # (k, R)
-    # Self pairs (j, row): none with copy-through, else target s is row s.
-    self_pairs = [] if copy_through else list(enumerate(sources))
     for lo in range(0, len(out), _PREDICT_CHUNK):
         zc = z_src[:, lo : lo + _PREDICT_CHUNK]                     # (k, tc, e)
         tc = zc.shape[1]
@@ -402,15 +381,18 @@ def predict_masked(
             logits[j] += attn_intercepts[j]
         if not np.isfinite(logits).all():
             raise NumericalError("non-finite attention logit encountered")
-        for j, i in self_pairs:
-            logits[j, :, i] = -np.inf
-        weights = masked_softmax(logits.transpose(1, 2, 0))           # (tc, R, k)
+        if not copy_through:  # target s is row s; its self pair gets zero weight
+            logits[np.arange(k), :, sources] = -np.inf
+        # Softmax over the sources (axis 0), in place: logits[j] becomes source j's weights.
+        logits -= logits.max(axis=0)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=0)
         pred = np.empty((tc, r * e))  # one source's pair predictions, reused
         blend = np.zeros((tc, r, e))
         for j in range(k):
             dgemm(1.0, value_maps[j].T, zc[j].T, c=pred.T, trans_a=1, overwrite_c=1)
             step = pred.reshape(tc, r, e)
-            step *= weights[:, :, j, None]
+            step *= logits[j, :, :, None]
             blend += step
         out[lo : lo + tc, targets, :] = blend
     return out

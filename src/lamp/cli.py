@@ -32,13 +32,14 @@ from .patches import (
     SnapshotSet,
     SplitSpec,
     apply_stats,
+    check_seed,
     denormalize,
     patchify,
     sensor_count,
     split,
     split_standardized,
 )
-from .pod import ae_loss
+from .pod import ae_loss, max_latent_dim
 from .synthetic import CHAOTIC, LAMINAR, ChaoticParams, FlowSpec, LaminarParams
 
 DEFAULT_BUDGET_BYTES = 2 * 1024**3
@@ -73,14 +74,13 @@ def _parse_snr(text) -> float:
 
 
 def _seed(text: str) -> int:
-    """``--seed`` value: numpy seeds only from non-negative integers."""
+    """``--seed`` value, under the library's :func:`check_seed` rule."""
     try:
-        value = int(text)
+        return check_seed(int(text))
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
 
 
 def _split_spec(args) -> SplitSpec:
@@ -107,14 +107,16 @@ def _within_budget(args, need: int, what: str, remedy: str) -> int:
     return need
 
 
-def _check_budget(args, fields: SnapshotSet, patch_sizes: tuple[int, ...],
+def _check_budget(args, train: SnapshotSet, patch_sizes: tuple[int, ...],
                   latent_dims: tuple[int, ...]) -> int:
-    """Total file size of the models of these patch sizes, held in memory together."""
-    need = sum(
-        formats.model_nbytes(fields.height, fields.width, fields.components, p, ne)
-        for p in patch_sizes for ne in latent_dims
-    )
-    sizes, dims = (",".join(str(v) for v in axis) for axis in (patch_sizes, latent_dims))
+    """Total file size of the models of these patch sizes, held in memory together.
+    An N_e over the POD's :func:`max_latent_dim` on ``train`` is never trained."""
+    h, w, c = train.height, train.width, train.components
+    models = [(p, ne) for p in patch_sizes for ne in latent_dims
+              if ne <= max_latent_dim(p * p * c, train.snapshots)]
+    need = sum(formats.model_nbytes(h, w, c, p, ne) for p, ne in models)
+    sizes = ",".join(str(p) for p in dict.fromkeys(p for p, _ in models))
+    dims = ",".join(str(ne) for ne in dict.fromkeys(ne for _, ne in models))
     return _within_budget(args, need, f"models (P={sizes}, N_e={dims})",
                           "reduce patch count or latent dimension")
 
@@ -262,9 +264,10 @@ def cmd_sweep(args, out: Path) -> tuple[list[str], dict]:
             trained.append(PatchGrid(raw.height, raw.width, raw.components, p).patch_size)
         except ValidationError:
             trained.append(None)  # run_sweep records these cells as skipped
+    train_raw = split(raw, _split_spec(args))[0]
     for prev, p in zip([None, *trained], trained):
         if p is not None:  # run_sweep holds prev's models, still scored, while p's train
-            _check_budget(args, raw, tuple(q for q in (prev, p) if q), axes.latent_dims)
+            _check_budget(args, train_raw, tuple(q for q in (prev, p) if q), axes.latent_dims)
     result = metrics.run_sweep(
         raw,
         axes,

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import NumericalError, ValidationError, cholesky
-from .patches import MaskSpec, PatchGrid, SnapshotSet, check_ridge, freeze, pixel_mask
+from .patches import MaskSpec, PatchGrid, SnapshotSet, check_int, check_ridge, freeze, pixel_mask
 from .pod import _leading_modes
 
 #: Relative ridge scale for the observed-pixel normal equations.  Smaller
@@ -52,7 +52,7 @@ def fit_gappy(train: SnapshotSet, rank: int) -> GappyPodModel:
     """
     t = train.snapshots
     dim = train.height * train.width * train.components
-    if not 1 <= rank <= min(dim, t):
+    if not 1 <= check_int("rank", rank) <= min(dim, t):
         raise ValidationError(
             f"rank must be in [1, min(H*W*C={dim}, T={t})], got {rank}"
         )

@@ -33,7 +33,9 @@ from .patches import (
     SnapshotSet,
     SplitSpec,
     check_positive,
+    check_int,
     check_ridge,
+    check_seed,
     freeze,
     patchify,
     positive_int,
@@ -101,7 +103,7 @@ def place_sensors(power: PowerMap, count: int) -> MaskSpec:
     deterministic.
     """
     n = power.grid.n_patches
-    if not 1 <= count <= n:
+    if not 1 <= check_int("sensor count", count) <= n:
         raise ValidationError(f"sensor count must be in [1, {n}], got {count}")
     order = np.lexsort((np.arange(n), -power.values))
     return MaskSpec(tuple(int(i) for i in order[:count]), n)
@@ -220,8 +222,9 @@ def run_sweep(
     """
     if dataset.norm_stats is not None:
         raise ValidationError("run_sweep expects an unnormalized dataset")
-    if n_arrangements < 1:
+    if check_int("n_arrangements", n_arrangements) < 1:
         raise ValidationError(f"n_arrangements must be at least 1, got {n_arrangements}")
+    check_seed(seed)
     check_ridge(ridge_lambda)
     check_positive("error_floor", error_floor)
     train_norm, test_norm, test_raw = split_standardized(dataset, split_spec)

@@ -49,9 +49,29 @@ def freeze(
     return arr
 
 
+def _integer(value) -> bool:
+    """An ``int`` or NumPy integer; ``True`` and ``False`` are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def positive_int(value) -> bool:
-    """An ``int`` or NumPy integer of at least 1; ``True`` and ``False`` are not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+    """An integer of at least 1."""
+    return _integer(value) and value >= 1
+
+
+def check_int(name: str, value) -> int:
+    """``value`` as an int if it is an integer, else ValidationError; the range
+    check that follows it then compares integers only."""
+    if not _integer(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int: NumPy seeds only from non-negative integers."""
+    if not (_integer(seed) and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def check_ridge(ridge_lambda: float | None) -> float | None:
@@ -203,6 +223,12 @@ class MaskSpec:
     n_patches: int
 
     def __post_init__(self):
+        # int() would truncate 1.5 and map True to 1 without a word.
+        if not (positive_int(self.n_patches) and all(_integer(i) for i in self.unmasked)):
+            raise ValidationError(
+                "mask indices must be integers and the patch count a positive integer, "
+                f"got {self.unmasked!r} of {self.n_patches!r}"
+            )
         idx = tuple(int(i) for i in self.unmasked)
         if len(set(idx)) != len(idx):
             raise ValidationError(f"duplicate unmasked indices: {idx}")
@@ -216,7 +242,7 @@ class MaskSpec:
     @classmethod
     def random(cls, n_patches: int, coverage: float, seed: int) -> "MaskSpec":
         """Draw :func:`sensor_count` unmasked patches uniformly at random."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(check_seed(seed))
         idx = rng.choice(n_patches, size=sensor_count(n_patches, coverage), replace=False)
         return cls(tuple(int(i) for i in idx), n_patches)
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError, batched
-from .patches import PatchedSeries, PatchGrid, freeze
+from .patches import PatchedSeries, PatchGrid, check_int, freeze
 
 #: A matrix takes its k retained modes from its Gram only if the k-th Gram
 #: eigenvalue exceeds this fraction of the largest eigenvalue of the whole
@@ -66,7 +66,7 @@ class PatchPodModel:
         stack's largest while its ``self.latent_dim``-th is not; it keeps the
         SVD's leading columns here, where a refit would take the Gram's.
         """
-        if not 1 <= latent_dim <= self.latent_dim:
+        if not 1 <= check_int("latent_dim", latent_dim) <= self.latent_dim:
             raise ValidationError(
                 f"cannot truncate {self.latent_dim} modes to latent_dim {latent_dim}"
             )
@@ -161,6 +161,11 @@ def _leading_modes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _fix_signs(u), s
 
 
+def max_latent_dim(patch_dim: int, snapshots: int) -> int:
+    """The most modes :func:`fit_patch_pod` keeps of D-vectors over T snapshots: min(D, T)."""
+    return min(patch_dim, snapshots)
+
+
 def fit_patch_pod(train: PatchedSeries, latent_dim: int) -> PatchPodModel:
     """Fit per-patch POD bases from a training series.
 
@@ -171,7 +176,7 @@ def fit_patch_pod(train: PatchedSeries, latent_dim: int) -> PatchPodModel:
     would corrupt the downstream regressions.
     """
     t, _, d = train.values.shape
-    if not 1 <= latent_dim <= min(d, t):
+    if not 1 <= check_int("latent_dim", latent_dim) <= max_latent_dim(d, t):
         raise ValidationError(
             f"latent_dim must be in [1, min(D={d}, T={t})], got {latent_dim}"
         )

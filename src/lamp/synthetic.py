@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .patches import (BLOCK_BYTES, MaskSpec, PatchGrid, SnapshotSet, check_positive,
-                      patch_blocks, patch_vectors)
+                      check_int, check_seed, patch_blocks, patch_vectors)
 
 LAMINAR = "laminar-surrogate"
 CHAOTIC = "chaotic-surrogate"
@@ -60,7 +60,7 @@ class LaminarParams:
         # A negative amplitude is a sign flip; zero gives an all-zero field.
         if not (math.isfinite(self.amplitude) and self.amplitude != 0.0):
             raise ValidationError(f"amplitude must be finite and nonzero, got {self.amplitude}")
-        if not 1 <= self.harmonics <= 6:
+        if not 1 <= check_int("harmonics", self.harmonics) <= 6:
             raise ValidationError(
                 f"harmonics must be in [1, 6], got {self.harmonics}"
             )
@@ -85,7 +85,7 @@ class ChaoticParams:
     packet_radius: float | None = None
 
     def __post_init__(self):
-        if self.modes < 1:
+        if check_int("modes", self.modes) < 1:
             raise ValidationError(f"mode count must be positive, got {self.modes}")
         if self.packet_radius is not None:
             check_positive("packet_radius", self.packet_radius)
@@ -128,8 +128,10 @@ class FlowSpec:
     def __post_init__(self):
         if self.kind not in (LAMINAR, CHAOTIC):
             raise ValidationError(f"unknown flow kind: {self.kind!r}")
-        if min(self.height, self.width, self.snapshots) < 1:
+        sizes = [check_int(name, getattr(self, name)) for name in ("height", "width", "snapshots")]
+        if min(sizes) < 1:
             raise ValidationError("height, width and snapshots must be positive")
+        check_seed(self.seed)
         if self.params is None:
             default = LaminarParams() if self.kind == LAMINAR else ChaoticParams()
             object.__setattr__(self, "params", default)

@@ -77,6 +77,37 @@ def predict_oracle(model, latents, unmasked, copy_through=True):
     return out
 
 
+def attention_weights(logits, unmasked, copy_through=False):
+    """The softmax weights of ``predict_masked``, read off its output.
+
+    ``logits`` is an (N, N) table: logits[m, n] is the confidence logit of
+    source n for target m.  The model probed has N_e = N, identity value
+    maps, zero attention vectors and ``logits`` as intercepts, and patch n
+    observes the unit vector e_n.  So every pair prediction from source n is
+    exactly e_n, and row m of the returned (N, N) array is, bit for bit,
+    target m's weight on each source (zero on sources outside the mask).
+    """
+    from lamp import AttentionModel, MaskSpec, NormStats, predict_masked
+    from lamp.patches import PatchGrid
+    from lamp.pod import PatchPodModel
+
+    n = len(logits)
+    eye = np.eye(n)
+    model = AttentionModel(
+        pod=PatchPodModel(PatchGrid(1, n, n, 1), n, np.tile(eye, (n, 1, 1)), np.ones((n, n))),
+        norm_stats=NormStats(np.zeros(n), np.ones(n)),
+        value_maps=np.tile(eye, (n, n, 1, 1)),
+        attn_vectors=np.zeros((n, n, n)),
+        attn_intercepts=np.asarray(logits, dtype=np.float64),
+        pair_losses=np.zeros((n, n)),
+        ridge_lambda=None,
+        error_floor=1e-12,
+        use_intercept=True,
+    )
+    mask = MaskSpec(tuple(int(i) for i in unmasked), n)
+    return predict_masked(model, eye[list(mask.unmasked), None, :], mask, copy_through)[0]
+
+
 def sweep_cell_oracle(dataset, patch_size, latent_dim, snr_db, coverage, n_arrangements,
                       seed, copy_through=True, split_spec=None):
     """One sweep cell scored in pixel space, arrangement by arrangement.

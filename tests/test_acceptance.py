@@ -39,14 +39,10 @@ from lamp import (
     write_dataset,
     write_model,
 )
-from lamp.attention import (
-    fit_attention_tensor,
-    fit_value_tensor,
-    masked_softmax,
-)
+from lamp.attention import fit_attention_tensor, fit_value_tensor
 from lamp.cli import main as cli_main
 from lamp.pod import LatentSeries, decode, encode
-from oracles import attention_oracle, value_oracle
+from oracles import attention_oracle, attention_weights, value_oracle
 
 
 @contextmanager
@@ -193,17 +189,20 @@ def test_06_beats_gappy_pod_on_chaotic_wake():
 def test_07_softmax_and_mask_invariants():
     desc = "softmax rows: unit sum, exact zeros at -inf, shift invariance"
     with criterion(7, desc):
+        # predict_masked's weights, read off by the attention_weights probe:
+        # row m is target m's softmax over the unmasked sources, its own
+        # pair at -inf (no copy-through).
         rng = np.random.default_rng(123)
         for _ in range(1000):
-            size = int(rng.integers(2, 12))
-            logits = rng.standard_normal(size) * 100.0
-            n_masked = int(rng.integers(0, size))
-            masked = rng.choice(size, size=n_masked, replace=False)
-            logits[masked] = -np.inf
-            w = masked_softmax(logits)
-            assert abs(w.sum() - 1.0) < 1e-12
-            assert np.all(w[masked] == 0.0)
-            shifted = masked_softmax(logits + 17.5)
+            size = int(rng.integers(3, 12))
+            logits = rng.standard_normal((size, size)) * 100.0
+            unmasked = rng.choice(size, size=int(rng.integers(2, size + 1)), replace=False)
+            masked = np.setdiff1d(np.arange(size), unmasked)
+            w = attention_weights(logits, unmasked)
+            assert np.all(np.abs(w.sum(axis=1) - 1.0) < 1e-12)
+            assert np.all(np.diag(w) == 0.0)
+            assert np.all(w[:, masked] == 0.0)
+            shifted = attention_weights(logits + 17.5, unmasked)
             assert np.max(np.abs(w - shifted)) < 1e-12
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -30,12 +31,18 @@ from lamp import (
     unpatchify,
 )
 from lamp import attention
-from lamp.attention import _PREDICT_CHUNK, masked_softmax
+from lamp.attention import _PREDICT_CHUNK
 from lamp.patches import PatchGrid, split_standardized
 from lamp.pod import PatchPodModel, fit_patch_pod
 
 
-from oracles import attention_oracle, predict_oracle, reconstruct_oracle, value_oracle
+from oracles import (
+    attention_oracle,
+    attention_weights,
+    predict_oracle,
+    reconstruct_oracle,
+    value_oracle,
+)
 
 
 def identity_pod(n_patches, latent_dim):
@@ -126,6 +133,19 @@ class TestMaskSpec:
         with pytest.raises(ValidationError, match="out of range"):
             MaskSpec((4,), 4)
 
+    def test_random_seed_must_be_non_negative(self):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            MaskSpec.random(16, 0.1, seed=-1)
+        assert MaskSpec.random(16, 0.1, seed=np.int64(0)) == MaskSpec.random(16, 0.1, seed=0)
+
+    @pytest.mark.parametrize("unmasked, n_patches",
+                             [((1.5,), 4), ((True,), 4), ((0,), 4.5), ((), 0), ((), -3)],
+                             ids=["float-index", "bool-index", "float-count", "zero-count",
+                                  "negative-count"])
+    def test_non_integers_rejected_not_truncated(self, unmasked, n_patches):
+        with pytest.raises(ValidationError, match="must be integers and the patch count a pos"):
+            MaskSpec(unmasked, n_patches)
+
     def test_masked_complement(self):
         mask = MaskSpec((0, 3), 5)
         assert mask.masked == (1, 2, 4)
@@ -150,20 +170,28 @@ class TestAttentionModel:
 
 
 class TestSoftmaxRow:
+    """The softmax inside predict_masked, its weights read off by the
+    attention_weights probe (one target per row, one source per column)."""
+
     def test_neg_inf_gets_exact_zero(self):
-        w = masked_softmax(np.array([0.0, -np.inf]))
-        np.testing.assert_array_equal(w, [1.0, 0.0])
+        # Without copy-through a target's own pair gets a -inf logit.
+        a = np.random.default_rng(0).standard_normal((5, 5)) * 10
+        w = attention_weights(a, (0, 1, 3))
+        np.testing.assert_array_equal(np.diag(w), 0.0)
+        np.testing.assert_array_equal(w[:, [2, 4]], 0.0)  # masked sources
 
     def test_uniform_on_equal_logits(self):
-        w = masked_softmax(np.array([3.7, 3.7, 3.7]))
-        np.testing.assert_allclose(w, [1 / 3] * 3, atol=1e-15)
+        w = attention_weights(np.full((4, 4), 3.7), (1, 2, 3), copy_through=True)
+        np.testing.assert_allclose(w[0], [0.0] + [1 / 3] * 3, atol=1e-15)
 
     def test_shift_invariance(self):
+        # Shifting all of one target's logits by a constant keeps its weights.
         rng = np.random.default_rng(1)
         for _ in range(50):
-            a = rng.standard_normal(6) * 10
-            w1 = masked_softmax(a)
-            w2 = masked_softmax(a + 123.456)
+            a = rng.standard_normal((6, 6)) * 10
+            shift = rng.uniform(-500.0, 500.0, (6, 1))
+            w1 = attention_weights(a, range(6))
+            w2 = attention_weights(a + shift, range(6))
             np.testing.assert_allclose(w1, w2, atol=1e-12)
 
     def test_large_logits_match_extended_precision_oracle(self):
@@ -174,38 +202,29 @@ class TestSoftmaxRow:
         exps = [mpmath.e**v for v in a]
         total = sum(exps)
         oracle = np.array([float(v / total) for v in exps])
-        np.testing.assert_allclose(masked_softmax(a), oracle, atol=1e-12)
-
-    def test_all_neg_inf_rejected(self):
-        with pytest.raises(ValidationError, match="no finite"):
-            masked_softmax(np.array([-np.inf, -np.inf]))
-
-    @pytest.mark.parametrize("shape", [(), (0,), (3, 0)])
-    def test_empty_row_rejected(self, shape):
-        with pytest.raises(ValidationError, match="needs rows of logits"):
-            masked_softmax(np.zeros(shape))
-
-    def test_nan_and_pos_inf_rejected(self):
-        with pytest.raises(ValidationError):
-            masked_softmax(np.array([0.0, np.nan]))
-        with pytest.raises(ValidationError):
-            masked_softmax(np.array([0.0, np.inf]))
+        table = np.zeros((3, 3))
+        table[0, 1:] = a
+        w = attention_weights(table, (1, 2), copy_through=True)
+        np.testing.assert_allclose(w[0, 1:], oracle, atol=1e-12)
 
     def test_rows_of_a_2d_input_match_the_1d_result(self):
+        # A target's weights depend on its own row of logits only.
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((5, 7)) * 20
-        a[rng.random((5, 7)) < 0.3] = -np.inf
-        a[:, 0] = rng.standard_normal(5)  # every row keeps a finite entry
-        w = masked_softmax(a)
-        for row, logits in zip(w, a):
-            np.testing.assert_array_equal(row, masked_softmax(logits))
+        a = rng.standard_normal((7, 7)) * 20
+        unmasked = (0, 2, 3, 5, 6)
+        w = attention_weights(a, unmasked)
+        for m in range(7):
+            alone = rng.standard_normal((7, 7)) * 20
+            alone[m] = a[m]
+            np.testing.assert_array_equal(attention_weights(alone, unmasked)[m], w[m])
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            a = rng.standard_normal(8) * 50
-            a[rng.integers(0, 8)] = -np.inf
-            assert abs(masked_softmax(a).sum() - 1.0) < 1e-12
+            a = rng.standard_normal((8, 8)) * 50
+            unmasked = rng.choice(8, size=int(rng.integers(2, 9)), replace=False)
+            sums = attention_weights(a, unmasked).sum(axis=1)
+            assert np.all(np.abs(sums - 1.0) < 1e-12)
 
 
 def check_value_fit_against_oracle(latents, lam):
@@ -525,6 +544,14 @@ class TestTrainInSourceBlocks:
         with pytest.raises(ValidationError, match=r"^training snapshots must be normalized"):
             train_attention_model(fields, 4, 2)
 
+    @pytest.mark.parametrize("shared_pod", [False, True], ids=["fit", "truncate"])
+    def test_latent_dim_must_be_an_integer(self, shared_pod):
+        fields = SnapshotSet(np.random.default_rng(50).standard_normal((12, 8, 8, 1)))
+        norm = normalize(fields, range(0, 12))
+        pod = fit_patch_pod(patchify(norm, 4), 3) if shared_pod else None
+        with pytest.raises(ValidationError, match="latent_dim must be an integer"):
+            train_attention_model(norm, 4, 2.5, pod=pod)
+
     def test_ragged_blocks_match_full_fits(self, monkeypatch):
         # N=16 sources in blocks of 3: five full blocks and a ragged one.
         t, side, p, e = 24, 16, 4, 3
@@ -624,9 +651,28 @@ class TestPredictMasked:
             logits = np.array(
                 [model.attn_vectors[m, n] @ z[n] + model.attn_intercepts[m, n] for n in (0, 2)]
             )
-            w = masked_softmax(logits)
+            w = np.exp(logits - logits.max())
+            w /= w.sum()
             expect = w[0] * model.value_maps[m, 0] @ z[0] + w[1] * model.value_maps[m, 2] @ z[2]
             np.testing.assert_allclose(out[m], expect, atol=1e-12)
+
+    def test_self_pair_has_exactly_zero_weight(self):
+        # Without copy-through each observed target blends the other sources
+        # only: its own pair's value map and logit change no output bit.
+        rng = np.random.default_rng(21)
+        latents = rng.standard_normal((30, 5, 3))
+        model = model_from_latents(latents)
+        mask = MaskSpec((0, 2, 3), 5)
+        z = observed(latents[:9], mask)
+        altered = copy.copy(model)
+        diag = (np.array(mask.unmasked), np.array(mask.unmasked))
+        for name, scale in [("value_maps", 1e3), ("attn_vectors", 1e3), ("attn_intercepts", 1e6)]:
+            arr = getattr(model, name).copy()
+            arr[diag] = scale * rng.standard_normal(arr[diag].shape)
+            # A non-identity self map fails model validation, so set it directly.
+            object.__setattr__(altered, name, arr)
+        want = predict_masked(model, z, mask, copy_through=False)
+        np.testing.assert_array_equal(predict_masked(altered, z, mask, copy_through=False), want)
 
     def test_all_masked_rejected(self):
         rng = np.random.default_rng(19)

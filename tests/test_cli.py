@@ -712,6 +712,22 @@ class TestMalformedInputs:
         assert run("sweep", "--dataset", laminar_path, "--patch-size", 8, "--latent-dim", "2,4",
                    "--arrangements", 1, "--budget-bytes", sum(sizes), "--out-dir", out) == 0
 
+    def test_sweep_budget_counts_only_the_models_it_trains(self, tmp_path, laminar_path, capsys):
+        # N_e=100000 is over min(D, T_train) at P=8, so run_sweep skips it and
+        # holds only the N_e=2 model: exactly that model's bytes fit.
+        out = tmp_path / "sweep"
+        assert run("sweep", "--dataset", laminar_path, "--patch-size", 8,
+                   "--latent-dim", "2,100000", "--arrangements", 1,
+                   "--budget-bytes", model_nbytes(32, 32, 2, 8, 2), "--out-dir", out) == 0
+        skipped = json.loads((out / "manifest.json").read_text())["results"]["skipped"]
+        assert {row["latent_dim"] for row in skipped} == {100000}
+        assert "latent_dim must be in" in skipped[0]["reason"]
+        assert run("sweep", "--dataset", laminar_path, "--patch-size", 8,
+                   "--latent-dim", "2,100000", "--arrangements", 1,
+                   "--budget-bytes", model_nbytes(32, 32, 2, 8, 2) - 1,
+                   "--out-dir", tmp_path / "tight") == 2
+        assert "models (P=8, N_e=2) would take" in capsys.readouterr().err
+
     @pytest.mark.parametrize("patch_sizes, held", [("8,16", "8,16"), ("8,5,16", None)])
     def test_sweep_budget_counts_the_models_of_two_consecutive_patch_sizes(
         self, tmp_path, laminar_path, capsys, patch_sizes, held

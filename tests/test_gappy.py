@@ -26,6 +26,14 @@ def projection(model, fields):
 
 
 class TestFitGappy:
+    def test_rank_must_be_an_integer(self):
+        fields = fields_of_rank(np.random.default_rng(9), 10, 4, 4, 2, rank=3)
+        with pytest.raises(ValidationError, match="rank must be an integer"):
+            fit_gappy(fields, 2.5)
+        with pytest.raises(ValidationError, match=r"rank must be in \[1, min"):
+            fit_gappy(fields, 0)  # an integer keeps its message
+        assert fit_gappy(fields, np.int64(2)).rank == 2
+
     def test_rank_one_data_exact(self):
         rng = np.random.default_rng(0)
         fields = fields_of_rank(rng, 10, 4, 4, 2, rank=1)

@@ -156,6 +156,11 @@ class TestPlaceSensors:
         with pytest.raises(ValidationError, match="sensor count"):
             place_sensors(self.grid_map([1.0, 2.0]), 3)
 
+    def test_count_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="sensor count must be an integer"):
+            place_sensors(self.grid_map([1.0, 2.0]), 1.5)
+        assert place_sensors(self.grid_map([1.0, 2.0]), np.int64(1)).unmasked == (1,)
+
 
 class TestNoiseVarianceNormalized:
     def test_component_scaling(self):
@@ -170,6 +175,17 @@ def laminar_fields():
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("option, match", [
+        ({"n_arrangements": 2.5}, "n_arrangements must be an integer"),
+        ({"n_arrangements": 0}, "n_arrangements must be at least 1, got 0"),
+        ({"seed": -1}, "seed must be a non-negative integer"),
+        ({"seed": 2.5}, "seed must be a non-negative integer"),
+    ])
+    def test_arrangements_and_seed_must_be_integers(self, laminar_fields, option, match):
+        axes = SweepAxes(patch_sizes=(16,), latent_dims=(2,))
+        with pytest.raises(ValidationError, match=match):
+            run_sweep(laminar_fields, axes, **{"n_arrangements": 1, **option})
+
     def test_full_coverage_median_equals_ae(self, laminar_fields):
         axes = SweepAxes(patch_sizes=(16,), latent_dims=(8,), coverages=(1.0,))
         result = run_sweep(laminar_fields, axes, n_arrangements=3, seed=0)

@@ -66,6 +66,14 @@ class TestFit:
         with pytest.raises(ValidationError, match="latent_dim"):
             fit_patch_pod(series, 6)  # T=5 < 6 even though D=8
 
+    def test_latent_dim_must_be_an_integer(self):
+        series = rand_series(np.random.default_rng(40))
+        with pytest.raises(ValidationError, match="latent_dim must be an integer"):
+            fit_patch_pod(series, 2.5)
+        with pytest.raises(ValidationError, match="latent_dim must be an integer"):
+            fit_patch_pod(series, 3).truncate(2.5)
+        assert fit_patch_pod(series, np.int64(2)).latent_dim == 2
+
     def test_sign_convention(self):
         rng = np.random.default_rng(4)
         series = rand_series(rng)

@@ -99,6 +99,36 @@ class TestFlowSpec:
         with pytest.raises(ValidationError, match="expects"):
             FlowSpec("laminar-surrogate", 32, 32, 10, seed=0, params=ChaoticParams())
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("height", 2.5, "height must be an integer"),
+        ("width", 2.5, "width must be an integer"),
+        ("snapshots", 2.5, "snapshots must be an integer"),
+        ("height", "8", "height must be an integer"),
+        ("seed", 2.5, "seed must be a non-negative integer"),
+        ("seed", -1, "seed must be a non-negative integer"),
+        ("height", 0, "height, width and snapshots must be positive"),  # unchanged message
+    ])
+    def test_geometry_and_seed_must_be_integers(self, field, value, match):
+        args = {"height": 8, "width": 8, "snapshots": 4, "seed": 0, field: value}
+        with pytest.raises(ValidationError, match=match):
+            FlowSpec("laminar-surrogate", **args)
+
+    def test_numpy_integers_accepted(self):
+        spec = FlowSpec("chaotic-surrogate", np.int64(8), np.int32(8), np.int64(4),
+                        seed=np.uint32(3), params=ChaoticParams(modes=np.int64(3)))
+        assert generate(spec).data.shape == (4, 8, 8, 2)
+        assert LaminarParams(harmonics=np.int16(2)).harmonics == 2
+
+    @pytest.mark.parametrize("params, match", [
+        (lambda: LaminarParams(harmonics=2.5), "harmonics must be an integer"),
+        (lambda: ChaoticParams(modes=2.5), "modes must be an integer"),
+        (lambda: LaminarParams(harmonics="2"), "harmonics must be an integer"),
+        (lambda: LaminarParams(harmonics=0), r"harmonics must be in \[1, 6\], got 0"),
+    ], ids=["harmonics", "modes", "harmonics-str", "harmonics-0"])
+    def test_term_counts_must_be_integers(self, params, match):
+        with pytest.raises(ValidationError, match=match):
+            params()
+
 
     @pytest.mark.parametrize(
         "params",
