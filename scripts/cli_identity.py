@@ -8,8 +8,9 @@ The revision is exported with ``git archive`` into a temporary directory
 tree's ``src`` on ``PYTHONPATH``, in a fresh run directory and with paths
 relative to it: generate (laminar and chaotic, 32x32), train, reconstruct
 (SNR inf and 20, with and without copy-through, with ``--sensors-from``),
-a small sweep and one whose cells are skipped for each of the three
-reasons, power-map, place-sensors, gappy, compare (with
+a chaotic 64x64 training whose fits split into several target and source
+blocks and a reconstruction with it, a small sweep and one whose cells are
+skipped for each of the three reasons, power-map, place-sensors, gappy, compare (with
 ``--place-sensors`` and with ``--rank``), and then a rerun of every
 manifest.  Then ``SWEEPS`` runs the ``sweep-laminar`` benchmark's sweep
 (64x64, T=160, 36 cells, 25 arrangements) on its input sets 0, 3, 7 and 11,
@@ -25,7 +26,10 @@ exit code and the last ``error:`` line of stderr (the run directory masked
 the same way) are compared; the lines before it can be warnings, which carry
 source paths.  Of a differing CSV or manifest it prints the largest relative
 difference of its numbers (CSV cells, numeric manifest leaves), or why they
-cannot be paired, and of a manifest also the keys whose values differ.  Each
+cannot be paired, and of a manifest also the keys whose values differ.
+With ``--cpus N`` every ``lamp`` process of the working tree is pinned to N
+of the usable CPUs (``os.sched_setaffinity`` in the child), so its outputs
+are compared at another CPU count than the revision's.  Each
 side reads its ``.lampds`` datasets and ``.lampmd`` models with its own
 ``lamp.formats``, in a subprocess with its tree's ``src`` on ``PYTHONPATH``,
 so a change of binary layout still compares the numbers: of a differing
@@ -58,6 +62,7 @@ from bench_pairs import ROOT, _export
 
 LAMINAR = ["--dataset", "laminar/dataset.lampds"]
 CHAOTIC = ["--dataset", "chaotic/dataset.lampds"]
+CHAOTIC64 = ["--dataset", "chaotic64/dataset.lampds"]
 EVAL = ["--coverage", "0.25", "--seed", "3"]
 COORDINATES = ["patch_size", "latent_dim", "snr_db", "coverage"]  # the key of a sweep.csv row
 BINARY = (".lampds", ".lampmd")
@@ -135,6 +140,13 @@ STEPS = [
                         "--place-sensors"]),
     ("compare-rank", ["compare", *CHAOTIC, "--model", "model-chaotic/model.lampmd", *EVAL,
                       "--snr-db", "20", "--rank", "5"]),
+    # 64x64 at P=4: 256 patches, so the fits split into 8 target blocks and
+    # 20 source blocks, which run on every usable CPU.
+    ("chaotic64", ["generate", "--kind", "chaotic-surrogate", "--height", "64", "--width", "64",
+                   "--snapshots", "400", "--seed", "7"]),
+    ("model-chaotic64", ["train", *CHAOTIC64, "--patch-size", "4", "--latent-dim", "8"]),
+    ("recon-chaotic64", ["reconstruct", *CHAOTIC64, "--model", "model-chaotic64/model.lampmd",
+                         *EVAL, "--snr-db", "20"]),
     ("laminar-1", ["generate", "--kind", "laminar-surrogate", "--height", "32", "--width", "32",
                    "--snapshots", "80", "--seed", "1"]),
     ("model-one-patch", ["train", *LAMINAR, "--patch-size", "32", "--latent-dim", "4"]),
@@ -214,18 +226,21 @@ def write_malformed_inputs(run_dir: Path) -> None:
     (run_dir / "malformed-manifest.json").write_text(json.dumps(manifest))
 
 
-def run_script(tree: Path, run_dir: Path) -> tuple[list[str], dict[str, tuple[int, str]]]:
+def run_script(tree: Path, run_dir: Path, cpus: set[int] | None = None
+               ) -> tuple[list[str], dict[str, tuple[int, str]]]:
     """Run every step, then a rerun of each step's manifest, then the benchmark
-    sweeps, then the failing steps.
+    sweeps, then the failing steps; each ``lamp`` process pinned to ``cpus``
+    if given.
 
     Returns the failures of all but the failing steps and, for each failing
     step, its exit code and its last ``error:`` line.
     """
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
 
     def lamp(argv):
         return subprocess.run([sys.executable, "-m", "lamp.cli", *argv], cwd=run_dir, env=env,
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, preexec_fn=pin)
 
     steps = [(out, [*argv, "--out-dir", out]) for out, argv in STEPS]
     steps += [(f"rerun-{out}", ["rerun", f"{out}/manifest.json", "--out-dir", f"rerun-{out}"])
@@ -412,7 +427,13 @@ def print_line_counts(base: dict[str, int], head: dict[str, int]) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--cpus", type=int, metavar="N",
+                        help="pin the working tree's lamp processes to N of the usable CPUs")
     args = parser.parse_args(argv)
+    usable = sorted(os.sched_getaffinity(0))
+    if args.cpus is not None and not 1 <= args.cpus <= len(usable):
+        parser.error(f"--cpus must be in [1, {len(usable)}]")
+    head_cpus = None if args.cpus is None else set(usable[:args.cpus])
 
     with tempfile.TemporaryDirectory(prefix="cli-identity-") as tmp:
         base_tree, base_run, head_run = (Path(tmp) / name for name in ("tree", "base", "head"))
@@ -420,9 +441,9 @@ def main(argv=None) -> int:
         tables = [option_tables(tree) for tree in (base_tree, ROOT)]
         counts = [line_counts(tree) for tree in (base_tree, ROOT)]
         failures, failed = [], []
-        for tree, run_dir in ((base_tree, base_run), (ROOT, head_run)):
+        for tree, run_dir, cpus in ((base_tree, base_run, None), (ROOT, head_run, head_cpus)):
             run_dir.mkdir()
-            tree_failures, tree_failed = run_script(tree, run_dir)
+            tree_failures, tree_failed = run_script(tree, run_dir, cpus)
             failures += tree_failures
             failed.append(tree_failed)
         base, head = outputs(base_run), outputs(head_run)
@@ -453,7 +474,8 @@ def main(argv=None) -> int:
     for line in options_differ:
         print(line)
     print_line_counts(*counts)
-    print(f"{args.rev} (base) vs working tree (head): {len(both)} files in both, "
+    pinned = "" if head_cpus is None else f" on {args.cpus} CPU{'s' * (args.cpus > 1)}"
+    print(f"{args.rev} (base) vs working tree (head{pinned}): {len(both)} files in both, "
           f"{len(differing)} differing, {len(failures)} failed steps, "
           f"{len(failing_differ)} of {len(FAILING)} failing steps differing, "
           f"{len(options_differ)} option-table differences across "

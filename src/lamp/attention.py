@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.blas import dgemm
 
-from .errors import NumericalError, ValidationError, cholesky
+from .errors import NumericalError, ValidationError, cholesky, each
 from .patches import (
     MaskSpec,
     NormStats,
@@ -190,7 +190,8 @@ def fit_value_tensor(
     value_maps = np.empty((n, s, e, e))
     pair_errors = np.empty((n, s, t))
     block = max(1, _VALUE_BLOCK_BYTES // (8 * e * t))             # targets per block
-    for lo in range(0, n, block):
+
+    def fit_targets(lo):
         hi = min(lo + block, n)
         targets = z[lo * e : hi * e]                              # (B*e, T)
         maps = np.empty((len(targets), e))                        # W_{block, src}
@@ -204,6 +205,8 @@ def fit_value_tensor(
             resid -= targets
             np.square(resid, out=resid)
             np.sum(resid.reshape(hi - lo, e, t), axis=1, out=pair_errors[lo:hi, src])
+
+    each(fit_targets, range(0, n, block))  # disjoint target rows: bit-identical on any CPU count
     diag = (np.arange(sources.start, sources.stop), np.arange(s))
     value_maps[diag] = np.eye(e)
     pair_errors[diag] = 0.0
@@ -245,15 +248,19 @@ def fit_attention_tensor(
     z, z_mean, factors = _source_systems(
         latent, ridge_lambda, sources, "attention system", centre=use_intercept
     )
-    w = np.empty((s, e, n))     # source j: one column of weights per target
+    w = np.empty((s, e, n))     # source j: Z_j Y_j^T, then one column of weights per target
     y_mean = np.empty((s, n))   # [source, target]
-    y = np.empty((n, t))        # one source's targets, reused: row m is target m
-    for src in range(s):
-        np.maximum(pair_errors[:, src], error_floor, out=y)
+
+    def targets(src):
+        y = np.maximum(pair_errors[:, src], error_floor)  # row m is target m
         np.log(y, out=y)
         np.negative(y, out=y)
-        w[src] = cho_solve((factors[src], True), z[src] @ y.T)
+        np.matmul(z[src], y.T, out=w[src])
         y_mean[src] = y.mean(axis=1)
+
+    each(targets, range(s))
+    for src in range(s):  # scipy's cho_solve holds the GIL, so the solves stay on this thread
+        w[src] = cho_solve((factors[src], True), w[src])
     attn_vectors = np.ascontiguousarray(w.transpose(2, 0, 1))
     attn_intercepts = np.zeros((n, s))
     if use_intercept:

@@ -1,8 +1,12 @@
 """The package's failure contract: its exception types, the CLI exit code of
-each failure (:data:`EXIT_CODES`), and the only handlers of LAPACK's error:
-:func:`batched`, which names the matrix a LAPACK call over a stack failed on,
-and :func:`cholesky`, which factors every ridge system under one singular rule.
+each failure (:data:`EXIT_CODES`), the only handlers of LAPACK's error
+(:func:`batched`, which names the matrix a LAPACK call over a stack failed on,
+and :func:`cholesky`, which factors every ridge system under one singular rule)
+and :func:`each`, which spreads work over the CPUs and fails in serial order.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -55,3 +59,31 @@ def cholesky(mats, failure: str, labels=None):
         return lower
 
     return batched(factor, mats, failure, labels)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def each(fn, items) -> None:
+    """``fn(item)`` for every item, in one contiguous share of ``items`` per
+    usable CPU: the first share on the calling thread, the others on a pool
+    made for this call.  The failure raised is the one the serial loop would
+    meet first; no thread outlives the call.  With one CPU or one item no pool
+    is made.
+    """
+    items = list(items)
+    shares = max(1, min(usable_cpus(), len(items)))
+
+    def run(i):
+        for item in items[len(items) * i // shares : len(items) * (i + 1) // shares]:
+            fn(item)
+
+    if shares == 1:
+        return run(0)
+    with ThreadPoolExecutor(shares - 1) as pool:
+        futures = [pool.submit(run, i) for i in range(1, shares)]
+        run(0)
+        for future in futures:
+            future.result()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import struct
 from collections import defaultdict
 from collections.abc import Callable
@@ -25,7 +24,7 @@ from .attention import (
     reconstruct,
     train_attention_model,
 )
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, usable_cpus
 from .patches import (
     MaskSpec,
     NormStats,
@@ -176,11 +175,6 @@ def _float_key(x: float) -> int:
     return struct.unpack("<q", struct.pack("<d", float(x)))[0] & 0x7FFFFFFFFFFFFFFF
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def run_sweep(
     dataset: SnapshotSet,
     axes: SweepAxes,
@@ -215,10 +209,11 @@ def run_sweep(
     depends on N_e, so the models of one patch size are trained together and
     scored on the same masks and noise (see :func:`_sweep_patch_size`).
 
-    Training runs on the calling thread; a pool of one thread per usable CPU
-    scores each patch size while the next one trains.  Results are taken in
-    submission order, so no cell depends on the thread count, and a failure
-    raised is the first one in the serial (P, coverage, arrangement) order.
+    A pool of one thread per usable CPU scores each patch size while the
+    calling thread trains the next one, itself on every usable CPU
+    (:func:`lamp.errors.each`).  Results are taken in submission order, so no
+    cell depends on the thread count, and a failure raised is the first one in
+    the serial (P, coverage, arrangement) order.
     """
     if dataset.norm_stats is not None:
         raise ValidationError("run_sweep expects an unnormalized dataset")
@@ -231,7 +226,7 @@ def run_sweep(
     sigma2s = {snr: noise_sigma2(test_raw, snr) for snr in axes.snr_dbs}
     fit = dict(ridge_lambda=ridge_lambda, error_floor=error_floor, use_intercept=use_intercept)
     cells: list[SweepCell] = []
-    with ThreadPoolExecutor(_usable_cpus()) as pool:
+    with ThreadPoolExecutor(usable_cpus()) as pool:
         try:
             previous: Callable[[], list[SweepCell]] = list  # the cells the pool is scoring
             for p in axes.patch_sizes:

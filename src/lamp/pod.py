@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, batched
-from .patches import PatchedSeries, PatchGrid, check_int, freeze
+from .errors import ValidationError, batched, each
+from .patches import BLOCK_BYTES, PatchedSeries, PatchGrid, check_int, freeze
 
 #: A matrix takes its k retained modes from its Gram only if the k-th Gram
 #: eigenvalue exceeds this fraction of the largest eigenvalue of the whole
@@ -131,18 +131,28 @@ def _leading_modes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign-fixed leading ``k`` left singular vectors and values of each matrix.
 
     ``mats`` is (N, D, T); returns u (N, D, k) and s (N, k).  One batched
-    ``eigh`` of the smaller Gram per matrix: the eigenvectors of X X^T when
-    D <= T, else those of X^T X lifted by U = X V S^-1.  The full eigenvector
-    block is lifted and sliced after, so the leading columns do not depend on
-    ``k``.  A matrix whose k-th eigenvalue is at most ``_GRAM_RTOL`` times the
-    largest eigenvalue of the stack goes to ``np.linalg.svd`` instead, one
-    matrix at a time, which gives the bits a batched SVD of the stack gives.
+    ``eigh`` of the smaller Gram per sub-stack of ``BLOCK_BYTES`` of Grams:
+    the eigenvectors of X X^T when D <= T, else those of X^T X lifted by
+    U = X V S^-1.  The full eigenvector block is lifted and sliced after, so
+    the leading columns do not depend on ``k``.  A matrix whose k-th
+    eigenvalue is at most ``_GRAM_RTOL`` times the largest eigenvalue of the
+    stack goes to ``np.linalg.svd`` instead, one matrix at a time, which gives
+    the bits a batched SVD of the stack gives.  Sub-stacks and SVDs run
+    through :func:`lamp.errors.each`, with the same calls per matrix on any thread.
     """
     n, d, t = mats.shape
-    rows = mats.transpose(0, 2, 1)                   # (N, T, D)
-    gram = mats @ rows if d <= t else rows @ mats    # (N, min(D, T), min(D, T))
-    lam, vec = batched(np.linalg.eigh, gram, "Gram eigh did not converge for patch {}")
-    del gram
+    m = min(d, t)
+    lam, vec = np.empty((n, m)), np.empty((n, m, m))
+    step = max(1, BLOCK_BYTES // (8 * m * m))        # patches per sub-stack
+
+    def decompose(lo):
+        part = mats[lo : lo + step]
+        rows = part.transpose(0, 2, 1)               # (n, T, D)
+        gram = part @ rows if d <= t else rows @ part
+        lam[lo : lo + step], vec[lo : lo + step] = batched(
+            np.linalg.eigh, gram, "Gram eigh did not converge for patch {}", range(lo, n))
+
+    each(decompose, range(0, n, step))
     resolved = lam[:, -k] > _GRAM_RTOL * lam[:, -1].max()
     # Descending order (eigh ascends); a fallback matrix's placeholder 1 is overwritten below.
     s = np.sqrt(np.where(resolved[:, None], lam[:, :-k - 1:-1], 1.0))
@@ -154,10 +164,13 @@ def _leading_modes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         for i in range(n):
             u[i] = (mats[i] @ vec[i])[:, :-k - 1:-1]
         u /= s[:, None, :]
-    for i in np.flatnonzero(~resolved):
-        u_i, s_i, _ = batched(lambda m: np.linalg.svd(m, full_matrices=False), mats[i : i + 1],
+
+    def fall_back(i):
+        u_i, s_i, _ = batched(lambda a: np.linalg.svd(a, full_matrices=False), mats[i : i + 1],
                               "SVD did not converge for patch {}", [i])
         u[i], s[i] = u_i[0, :, :k], s_i[0, :k]
+
+    each(fall_back, np.flatnonzero(~resolved))
     return _fix_signs(u), s
 
 

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -30,7 +32,7 @@ from lamp import (
     train_attention_model,
     unpatchify,
 )
-from lamp import attention
+from lamp import attention, pod
 from lamp.attention import _PREDICT_CHUNK
 from lamp.patches import PatchGrid, split_standardized
 from lamp.pod import PatchPodModel, fit_patch_pod
@@ -593,6 +595,53 @@ class TestTrainInSourceBlocks:
         finally:
             tracemalloc.stop()
         assert peak < model.value_maps.nbytes + n * n * t * 8 / 2
+
+
+class TestTrainOnEveryCpu:
+    """Target blocks, sources, Gram sub-stacks and SVD fallbacks run through
+    ``errors.each``; no bit of a model depends on the CPU count."""
+
+    @pytest.mark.parametrize("kind, side, p, fallbacks", [
+        ("chaotic-surrogate", 32, 4, 0),  # N=64
+        ("laminar-surrogate", 40, 8, 10),  # N=25, ten patches take the SVD
+    ], ids=["chaotic", "laminar"])
+    def test_model_equal_at_one_and_four_cpus(self, monkeypatch, kind, side, p, fallbacks):
+        t, e = 40, 4
+        norm = normalize(generate(FlowSpec(kind, side, side, t, seed=3)), range(0, t))
+        n, m = (side // p) ** 2, min(2 * p * p, t)
+        # Blocks of 3 targets, blocks of 3 sources and sub-stacks of 3 Grams:
+        # no count of blocks, sources or sub-stacks is a multiple of four.
+        monkeypatch.setattr(attention, "_VALUE_BLOCK_BYTES", 3 * 8 * e * t)
+        monkeypatch.setattr(attention, "_SOURCE_BLOCK_BYTES", 3 * 8 * n * t)
+        monkeypatch.setattr(pod, "BLOCK_BYTES", 3 * 8 * m * m)
+        counts, each = [], attention.each
+
+        def counting(fn, items):
+            counts.append(len(items))
+            each(fn, items)
+
+        monkeypatch.setattr(attention, "each", counting)
+        monkeypatch.setattr(pod, "each", counting)
+        models, interval = {}, sys.getswitchinterval()
+        for count in (1, 4):  # four shares on fewer cores, switching threads often
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+            sys.setswitchinterval(1e-5 if count > 1 else interval)
+            try:
+                models[count] = train_attention_model(norm, p, e)
+            finally:
+                sys.setswitchinterval(interval)
+        blocks = -(-n // 3)  # of Grams, of targets and of sources
+        # Per fit: the Gram sub-stacks, the fallbacks, then per source block
+        # its target blocks and its sources.
+        per_fit = [blocks, fallbacks]
+        for lo in range(0, n, 3):
+            per_fit += [blocks, min(3, n - lo)]
+        assert counts == per_fit * 2
+        one, four = models[1], models[4]
+        for name in ("value_maps", "attn_vectors", "attn_intercepts", "pair_losses"):
+            assert np.array_equal(getattr(one, name), getattr(four, name)), name
+        assert np.array_equal(one.pod.bases, four.pod.bases)
+        assert np.array_equal(one.pod.singular_values, four.pod.singular_values)
 
 
 class TestPredictMasked:

@@ -25,9 +25,9 @@ from lamp import (
     predictive_power,
     run_sweep,
 )
-from lamp import NumericalError, SplitSpec, attention, metrics, synthetic
+from lamp import NumericalError, SplitSpec, attention, errors, metrics, synthetic
 from lamp.metrics import PowerMap, derive_seed
-from lamp.patches import MaskSpec, PatchGrid, split_standardized
+from lamp.patches import MaskSpec, PatchGrid, normalize, split_standardized
 from lamp.pod import PatchPodModel
 from oracles import sweep_cell_oracle
 
@@ -461,6 +461,45 @@ class TestSweepThreads:
                 "attention.reconstruct", "synthetic.add_noise_fixed"} <= threads.keys()
         assert all(seen == {threading.main_thread()} for seen in threads.values()), threads
 
+    def test_traced_training_functions_run_on_the_main_thread(self, monkeypatch):
+        # Training splits its work inside the traced fits, so at four CPUs a
+        # chaotic training of several source and target blocks uses pools,
+        # yet every traced call stays on the calling thread.
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setattr(errors, "ThreadPoolExecutor", Recording)
+        t, n, e = 40, 64, 4
+        monkeypatch.setattr(attention, "_SOURCE_BLOCK_BYTES", 10 * 8 * n * t)
+        monkeypatch.setattr(attention, "_VALUE_BLOCK_BYTES", 10 * 8 * e * t)
+        fields = generate(FlowSpec("chaotic-surrogate", 32, 32, t, seed=2))
+        norm = normalize(fields, range(0, t))
+        threads = defaultdict(set)
+        tracer = tracing.Tracer()
+        real_open = tracer.open
+
+        def recording_open(name, bound=None):
+            threads[name].add(threading.current_thread())
+            return real_open(name, bound)
+
+        tracer.open = recording_open
+        tracer.install()
+        try:
+            attention.train_attention_model(norm, 4, e)
+        finally:
+            tracer.uninstall()
+        _, calls = tracer.self_times()
+        assert calls["attention.fit_value_tensor"] == calls["attention.fit_attention_tensor"] == 7
+        assert {"attention.train_attention_model", "pod.fit_patch_pod", "patches.patchify",
+                "pod.encode"} <= threads.keys()
+        assert all(seen == {threading.main_thread()} for seen in threads.values()), threads
+        assert 3 in sizes  # the helper made pools for the other three shares
+
     @pytest.mark.parametrize("count", [1, 4])
     def test_first_failure_in_serial_order_wins(self, small_laminar, monkeypatch, count):
         # P=8 fails at arrangements 1 and 3, on pool threads; arrangement 3
@@ -516,7 +555,7 @@ class TestOnePodPerPatchSize:
             return fit(series, latent_dim)
 
         def counting_eigh(a, *args, **kwargs):
-            eighs.append(a.shape)
+            eighs.append((calls[-1][0], a.shape[0]))  # the running fit's P, the stack size
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(attention, "fit_patch_pod", counting_fit)
@@ -524,9 +563,12 @@ class TestOnePodPerPatchSize:
         run_sweep(small_laminar, self.AXES, n_arrangements=1)
         # The out-of-range N_e is tried first and rejected by the range check,
         # before any decomposition; then one fit at N_e=3 serves N_e = 3, 2
-        # and 1, with one batched Gram eigh over all patches of its P.
+        # and 1, with batched Gram eighs whose stacks cover each patch of its P once.
         assert calls == [(4, 10**6), (4, 3), (8, 10**6), (8, 3)]
-        assert [shape[0] for shape in eighs] == [64, 16]
+        stacked = defaultdict(int)
+        for p, size in eighs:
+            stacked[p] += size
+        assert stacked == {4: 64, 8: 16}
 
     def test_models_equal_standalone_training(self, small_laminar, monkeypatch):
         trained = {}

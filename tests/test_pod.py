@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -197,6 +201,95 @@ class TestGramKernel:
         with pytest.raises(NumericalError, match="^SVD did not converge for patch 2$"):
             fit_patch_pod(PatchedSeries(series.grid, vals), 2)
         assert calls == [(1, 8, 12), (8, 12)]      # the one-patch stack, then the patch alone
+
+
+class TestOnEveryCpu:
+    """The Gram sub-stacks and the SVD fallbacks run through ``errors.each``."""
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    @pytest.mark.parametrize("t, h, p, dead, items",
+                             [(12, 12, 2, 7, [6, 6]), (6, 16, 4, 3, [3, 6])], ids=["D<=T", "D>T"])
+    def test_equal_at_one_and_four_cpus(self, monkeypatch, t, h, p, dead, items):
+        series = rand_series(np.random.default_rng(36), t=t, h=h, w=h, p=p)
+        vals = series.values.copy()
+        vals[:, ::dead] *= 1e-60                    # six dead patches take the SVD
+        series = PatchedSeries(series.grid, vals)
+        m = min(series.grid.patch_dim, t)
+        fits, counts, interval = {}, [], sys.getswitchinterval()
+        fits["one stack"] = fit_patch_pod(series, 3)
+        monkeypatch.setattr(pod, "BLOCK_BYTES", 7 * 8 * m * m)  # sub-stacks of 7 patches
+        each = pod.each
+
+        def counting(fn, items):
+            counts.append(len(items))
+            each(fn, items)
+
+        monkeypatch.setattr(pod, "each", counting)
+        for count in (1, 4):  # four shares on fewer cores, switching threads often
+            self.cpus(monkeypatch, count)
+            sys.setswitchinterval(1e-5 if count > 1 else interval)
+            try:
+                fits[count] = fit_patch_pod(series, 3)
+            finally:
+                sys.setswitchinterval(interval)
+        assert counts == items * 2                  # no count a multiple of four
+        for fit in (fits[1], fits[4]):
+            np.testing.assert_array_equal(fit.bases, fits["one stack"].bases)
+            np.testing.assert_array_equal(fit.singular_values, fits["one stack"].singular_values)
+
+    def test_eigh_failure_names_the_first_patch_in_order(self, monkeypatch):
+        # Sub-stacks of 3 of 16 patches in four shares: patch 2 is in the
+        # calling thread's, patch 9 in the third.  Patch 9 fails first in time.
+        series = rand_series(np.random.default_rng(37), t=12, h=8, w=8, p=2)
+        vals = series.values.copy()
+        vals[:, 2] *= 1e3                           # Gram entries near 1e7
+        vals[:, 9] *= 1e4                           # and near 1e9
+        self.cpus(monkeypatch, 4)
+        monkeypatch.setattr(pod, "BLOCK_BYTES", 3 * 8 * 8 * 8)
+        eigh, failed_later = np.linalg.eigh, threading.Event()
+        started = threading.active_count()
+
+        def failing(a, *args, **kwargs):
+            largest = np.abs(a).max()
+            if a.ndim == 2 and largest > 1e8:       # patch 9 alone
+                failed_later.set()
+            elif a.ndim == 2 and largest > 1e5:     # patch 2 alone
+                failed_later.wait(timeout=5)
+            if largest > 1e5:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NumericalError, match="^Gram eigh did not converge for patch 2$"):
+            fit_patch_pod(PatchedSeries(series.grid, vals), 2)
+        assert failed_later.is_set()
+        assert threading.active_count() == started
+        vals = vals.copy()
+        vals[:, 2] /= 1e3                           # patch 9 alone, in the fourth sub-stack
+        with pytest.raises(NumericalError, match="^Gram eigh did not converge for patch 9$"):
+            fit_patch_pod(PatchedSeries(series.grid, vals), 2)
+
+    def test_svd_failures_name_the_lower_patch(self, monkeypatch):
+        series = rand_series(np.random.default_rng(38), t=12, h=8, w=8, p=2)
+        vals = series.values.copy()
+        vals[:, 2] *= 1e-60                         # two fallbacks, in two shares
+        vals[:, 9] *= 1e-70
+        self.cpus(monkeypatch, 4)
+        failed_later = threading.Event()
+
+        def failing(a, *args, **kwargs):
+            if np.abs(a).max() < 1e-65:             # patch 9 fails first in time
+                failed_later.set()
+            failed_later.wait(timeout=5)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(NumericalError, match="^SVD did not converge for patch 2$"):
+            fit_patch_pod(PatchedSeries(series.grid, vals), 2)
+        assert failed_later.is_set()
 
 
 class TestEncodeDecode:
