@@ -20,8 +20,9 @@ the run directory's path is replaced by a placeholder, and each differing
 cell of a ``sweep.csv`` is printed with its coordinates, both
 ``median_pred_loss`` values and their relative change.
 Then each step of ``FAILING`` runs, steps that must fail: malformed numbers
-and power maps, a power map over another grid, singular fits, a one-patch
-power map, a missing dataset and a malformed rerun manifest.  Of each, the
+and power maps, a power map over another grid, singular fits, a sweep whose
+first patch size fails to train, a one-patch power map, a missing dataset
+and a malformed rerun manifest.  Of each, the
 exit code and the last ``error:`` line of stderr (the run directory masked
 the same way) are compared; the lines before it can be warnings, which carry
 source paths.  Of a differing CSV or manifest it prints the largest relative
@@ -204,6 +205,9 @@ FAILING = [
                               "--latent-dim", "4"]),
     ("fail-train-singular", ["train", *LAMINAR, "--patch-size", "8", "--latent-dim", "4",
                              "--ridge-lambda", "0"]),
+    # P=8's training fails before P=16, which would pass alone, is trained.
+    ("fail-sweep-singular", ["sweep", *LAMINAR, "--patch-size", "8,16", "--latent-dim", "4",
+                             "--ridge-lambda", "0", "--arrangements", "3"]),
     ("fail-rerun-manifest", ["rerun", "malformed-manifest.json"]),
 ]
 

@@ -107,17 +107,13 @@ def _within_budget(args, need: int, what: str, remedy: str) -> int:
     return need
 
 
-def _check_budget(args, train: SnapshotSet, patch_sizes: tuple[int, ...],
-                  latent_dims: tuple[int, ...]) -> int:
-    """Total file size of the models of these patch sizes, held in memory together.
+def _check_budget(args, train: SnapshotSet, p: int, latent_dims: tuple[int, ...]) -> int:
+    """Total file size of the models of patch size ``p``, held in memory together.
     An N_e over the POD's :func:`max_latent_dim` on ``train`` is never trained."""
     h, w, c = train.height, train.width, train.components
-    models = [(p, ne) for p in patch_sizes for ne in latent_dims
-              if ne <= max_latent_dim(p * p * c, train.snapshots)]
-    need = sum(formats.model_nbytes(h, w, c, p, ne) for p, ne in models)
-    sizes = ",".join(str(p) for p in dict.fromkeys(p for p, _ in models))
-    dims = ",".join(str(ne) for ne in dict.fromkeys(ne for _, ne in models))
-    return _within_budget(args, need, f"models (P={sizes}, N_e={dims})",
+    dims = [ne for ne in latent_dims if ne <= max_latent_dim(p * p * c, train.snapshots)]
+    need = sum(formats.model_nbytes(h, w, c, p, ne) for ne in dims)
+    return _within_budget(args, need, f"models (P={p}, N_e={','.join(map(str, dims))})",
                           "reduce patch count or latent dimension")
 
 
@@ -194,7 +190,7 @@ def cmd_train(args, out: Path) -> tuple[list[str], dict]:
     # A file stored standardized keeps its stats; a raw one takes its train split's.
     train_set, test_set = (split(fields, spec) if fields.norm_stats is not None
                            else split_standardized(fields, spec)[:2])
-    need = _check_budget(args, train_set, (args.patch_size,), (args.latent_dim,))
+    need = _check_budget(args, train_set, args.patch_size, (args.latent_dim,))
     model = train_attention_model(
         train_set,
         args.patch_size,
@@ -258,16 +254,13 @@ def cmd_sweep(args, out: Path) -> tuple[list[str], dict]:
             "--snr-db or --coverage values equal to 6 significant digits would "
             f"share heatmap file names: {names}"
         )
-    trained = []  # the patch sizes run_sweep trains models for, None where it skips one
-    for p in axes.patch_sizes:
-        try:
-            trained.append(PatchGrid(raw.height, raw.width, raw.components, p).patch_size)
-        except ValidationError:
-            trained.append(None)  # run_sweep records these cells as skipped
     train_raw = split(raw, _split_spec(args))[0]
-    for prev, p in zip([None, *trained], trained):
-        if p is not None:  # run_sweep holds prev's models, still scored, while p's train
-            _check_budget(args, train_raw, tuple(q for q in (prev, p) if q), axes.latent_dims)
+    for p in axes.patch_sizes:  # run_sweep holds one patch size's models at a time
+        try:
+            PatchGrid(raw.height, raw.width, raw.components, p)
+        except ValidationError:
+            continue  # run_sweep records its cells as skipped
+        _check_budget(args, train_raw, p, axes.latent_dims)
     result = metrics.run_sweep(
         raw,
         axes,

@@ -69,16 +69,24 @@ def usable_cpus() -> int:
 def each(fn, items) -> None:
     """``fn(item)`` for every item, in one contiguous share of ``items`` per
     usable CPU: the first share on the calling thread, the others on a pool
-    made for this call.  The failure raised is the one the serial loop would
-    meet first; no thread outlives the call.  With one CPU or one item no pool
+    made for this call.  Once a share raises, the shares after it start no
+    further item; the failure raised is the one the serial loop would meet
+    first, and no thread outlives the call.  With one CPU or one item no pool
     is made.
     """
     items = list(items)
     shares = max(1, min(usable_cpus(), len(items)))
+    failed = [False] * shares  # the shares that have raised
 
     def run(i):
-        for item in items[len(items) * i // shares : len(items) * (i + 1) // shares]:
-            fn(item)
+        try:
+            for item in items[len(items) * i // shares : len(items) * (i + 1) // shares]:
+                if any(failed[:i]):
+                    return
+                fn(item)
+        except BaseException:
+            failed[i] = True
+            raise
 
     if shares == 1:
         return run(0)

@@ -10,9 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from collections import defaultdict
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +21,7 @@ from .attention import (
     reconstruct,
     train_attention_model,
 )
-from .errors import NumericalError, ValidationError, usable_cpus
+from .errors import NumericalError, ValidationError, each
 from .patches import (
     MaskSpec,
     NormStats,
@@ -209,11 +206,11 @@ def run_sweep(
     depends on N_e, so the models of one patch size are trained together and
     scored on the same masks and noise (see :func:`_sweep_patch_size`).
 
-    A pool of one thread per usable CPU scores each patch size while the
-    calling thread trains the next one, itself on every usable CPU
-    (:func:`lamp.errors.each`).  Results are taken in submission order, so no
-    cell depends on the thread count, and a failure raised is the first one in
-    the serial (P, coverage, arrangement) order.
+    Patch sizes run one after another, so the sweep holds one patch size's
+    models at a time.  Training and scoring each spread over the usable CPUs
+    through :func:`lamp.errors.each`; every loss has its own slot, so no cell
+    depends on the thread count, and a failure raised is the first one in the
+    serial (P, coverage, arrangement) order.
     """
     if dataset.norm_stats is not None:
         raise ValidationError("run_sweep expects an unnormalized dataset")
@@ -226,20 +223,9 @@ def run_sweep(
     sigma2s = {snr: noise_sigma2(test_raw, snr) for snr in axes.snr_dbs}
     fit = dict(ridge_lambda=ridge_lambda, error_floor=error_floor, use_intercept=use_intercept)
     cells: list[SweepCell] = []
-    with ThreadPoolExecutor(usable_cpus()) as pool:
-        try:
-            previous: Callable[[], list[SweepCell]] = list  # the cells the pool is scoring
-            for p in axes.patch_sizes:
-                try:
-                    current = _sweep_patch_size(pool, p, axes, train_norm, test_norm, sigma2s,
-                                                n_arrangements, seed, copy_through, fit)
-                finally:  # a failure of the previous patch size comes first in serial order
-                    cells += previous()
-                previous = current
-            cells += previous()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    for p in axes.patch_sizes:
+        cells += _sweep_patch_size(p, axes, train_norm, test_norm, sigma2s, n_arrangements,
+                                   seed, copy_through, fit)
     return SweepResult(tuple(cells))
 
 
@@ -249,15 +235,14 @@ LATENT_LOSS_RTOL = 1e-6
 
 
 def _sweep_patch_size(
-    pool: ThreadPoolExecutor, p: int, axes: SweepAxes, train_norm: SnapshotSet,
-    test_norm: SnapshotSet, sigma2s: dict[float, float], n_arrangements: int, seed: int,
-    copy_through: bool, fit: dict,
-) -> Callable[[], list[SweepCell]]:
-    """Train the models of one patch size here and submit their scoring to ``pool``;
-    returns the function that waits for it, in order, and returns their cells.
+    p: int, axes: SweepAxes, train_norm: SnapshotSet, test_norm: SnapshotSet,
+    sigma2s: dict[float, float], n_arrangements: int, seed: int, copy_through: bool, fit: dict,
+) -> list[SweepCell]:
+    """The cells of one patch size: its models are trained here, then every
+    (coverage, arrangement) is scored in latent space through :func:`each`.
 
     The clean test split is encoded once per model.  The first (coverage,
-    arrangement) is scored here, the others by ``pool``, all in latent space.
+    arrangement), the calling thread's first item, is also checked in pixel space.
     """
     models, skipped, pod = {}, {}, None
     for ne in sorted(axes.latent_dims, reverse=True):
@@ -282,22 +267,24 @@ def _sweep_patch_size(
         series = patchify(test_norm, p)
         clean = {ne: encode(m.pod, series).values for ne, m in models.items()}
         floor_sums = {ne: ae_loss(m.pod, series, per_element=False) for ne, m in models.items()}
+        losses = {key: np.empty(n_arrangements)
+                  for key in itertools.product(models, sigma2s, axes.coverages)}
 
-    def score(cov: float, arr_idx: int, check: bool = False) -> dict:
-        """{(N_e, SNR, coverage): loss} of one (coverage, arrangement).
+    def score(job: tuple[float, int]) -> None:
+        """Fill each (N_e, SNR, coverage) loss slot of one (coverage, arrangement).
 
         One mask, and one noise field per SNR on it, serve every N_e.  The
         observed patch vectors are :func:`observe`'s, encoded as
         :func:`reconstruct` encodes them.  The bases are orthonormal, so the
         pixel-space error ||U z_hat - x||^2 is ||z_hat - U^T x||^2 plus the
-        floor ||(I - U U^T) x||^2.  With ``check`` the first SNR is also scored
-        in pixel space (:func:`add_noise_fixed`, :func:`reconstruct`,
+        floor ||(I - U U^T) x||^2.  For the first job the first SNR is also
+        scored in pixel space (:func:`add_noise_fixed`, :func:`reconstruct`,
         :func:`pred_loss`); a gap over ``LATENT_LOSS_RTOL`` is NumericalError.
         """
+        (cov, arr_idx), check = job, job == jobs[0]
         cov_key = int(round(cov * 1e9))
         mask = MaskSpec.random(grid.n_patches, cov, derive_seed(seed, 0, p, cov_key, arr_idx))
         sources = np.asarray(mask.unmasked, dtype=np.intp)
-        losses = {}
         for snr, sigma2 in sigma2s.items():
             noise_seed = derive_seed(seed, 1, p, cov_key, arr_idx, _float_key(snr))
             x_in = observe(test_norm, mask, sigma2, noise_seed, grid)  # (k, T, D)
@@ -315,26 +302,16 @@ def _sweep_patch_size(
                             f"latent-space loss {loss!r} disagrees with pixel-space loss "
                             f"{pixel!r} at P={p}, N_e={ne}"
                         )
-                losses[ne, snr, cov] = loss
+                losses[ne, snr, cov][arr_idx] = loss
             check = False
-        return losses
 
-    futures = [pool.submit(score, *job) for job in jobs[1:]]
-    first = [score(*jobs[0], check=True)] if jobs else []
-
-    def cells() -> list[SweepCell]:
-        losses = defaultdict(list)
-        for result in first + [future.result() for future in futures]:
-            for key, loss in result.items():
-                losses[key].append(loss)
-        out = []
-        for ne, snr, cov in itertools.product(axes.latent_dims, axes.snr_dbs, axes.coverages):
-            reason = skipped.get(ne) or lone.get(cov)
-            measured = (None, None, None) if reason else (
-                float(np.median(losses[ne, snr, cov])), floor_sums[ne] / size,
-                noise_variance_normalized(sigma2s[snr], train_norm.norm_stats),
-            )
-            out.append(SweepCell(p, ne, snr, cov, *measured, n_arrangements, seed, reason))
-        return out
-
+    each(score, jobs)
+    cells = []
+    for ne, snr, cov in itertools.product(axes.latent_dims, axes.snr_dbs, axes.coverages):
+        reason = skipped.get(ne) or lone.get(cov)
+        measured = (None, None, None) if reason else (
+            float(np.median(losses[ne, snr, cov])), floor_sums[ne] / size,
+            noise_variance_normalized(sigma2s[snr], train_norm.norm_stats),
+        )
+        cells.append(SweepCell(p, ne, snr, cov, *measured, n_arrangements, seed, reason))
     return cells

@@ -728,24 +728,21 @@ class TestMalformedInputs:
                    "--out-dir", tmp_path / "tight") == 2
         assert "models (P=8, N_e=2) would take" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("patch_sizes, held", [("8,16", "8,16"), ("8,5,16", None)])
-    def test_sweep_budget_counts_the_models_of_two_consecutive_patch_sizes(
-        self, tmp_path, laminar_path, capsys, patch_sizes, held
-    ):
-        # While one patch size trains, the pool still scores the one before,
-        # so a budget that fits each patch size alone may not fit the pair; a
-        # skipped patch size between them holds nothing, so they never meet.
-        sizes = [model_nbytes(32, 32, 2, p, 2) for p in (8, 16)]
+    @pytest.mark.parametrize("patch_sizes", ["8,16", "8,5,16"])
+    def test_sweep_budget_checks_each_patch_size_alone(self, tmp_path, laminar_path, capsys,
+                                                       patch_sizes):
+        # run_sweep holds one patch size's models at a time, so the budget
+        # applies to each patch size's models alone, never to a sum over patch
+        # sizes; P=5 does not divide the field and holds nothing.
+        larger = model_nbytes(32, 32, 2, 8, 2)  # P=8's model is the larger
+        assert larger > model_nbytes(32, 32, 2, 16, 2)
         argv = ["sweep", "--dataset", laminar_path, "--patch-size", patch_sizes,
                 "--latent-dim", 2, "--arrangements", 1]
-        code = run(*argv, "--budget-bytes", max(sizes), "--out-dir", tmp_path / "tight")
-        if held:
-            assert code == 2
-            assert f"models (P={held}, N_e=2)" in capsys.readouterr().err
-            assert list((tmp_path / "tight").iterdir()) == []
-        else:
-            assert code == 0
-        assert run(*argv, "--budget-bytes", sum(sizes), "--out-dir", tmp_path / "ok") == 0
+        assert run(*argv, "--budget-bytes", larger, "--out-dir", tmp_path / "ok") == 0
+        assert run(*argv, "--budget-bytes", larger - 1, "--out-dir", tmp_path / "tight") == 2
+        err = capsys.readouterr().err
+        assert "models (P=8, N_e=2) would take" in err and "P=16" not in err
+        assert list((tmp_path / "tight").iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, extra",

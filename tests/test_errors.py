@@ -3,6 +3,7 @@ one ordered helper that spreads work over the usable CPUs, ``errors.each``."""
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -108,19 +109,88 @@ def test_earlier_share_failure_wins_over_an_earlier_failure_in_time(monkeypatch)
     assert threading.active_count() == started
 
 
+def pool_shutdown_event(monkeypatch):
+    """An event set when ``each``'s pool starts to shut down: after the calling
+    thread's share has returned or raised, and after any failure it met."""
+    shutting = threading.Event()
+
+    class Recording(ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            shutting.set()
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(errors, "ThreadPoolExecutor", Recording)
+    return shutting
+
+
 def test_calling_threads_share_failure_waits_for_the_others(monkeypatch):
+    # Items 0..3 in two shares; item 0 fails while item 2 runs.  The call
+    # waits for item 2 to end, and the second share starts no further item.
     cpus(monkeypatch, 2)
-    started, done = threading.active_count(), []
+    shutting = pool_shutdown_event(monkeypatch)
+    started, both_running, done = threading.active_count(), threading.Barrier(2), []
 
     def work(item):
+        if item in (0, 2):
+            both_running.wait(timeout=5)
         if item == 0:
             raise NumericalError("item 0")
+        if item == 2:
+            assert shutting.wait(timeout=5)
         done.append(item)
 
     with pytest.raises(NumericalError, match="^item 0$"):
         each(work, range(4))
-    assert done == [2, 3]  # the second share ran to its end; the first stopped
+    assert done == [2]
     assert threading.active_count() == started
+
+
+def test_later_share_starts_no_item_after_an_earlier_share_fails(monkeypatch):
+    # Items 0..5 in three shares of two.  Item 2 (second share) fails while
+    # item 4 (third share) runs; item 4 ends only once the pool shuts down,
+    # after the second share's failure is taken, and item 5 never starts.
+    cpus(monkeypatch, 3)
+    shutting = pool_shutdown_event(monkeypatch)
+    both_running, done = threading.Barrier(2), []
+
+    def work(item):
+        if item in (2, 4):
+            both_running.wait(timeout=5)
+        if item == 2:
+            raise NumericalError("item 2")
+        if item == 4:
+            assert shutting.wait(timeout=5)
+        done.append(item)
+
+    with pytest.raises(NumericalError, match="^item 2$"):
+        each(work, range(6))
+    assert sorted(done) == [0, 1, 4]
+
+
+def test_earlier_share_runs_all_its_items_and_its_failure_wins(monkeypatch):
+    # Item 2 (second share) fails first; the first share still runs items 0
+    # and 1, and item 1's failure is raised.
+    cpus(monkeypatch, 2)
+    later_failed, done = threading.Event(), []
+
+    class Recording(ThreadPoolExecutor):
+        def submit(self, *args):
+            future = super().submit(*args)
+            future.add_done_callback(lambda f: later_failed.set())
+            return future
+
+    monkeypatch.setattr(errors, "ThreadPoolExecutor", Recording)
+
+    def work(item):
+        if item == 0:
+            assert later_failed.wait(timeout=5)  # the second share has raised
+        done.append(item)
+        if item in (1, 2):
+            raise NumericalError(f"item {item}")
+
+    with pytest.raises(NumericalError, match="^item 1$"):
+        each(work, range(4))
+    assert done == [2, 0, 1]
 
 
 @pytest.mark.parametrize("count, items", [(1, range(5)), (4, range(1)), (4, range(0))],

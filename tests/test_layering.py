@@ -333,3 +333,45 @@ def test_only_observe_calls_draw_noise():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "draw_noise"
     }
     assert callers == {"observe"}
+
+
+def thread_import_offenders(source: str) -> list[str]:
+    """Imports of ``concurrent.futures`` or ``threading``, in any import form."""
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        offenders += [f"import of {name} at line {node.lineno}" for name in names
+                      if name.split(".")[0] in ("concurrent", "threading")]
+    return offenders
+
+
+@pytest.mark.parametrize("module", sorted((set(ALLOWED) | FACADES) - {"errors"}))
+def test_only_errors_makes_threads(module):
+    """Every thread pool is ``errors.each``'s."""
+    offenders = thread_import_offenders((PACKAGE / f"{module}.py").read_text())
+    assert not offenders, f"{module}.py: {offenders}"
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        "from concurrent.futures import ThreadPoolExecutor",
+        "import concurrent.futures",
+        "from concurrent import futures",
+        "import threading",
+        "from threading import Thread",
+    ],
+    ids=["from-futures", "import-futures", "from-concurrent", "import-threading", "from-threading"],
+)
+def test_thread_import_guard_catches_a_planted_import(planted):
+    source = (PACKAGE / "metrics.py").read_text() + "\n\n" + planted + "\n"
+    assert thread_import_offenders(source)
+
+
+def test_errors_is_where_threads_are_made():
+    assert thread_import_offenders((PACKAGE / "errors.py").read_text())

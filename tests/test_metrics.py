@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import weakref
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -401,7 +402,7 @@ _spec.loader.exec_module(tracing)
 
 
 class TestSweepThreads:
-    """Scoring on a thread pool, overlapped with the next patch size's training."""
+    """Training and scoring spread over the CPUs by ``errors.each``, one patch size at a time."""
 
     # P=16 on 32x32 has 4 patches, so coverage 0.25 observes one: a lone
     # coverage without copy-through.  N_e = 10**6 is out of range.
@@ -419,7 +420,7 @@ class TestSweepThreads:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-        monkeypatch.setattr(metrics, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(errors, "ThreadPoolExecutor", Recording)
         return sizes
 
     @pytest.mark.parametrize("copy_through", [True, False])
@@ -435,7 +436,8 @@ class TestSweepThreads:
                                            n_arrangements=n_arrangements, copy_through=copy_through)
             finally:
                 sys.setswitchinterval(interval)
-            assert sizes == [count]
+            # No pool at one CPU; at four, pools of up to three helper threads.
+            assert max(sizes, default=0) == count - 1
         assert results[1] == results[4]
         reasons = [c.skip_reason for c in results[1].cells if c.skip_reason]
         assert sum("10000" in r for r in reasons) == 8
@@ -465,15 +467,7 @@ class TestSweepThreads:
         # Training splits its work inside the traced fits, so at four CPUs a
         # chaotic training of several source and target blocks uses pools,
         # yet every traced call stays on the calling thread.
-        sizes = []
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-        monkeypatch.setattr(errors, "ThreadPoolExecutor", Recording)
+        sizes = self.workers(monkeypatch, 4)
         t, n, e = 40, 64, 4
         monkeypatch.setattr(attention, "_SOURCE_BLOCK_BYTES", 10 * 8 * n * t)
         monkeypatch.setattr(attention, "_VALUE_BLOCK_BYTES", 10 * 8 * e * t)
@@ -502,14 +496,14 @@ class TestSweepThreads:
 
     @pytest.mark.parametrize("count", [1, 4])
     def test_first_failure_in_serial_order_wins(self, small_laminar, monkeypatch, count):
-        # P=8 fails at arrangements 1 and 3, on pool threads; arrangement 3
-        # fails first in time, and P=16 training fails too.  Arrangement 1 of
-        # P=8 comes first in serial order, so its error is raised, the queued
-        # jobs are cancelled, and no pool thread outlives the call.
+        # P=8's 40 jobs split into four shares of ten; arrangement 1 fails on
+        # the calling thread, after arrangement 13 (second share) has failed.
+        # Arrangement 1 comes first in serial order, so its error is raised,
+        # P=16 is never trained, and no pool thread outlives the call.
         self.workers(monkeypatch, count)
         started = threading.active_count()
         failed_later = threading.Event()
-        ran = []
+        ran, trained = [], set()
         mask_random, train = MaskSpec.random.__func__, metrics.train_attention_model
         jobs = {derive_seed(6, 0, p, round(0.75e9), i): (p, i) for p in (8, 16) for i in range(40)}
 
@@ -518,26 +512,45 @@ class TestSweepThreads:
             p, arr_idx = jobs[seed]
             ran.append((p, arr_idx))
             if (p, arr_idx) == (8, 1):
-                if count > 1:  # let arrangement 3 fail first
-                    failed_later.wait(timeout=5)
+                if count > 1:  # let arrangement 13 fail first
+                    assert failed_later.wait(timeout=5)
                 raise NumericalError("P=8 arrangement 1")
-            if (p, arr_idx) == (8, 3):
+            if (p, arr_idx) == (8, 13):
                 failed_later.set()
-                raise NumericalError("P=8 arrangement 3")
+                raise NumericalError("P=8 arrangement 13")
             return mask
 
-        def failing_train(fields, p, ne, **kwargs):
-            if p == 16:
-                raise NumericalError("P=16 training")
+        def recording_train(fields, p, ne, **kwargs):
+            trained.add(p)
             return train(fields, p, ne, **kwargs)
 
         monkeypatch.setattr(MaskSpec, "random", classmethod(random))
-        monkeypatch.setattr(metrics, "train_attention_model", failing_train)
+        monkeypatch.setattr(metrics, "train_attention_model", recording_train)
         axes = SweepAxes(patch_sizes=(8, 16), latent_dims=(2,), coverages=(0.75,))
-        with pytest.raises(NumericalError, match="P=8 arrangement 1"):
+        with pytest.raises(NumericalError, match="P=8 arrangement 1$"):
             run_sweep(small_laminar, axes, n_arrangements=40, seed=6)
         assert threading.active_count() == started
+        assert trained == {8}
+        assert (8, 13) in ran if count > 1 else ran == [(8, 0), (8, 1)]
         assert len(ran) < 40
+
+    def test_one_patch_size_of_models_alive_at_a_time(self, small_laminar, monkeypatch):
+        # No model of P=8 is alive, not even awaiting garbage collection, when
+        # P=16 starts training: ``lamp sweep --budget-bytes`` counts on it.
+        self.workers(monkeypatch, 4)
+        alive_at_start, refs = {}, []
+        train = metrics.train_attention_model
+
+        def recording_train(fields, p, ne, **kwargs):
+            alive_at_start.setdefault(p, {q for q, ref in refs if ref() is not None})
+            model = train(fields, p, ne, **kwargs)
+            refs.append((p, weakref.ref(model)))
+            return model
+
+        monkeypatch.setattr(metrics, "train_attention_model", recording_train)
+        run_sweep(small_laminar, self.AXES, n_arrangements=2, seed=6)
+        assert alive_at_start == {8: set(), 16: set()}
+        assert len(refs) == 2  # N_e = 10**6 is out of range at both patch sizes
 
 
 class TestOnePodPerPatchSize:
