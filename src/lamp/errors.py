@@ -61,11 +61,6 @@ def cholesky(mats, failure: str, labels=None):
     return batched(factor, mats, failure, labels)
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def each(fn, items) -> None:
     """``fn(item)`` for every item, in one contiguous share of ``items`` per
     usable CPU: the first share on the calling thread, the others on a pool
@@ -75,7 +70,8 @@ def each(fn, items) -> None:
     is made.
     """
     items = list(items)
-    shares = max(1, min(usable_cpus(), len(items)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    shares = max(1, min(cpus or 1, len(items)))
     failed = [False] * shares  # the shares that have raised
 
     def run(i):

@@ -18,7 +18,7 @@ from scipy.linalg import cho_solve
 
 from .errors import NumericalError, ValidationError, cholesky
 from .patches import MaskSpec, PatchGrid, SnapshotSet, check_int, check_ridge, freeze, pixel_mask
-from .pod import _leading_modes
+from .pod import leading_modes
 
 #: Relative ridge scale for the observed-pixel normal equations.  Smaller
 #: than the attention module's scale so that full observation reproduces the
@@ -46,7 +46,7 @@ class GappyPodModel:
 def fit_gappy(train: SnapshotSet, rank: int) -> GappyPodModel:
     """Global POD of the training snapshot matrix, r leading modes.
 
-    :func:`lamp.pod._leading_modes` on the one (H*W*C, T) matrix, so the
+    :func:`lamp.pod.leading_modes` on the one (H*W*C, T) matrix, so the
     modes carry the patch-wise bases' sign convention (largest-magnitude
     entry of each mode nonnegative).
     """
@@ -58,7 +58,7 @@ def fit_gappy(train: SnapshotSet, rank: int) -> GappyPodModel:
         )
     snapshots = train.data.reshape(1, t, dim).transpose(0, 2, 1)  # columns are snapshots
     try:
-        u, _ = _leading_modes(snapshots, rank)
+        u, _ = leading_modes(snapshots, rank)
     except NumericalError as exc:
         raise NumericalError("POD of the global snapshot matrix did not converge") from exc
     return GappyPodModel(u[0])

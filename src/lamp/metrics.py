@@ -172,6 +172,11 @@ def _float_key(x: float) -> int:
     return struct.unpack("<q", struct.pack("<d", float(x)))[0] & 0x7FFFFFFFFFFFFFFF
 
 
+#: Largest relative gap allowed between a latent-space loss and the same
+#: evaluation scored in pixel space; rounding alone stays below ~1e-11.
+LATENT_LOSS_RTOL = 1e-6
+
+
 def run_sweep(
     dataset: SnapshotSet,
     axes: SweepAxes,
@@ -201,16 +206,16 @@ def run_sweep(
     (:meth:`lamp.pod.PatchPodModel.truncate`).
 
     ``dataset`` is expected in unnormalized units; it is standardized here
-    with statistics frozen on the train block.  Mask and noise seeds are
-    derived deterministically from ``seed`` and the cell coordinates; neither
-    depends on N_e, so the models of one patch size are trained together and
-    scored on the same masks and noise (see :func:`_sweep_patch_size`).
+    with statistics frozen on the train block.  Mask and noise seeds derive
+    from ``seed`` and the cell coordinates, not from N_e, so every model of
+    a patch size is scored on the same masks and noise.
 
     Patch sizes run one after another, so the sweep holds one patch size's
-    models at a time.  Training and scoring each spread over the usable CPUs
-    through :func:`lamp.errors.each`; every loss has its own slot, so no cell
-    depends on the thread count, and a failure raised is the first one in the
-    serial (P, coverage, arrangement) order.
+    models at a time.  Its (coverage, arrangement) jobs are scored in latent
+    space through :func:`lamp.errors.each`; the first, on the calling thread,
+    is also checked in pixel space.  Every loss has its own slot, so no cell
+    depends on the thread count, and a failure raised is the first one in
+    the serial (P, coverage, arrangement) order.
     """
     if dataset.norm_stats is not None:
         raise ValidationError("run_sweep expects an unnormalized dataset")
@@ -224,94 +229,74 @@ def run_sweep(
     fit = dict(ridge_lambda=ridge_lambda, error_floor=error_floor, use_intercept=use_intercept)
     cells: list[SweepCell] = []
     for p in axes.patch_sizes:
-        cells += _sweep_patch_size(p, axes, train_norm, test_norm, sigma2s, n_arrangements,
-                                   seed, copy_through, fit)
-    return SweepResult(tuple(cells))
+        models, skipped, pod = {}, {}, None
+        for ne in sorted(axes.latent_dims, reverse=True):
+            try:
+                models[ne] = train_attention_model(train_norm, p, ne, pod=pod, **fit)
+            except ValidationError as exc:
+                skipped[ne] = str(exc)
+                continue
+            if pod is None:
+                pod = models[ne].pod
+        lone, jobs, size = {}, [], test_norm.data.size  # lone: coverage -> skip reason
+        if models:
+            grid = next(iter(models.values())).grid
+            if not copy_through:  # a coverage whose one observed patch would predict itself
+                lone = {
+                    cov: f"coverage {cov} observes 1 of {grid.n_patches} patches; without "
+                    "copy-through it has no prediction source"
+                    for cov in axes.coverages if sensor_count(grid.n_patches, cov) == 1
+                }
+            jobs = [(cov, arr_idx) for cov in axes.coverages if cov not in lone
+                    for arr_idx in range(n_arrangements)]
+            series = patchify(test_norm, p)
+            clean = {ne: encode(m.pod, series).values for ne, m in models.items()}
+            floor_sums = {ne: ae_loss(m.pod, series, per_element=False) for ne, m in models.items()}
+            del series  # not held while the next patch size trains
+            losses = {key: np.empty(n_arrangements)
+                      for key in itertools.product(models, sigma2s, axes.coverages)}
 
+        def score(job: tuple[float, int]) -> None:
+            """Fill each (N_e, SNR, coverage) loss slot of one (coverage, arrangement).
 
-#: Largest relative gap allowed between a latent-space loss and the same
-#: evaluation scored in pixel space; rounding alone stays below ~1e-11.
-LATENT_LOSS_RTOL = 1e-6
-
-
-def _sweep_patch_size(
-    p: int, axes: SweepAxes, train_norm: SnapshotSet, test_norm: SnapshotSet,
-    sigma2s: dict[float, float], n_arrangements: int, seed: int, copy_through: bool, fit: dict,
-) -> list[SweepCell]:
-    """The cells of one patch size: its models are trained here, then every
-    (coverage, arrangement) is scored in latent space through :func:`each`.
-
-    The clean test split is encoded once per model.  The first (coverage,
-    arrangement), the calling thread's first item, is also checked in pixel space.
-    """
-    models, skipped, pod = {}, {}, None
-    for ne in sorted(axes.latent_dims, reverse=True):
-        try:
-            models[ne] = train_attention_model(train_norm, p, ne, pod=pod, **fit)
-        except ValidationError as exc:
-            skipped[ne] = str(exc)
-            continue
-        if pod is None:
-            pod = models[ne].pod
-    lone, jobs, size = {}, [], test_norm.data.size  # lone: coverage -> skip reason
-    if models:
-        grid = next(iter(models.values())).grid
-        if not copy_through:  # a coverage whose one observed patch would predict itself
-            lone = {
-                cov: f"coverage {cov} observes 1 of {grid.n_patches} patches; without "
-                "copy-through it has no prediction source"
-                for cov in axes.coverages if sensor_count(grid.n_patches, cov) == 1
-            }
-        jobs = [(cov, arr_idx) for cov in axes.coverages if cov not in lone
-                for arr_idx in range(n_arrangements)]
-        series = patchify(test_norm, p)
-        clean = {ne: encode(m.pod, series).values for ne, m in models.items()}
-        floor_sums = {ne: ae_loss(m.pod, series, per_element=False) for ne, m in models.items()}
-        losses = {key: np.empty(n_arrangements)
-                  for key in itertools.product(models, sigma2s, axes.coverages)}
-
-    def score(job: tuple[float, int]) -> None:
-        """Fill each (N_e, SNR, coverage) loss slot of one (coverage, arrangement).
-
-        One mask, and one noise field per SNR on it, serve every N_e.  The
-        observed patch vectors are :func:`observe`'s, encoded as
-        :func:`reconstruct` encodes them.  The bases are orthonormal, so the
-        pixel-space error ||U z_hat - x||^2 is ||z_hat - U^T x||^2 plus the
-        floor ||(I - U U^T) x||^2.  For the first job the first SNR is also
-        scored in pixel space (:func:`add_noise_fixed`, :func:`reconstruct`,
-        :func:`pred_loss`); a gap over ``LATENT_LOSS_RTOL`` is NumericalError.
-        """
-        (cov, arr_idx), check = job, job == jobs[0]
-        cov_key = int(round(cov * 1e9))
-        mask = MaskSpec.random(grid.n_patches, cov, derive_seed(seed, 0, p, cov_key, arr_idx))
-        sources = np.asarray(mask.unmasked, dtype=np.intp)
-        for snr, sigma2 in sigma2s.items():
-            noise_seed = derive_seed(seed, 1, p, cov_key, arr_idx, _float_key(snr))
-            x_in = observe(test_norm, mask, sigma2, noise_seed, grid)  # (k, T, D)
-            if check:
-                test_in = add_noise_fixed(test_norm, mask, sigma2, noise_seed, grid)
-            for ne, model in models.items():
-                observed = np.matmul(x_in, model.pod.bases[sources])  # (k, T, N_e)
-                err = predict_masked(model, observed, mask, copy_through) - clean[ne]
-                loss = (float(np.sum(err * err)) + floor_sums[ne]) / size
-                if check:
-                    recon = reconstruct(model, test_in, mask, copy_through)
-                    pixel = pred_loss(recon, test_norm)
+            One mask, and one noise field per SNR on it, serve every N_e.  The
+            observed patch vectors are :func:`observe`'s, encoded as
+            :func:`reconstruct` encodes them.  The bases are orthonormal, so the
+            pixel-space error ||U z_hat - x||^2 is ||z_hat - U^T x||^2 plus the
+            floor ||(I - U U^T) x||^2.  The first job then scores its first SNR
+            in pixel space too (:func:`add_noise_fixed`, :func:`reconstruct`,
+            :func:`pred_loss`); a gap over ``LATENT_LOSS_RTOL`` is NumericalError.
+            """
+            cov, arr_idx = job
+            cov_key = int(round(cov * 1e9))
+            mask = MaskSpec.random(grid.n_patches, cov, derive_seed(seed, 0, p, cov_key, arr_idx))
+            sources = np.asarray(mask.unmasked, dtype=np.intp)
+            noise_seeds = {snr: derive_seed(seed, 1, p, cov_key, arr_idx, _float_key(snr))
+                           for snr in sigma2s}
+            for snr, sigma2 in sigma2s.items():
+                x_in = observe(test_norm, mask, sigma2, noise_seeds[snr], grid)  # (k, T, D)
+                for ne, model in models.items():
+                    observed = np.matmul(x_in, model.pod.bases[sources])  # (k, T, N_e)
+                    err = predict_masked(model, observed, mask, copy_through) - clean[ne]
+                    losses[ne, snr, cov][arr_idx] = (np.sum(err * err) + floor_sums[ne]) / size
+            if job == jobs[0]:
+                snr = axes.snr_dbs[0]
+                test_in = add_noise_fixed(test_norm, mask, sigma2s[snr], noise_seeds[snr], grid)
+                for ne, model in models.items():
+                    loss = float(losses[ne, snr, cov][arr_idx])
+                    pixel = pred_loss(reconstruct(model, test_in, mask, copy_through), test_norm)
                     if not math.isclose(loss, pixel, rel_tol=LATENT_LOSS_RTOL, abs_tol=1e-12):
                         raise NumericalError(
                             f"latent-space loss {loss!r} disagrees with pixel-space loss "
                             f"{pixel!r} at P={p}, N_e={ne}"
                         )
-                losses[ne, snr, cov][arr_idx] = loss
-            check = False
 
-    each(score, jobs)
-    cells = []
-    for ne, snr, cov in itertools.product(axes.latent_dims, axes.snr_dbs, axes.coverages):
-        reason = skipped.get(ne) or lone.get(cov)
-        measured = (None, None, None) if reason else (
-            float(np.median(losses[ne, snr, cov])), floor_sums[ne] / size,
-            noise_variance_normalized(sigma2s[snr], train_norm.norm_stats),
-        )
-        cells.append(SweepCell(p, ne, snr, cov, *measured, n_arrangements, seed, reason))
-    return cells
+        each(score, jobs)
+        for ne, snr, cov in itertools.product(axes.latent_dims, axes.snr_dbs, axes.coverages):
+            reason = skipped.get(ne) or lone.get(cov)
+            measured = (None, None, None) if reason else (
+                float(np.median(losses[ne, snr, cov])), floor_sums[ne] / size,
+                noise_variance_normalized(sigma2s[snr], train_norm.norm_stats),
+            )
+            cells.append(SweepCell(p, ne, snr, cov, *measured, n_arrangements, seed, reason))
+    return SweepResult(tuple(cells))

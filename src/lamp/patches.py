@@ -242,6 +242,8 @@ class MaskSpec:
     @classmethod
     def random(cls, n_patches: int, coverage: float, seed: int) -> "MaskSpec":
         """Draw :func:`sensor_count` unmasked patches uniformly at random."""
+        if not positive_int(n_patches):
+            raise ValidationError(f"n_patches must be a positive integer, got {n_patches!r}")
         rng = np.random.default_rng(check_seed(seed))
         idx = rng.choice(n_patches, size=sensor_count(n_patches, coverage), replace=False)
         return cls(tuple(int(i) for i in idx), n_patches)

@@ -58,7 +58,7 @@ class PatchPodModel:
         """The model of the leading ``latent_dim`` modes of every patch.
 
         Bit-identical to refitting the same series at ``latent_dim`` exactly
-        when every patch takes the same route in :func:`_leading_modes` at
+        when every patch takes the same route in :func:`leading_modes` at
         both sizes: neither the Gram eigendecomposition and its full-block
         lift nor the SVD depends on the truncation, and :func:`_fix_signs`
         flips each column on its own.  A patch changes route only if its
@@ -127,7 +127,7 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u * signs
 
 
-def _leading_modes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def leading_modes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign-fixed leading ``k`` left singular vectors and values of each matrix.
 
     ``mats`` is (N, D, T); returns u (N, D, k) and s (N, k).  One batched
@@ -184,7 +184,7 @@ def fit_patch_pod(train: PatchedSeries, latent_dim: int) -> PatchPodModel:
 
     For each patch n the basis holds the ``latent_dim`` leading left singular
     vectors of the D x T matrix whose columns are that patch's training
-    vectors, from :func:`_leading_modes`.  Requesting more modes than
+    vectors, from :func:`leading_modes`.  Requesting more modes than
     min(D, T) is rejected rather than zero-padded: silent rank deficiency
     would corrupt the downstream regressions.
     """
@@ -193,7 +193,7 @@ def fit_patch_pod(train: PatchedSeries, latent_dim: int) -> PatchPodModel:
         raise ValidationError(
             f"latent_dim must be in [1, min(D={d}, T={t})], got {latent_dim}"
         )
-    u, s = _leading_modes(train.values.transpose(1, 2, 0), latent_dim)
+    u, s = leading_modes(train.values.transpose(1, 2, 0), latent_dim)
     return PatchPodModel(train.grid, int(latent_dim), u, s)
 
 

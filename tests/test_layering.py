@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import lamp
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lamp"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 _COMPRESSION = {"errors", "patches", "pod"}
 ALLOWED = {
@@ -375,3 +378,92 @@ def test_thread_import_guard_catches_a_planted_import(planted):
 
 def test_errors_is_where_threads_are_made():
     assert thread_import_offenders((PACKAGE / "errors.py").read_text())
+
+
+def private_import_offenders(source: str) -> list[str]:
+    """Private names imported from a sibling module (``from .x import _name``):
+    a name with a leading underscore is used only in the module defining it."""
+    return [
+        f"{alias.name} from .{node.module or ''} at line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level >= 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(set(ALLOWED) | FACADES))
+def test_no_private_name_crosses_a_module(module):
+    offenders = private_import_offenders((PACKAGE / f"{module}.py").read_text())
+    assert not offenders, f"{module}.py: {offenders}"
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        "from .pod import _fix_signs",
+        "from .patches import (\n    MaskSpec,\n    _integer,\n)",
+    ],
+    ids=["single", "in-a-list"],
+)
+def test_private_import_guard_catches_a_planted_import(planted):
+    source = (PACKAGE / "gappy.py").read_text() + "\n\n" + planted + "\n"
+    assert private_import_offenders(source)
+
+
+#: Names whose attributes are the package's own: ``pod.encode``, ``lamp.encode``.
+PACKAGE_MODULES = {path.stem for path in PACKAGE.glob("*.py")} | {"lamp"}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a module refers to as a name, an imported name or an attribute of a
+    package module, each outside the top-level definition of that name."""
+    found = set()
+    for top in ast.parse(source).body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in PACKAGE_MODULES):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def api_user_sources() -> list[str]:
+    """The code that may use the public API: the package outside ``__init__.py``
+    and the benchmark harness outside its tests."""
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    paths += [path for path in sorted(PERFBENCH.glob("*.py")) if not path.stem.startswith("test_")]
+    return [path.read_text() for path in paths]
+
+
+def unused_public_names(names, sources: list[str]) -> list[str]:
+    used = set().union(*map(referenced_names, sources))
+    return sorted(set(names) - used)
+
+
+def test_every_public_name_has_a_user_besides_the_tests():
+    """No public API that only the tests use."""
+    assert not unused_public_names(lamp.__all__, api_user_sources())
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        "def unused_helper():\n    return 0",
+        "def unused_helper(n):\n    return unused_helper(n - 1) if n else 0",
+        "class unused_helper:\n    def copy(self):\n        return unused_helper()",
+    ],
+    ids=["unreferenced", "recursive", "own-method"],
+)
+def test_public_api_guard_catches_an_unused_name(planted):
+    sources = api_user_sources()
+    sources[0] += "\n\n" + planted + "\n"
+    assert unused_public_names([*lamp.__all__, "unused_helper"], sources) == ["unused_helper"]

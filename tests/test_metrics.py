@@ -553,6 +553,62 @@ class TestSweepThreads:
         assert len(refs) == 2  # N_e = 10**6 is out of range at both patch sizes
 
 
+class TestSweepPixelCheck:
+    """The first job of each patch size is also scored in pixel space."""
+
+    def test_one_check_per_trained_patch_size(self, small_laminar, monkeypatch):
+        # TestSweepThreads.AXES: two P, two SNRs, two coverages and an N_e out of
+        # range, so each P trains one model.  The check draws one noisy field
+        # per P and reconstructs once per trained (P, N_e).
+        noisy, recons = [], []
+        add_noise, recon = metrics.add_noise_fixed, metrics.reconstruct
+
+        def counting_noise(fields, mask, sigma2, seed, grid):
+            noisy.append(grid.patch_size)
+            return add_noise(fields, mask, sigma2, seed, grid)
+
+        def counting_reconstruct(model, fields, mask, copy_through=True):
+            recons.append((model.grid.patch_size, model.latent_dim))
+            return recon(model, fields, mask, copy_through)
+
+        monkeypatch.setattr(metrics, "add_noise_fixed", counting_noise)
+        monkeypatch.setattr(metrics, "reconstruct", counting_reconstruct)
+        TestSweepThreads.workers(monkeypatch, 4)
+        run_sweep(small_laminar, TestSweepThreads.AXES, n_arrangements=5, seed=6)
+        assert noisy == [8, 16]
+        assert recons == [(8, 2), (16, 2)]
+
+    def test_check_failure_wins_over_a_later_share(self, small_laminar, monkeypatch):
+        # At four CPUs, arrangement 13 (second share) fails first; job 0's
+        # pixel-space check then fails on the calling thread.  Job 0 comes
+        # first in serial order, so its error is raised.
+        TestSweepThreads.workers(monkeypatch, 4)
+        started = threading.active_count()
+        failed_later = threading.Event()
+        ran = []
+        mask_random, original = MaskSpec.random.__func__, metrics.pred_loss
+        jobs = {derive_seed(6, 0, 8, round(0.75e9), i): i for i in range(40)}
+
+        def random(cls, n_patches, coverage, seed):
+            ran.append(jobs[seed])
+            if jobs[seed] == 13:
+                failed_later.set()
+                raise NumericalError("P=8 arrangement 13")
+            return mask_random(cls, n_patches, coverage, seed)
+
+        def perturbed(recon, truth):
+            assert failed_later.wait(timeout=5)
+            return original(recon, truth) * (1 + 1e-4)
+
+        monkeypatch.setattr(MaskSpec, "random", classmethod(random))
+        monkeypatch.setattr(metrics, "pred_loss", perturbed)
+        axes = SweepAxes(patch_sizes=(8, 16), latent_dims=(2,), coverages=(0.75,))
+        with pytest.raises(NumericalError, match="pixel-space loss"):
+            run_sweep(small_laminar, axes, n_arrangements=40, seed=6)
+        assert threading.active_count() == started
+        assert 0 in ran and 13 in ran
+
+
 class TestOnePodPerPatchSize:
     """Each patch size's POD is fitted once and shared by its latent dims."""
 

@@ -15,6 +15,7 @@ from lamp import (
 )
 from lamp import patches
 from lamp.patches import (
+    MaskSpec,
     NormStats,
     PatchedSeries,
     PatchGrid,
@@ -333,3 +334,11 @@ class TestSplitStandardized:
         train_norm, test_norm, test_raw = split_standardized(raw, SplitSpec(), stats)
         assert train_norm.norm_stats is stats and test_norm.norm_stats is stats
         np.testing.assert_array_equal(test_norm.data, (test_raw.data - 3.0) / 2.0)
+
+
+class TestMaskSpec:
+    @pytest.mark.parametrize("n_patches", [0, 1.5])
+    def test_random_rejects_a_bad_patch_count(self, n_patches):
+        # Checked before drawing, as MaskSpec((), 0) is, not left to rng.choice.
+        with pytest.raises(ValidationError, match="n_patches must be a positive integer"):
+            MaskSpec.random(n_patches, 0.5, 1)

@@ -18,7 +18,7 @@ from lamp import (
 )
 from lamp import pod
 from lamp.patches import PatchedSeries, PatchGrid
-from lamp.pod import _fix_signs, _leading_modes
+from lamp.pod import _fix_signs, leading_modes
 
 
 from oracles import singular_values_by_eigh
@@ -135,7 +135,7 @@ class TestGramKernel:
             raise AssertionError("a resolved spectrum must not reach the SVD")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        u, s = _leading_modes(mats, k)
+        u, s = leading_modes(mats, k)
         np.testing.assert_allclose(u, want_u, rtol=0, atol=1e-10)
         np.testing.assert_allclose(s, want_s, rtol=1e-10)
 
@@ -155,7 +155,7 @@ class TestGramKernel:
         # Rank 2 per patch, 4 modes kept: modes 3 and 4 are rounding-defined.
         rng = np.random.default_rng(32)
         mats = rng.standard_normal((4, 16, 2)) @ rng.standard_normal((4, 2, 10))
-        u, s = _leading_modes(mats, 4)
+        u, s = leading_modes(mats, 4)
         want_u, want_s = svd_modes(mats, 4)
         np.testing.assert_array_equal(u, want_u)
         np.testing.assert_array_equal(s, want_s)
