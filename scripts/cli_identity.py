@@ -9,7 +9,9 @@ tree's ``src`` on ``PYTHONPATH``, in a fresh run directory and with paths
 relative to it: generate (laminar and chaotic, 32x32), train, reconstruct
 (SNR inf and 20, with and without copy-through, with ``--sensors-from``),
 a chaotic 64x64 training whose fits split into several target and source
-blocks and a reconstruction with it, a small sweep and one whose cells are
+blocks and a reconstruction with it, a chaotic 40x40 training at P=8 over
+T=40 whose 25 patches have D > T (the POD's lift) and a reconstruction with
+it, a small sweep and one whose cells are
 skipped for each of the three reasons, power-map, place-sensors, gappy, compare (with
 ``--place-sensors`` and with ``--rank``), and then a rerun of every
 manifest.  Then ``SWEEPS`` runs the ``sweep-laminar`` benchmark's sweep
@@ -64,6 +66,7 @@ from bench_pairs import ROOT, _export
 LAMINAR = ["--dataset", "laminar/dataset.lampds"]
 CHAOTIC = ["--dataset", "chaotic/dataset.lampds"]
 CHAOTIC64 = ["--dataset", "chaotic64/dataset.lampds"]
+CHAOTIC40 = ["--dataset", "chaotic40/dataset.lampds"]
 EVAL = ["--coverage", "0.25", "--seed", "3"]
 COORDINATES = ["patch_size", "latent_dim", "snr_db", "coverage"]  # the key of a sweep.csv row
 BINARY = (".lampds", ".lampmd")
@@ -147,6 +150,13 @@ STEPS = [
                    "--snapshots", "400", "--seed", "7"]),
     ("model-chaotic64", ["train", *CHAOTIC64, "--patch-size", "4", "--latent-dim", "8"]),
     ("recon-chaotic64", ["reconstruct", *CHAOTIC64, "--model", "model-chaotic64/model.lampmd",
+                         *EVAL, "--snr-db", "20"]),
+    # 40x40 at P=8 over 30 train snapshots: each of the 25 patches has D=128 > T,
+    # so the POD lifts its Gram eigenvectors, one patch per item on every usable CPU.
+    ("chaotic40", ["generate", "--kind", "chaotic-surrogate", "--height", "40", "--width", "40",
+                   "--snapshots", "40", "--seed", "7"]),
+    ("model-chaotic40", ["train", *CHAOTIC40, "--patch-size", "8", "--latent-dim", "4"]),
+    ("recon-chaotic40", ["reconstruct", *CHAOTIC40, "--model", "model-chaotic40/model.lampmd",
                          *EVAL, "--snr-db", "20"]),
     ("laminar-1", ["generate", "--kind", "laminar-surrogate", "--height", "32", "--width", "32",
                    "--snapshots", "80", "--seed", "1"]),

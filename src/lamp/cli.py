@@ -254,6 +254,11 @@ def cmd_sweep(args, out: Path) -> tuple[list[str], dict]:
             "--snr-db or --coverage values equal to 6 significant digits would "
             f"share heatmap file names: {names}"
         )
+    # run_sweep's scoring holds per (coverage, arrangement) a job of 104 bytes (its
+    # tuple, its int and two list slots) and one float64 loss per (N_e, SNR).
+    per_arrangement = len(axes.coverages) * (104 + 8 * len(axes.latent_dims) * len(axes.snr_dbs))
+    _within_budget(args, args.arrangements * per_arrangement,
+                   f"scoring {args.arrangements} arrangements", "reduce --arrangements")
     train_raw = split(raw, _split_spec(args))[0]
     for p in axes.patch_sizes:  # run_sweep holds one patch size's models at a time
         try:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError, batched, each
-from .patches import BLOCK_BYTES, PatchedSeries, PatchGrid, check_int, freeze
+from .patches import PatchedSeries, PatchGrid, check_int, freeze
 
 #: A matrix takes its k retained modes from its Gram only if the k-th Gram
 #: eigenvalue exceeds this fraction of the largest eigenvalue of the whole
@@ -130,39 +130,32 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
 def leading_modes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign-fixed leading ``k`` left singular vectors and values of each matrix.
 
-    ``mats`` is (N, D, T); returns u (N, D, k) and s (N, k).  One batched
-    ``eigh`` of the smaller Gram per sub-stack of ``BLOCK_BYTES`` of Grams:
-    the eigenvectors of X X^T when D <= T, else those of X^T X lifted by
+    ``mats`` is (N, D, T); returns u (N, D, k) and s (N, k).  Each matrix is
+    one :func:`lamp.errors.each` item: an ``eigh`` of its smaller Gram, the
+    eigenvectors of X X^T when D <= T, else those of X^T X lifted by
     U = X V S^-1.  The full eigenvector block is lifted and sliced after, so
     the leading columns do not depend on ``k``.  A matrix whose k-th
     eigenvalue is at most ``_GRAM_RTOL`` times the largest eigenvalue of the
-    stack goes to ``np.linalg.svd`` instead, one matrix at a time, which gives
-    the bits a batched SVD of the stack gives.  Sub-stacks and SVDs run
-    through :func:`lamp.errors.each`, with the same calls per matrix on any thread.
+    stack goes to ``np.linalg.svd`` instead, one matrix per item, which gives
+    the bits a batched SVD of the stack gives.  A thread holds one matrix's
+    Gram, eigenvectors and lift at a time.
     """
     n, d, t = mats.shape
-    m = min(d, t)
-    lam, vec = np.empty((n, m)), np.empty((n, m, m))
-    step = max(1, BLOCK_BYTES // (8 * m * m))        # patches per sub-stack
+    lam, u = np.empty((n, min(d, t))), np.empty((n, d, k))
 
-    def decompose(lo):
-        part = mats[lo : lo + step]
-        rows = part.transpose(0, 2, 1)               # (n, T, D)
-        gram = part @ rows if d <= t else rows @ part
-        lam[lo : lo + step], vec[lo : lo + step] = batched(
-            np.linalg.eigh, gram, "Gram eigh did not converge for patch {}", range(lo, n))
+    def decompose(i):
+        x = mats[i]
+        gram = x @ x.T if d <= t else x.T @ x
+        w, vec = batched(np.linalg.eigh, gram[None], "Gram eigh did not converge for patch {}",
+                         [i])
+        lam[i] = w[0]
+        u[i] = (vec[0] if d <= t else x @ vec[0])[:, :-k - 1:-1]
 
-    each(decompose, range(0, n, step))
+    each(decompose, range(n))
     resolved = lam[:, -k] > _GRAM_RTOL * lam[:, -1].max()
     # Descending order (eigh ascends); a fallback matrix's placeholder 1 is overwritten below.
     s = np.sqrt(np.where(resolved[:, None], lam[:, :-k - 1:-1], 1.0))
-    if d <= t:
-        u = vec[:, :, :-k - 1:-1]
-    else:
-        # One patch at a time, so no (N, D, T) product is held.
-        u = np.empty((n, d, k))
-        for i in range(n):
-            u[i] = (mats[i] @ vec[i])[:, :-k - 1:-1]
+    if d > t:
         u /= s[:, None, :]
 
     def fall_back(i):

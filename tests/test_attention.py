@@ -598,22 +598,21 @@ class TestTrainInSourceBlocks:
 
 
 class TestTrainOnEveryCpu:
-    """Target blocks, sources, Gram sub-stacks and SVD fallbacks run through
-    ``errors.each``; no bit of a model depends on the CPU count."""
+    """Target blocks, sources, the POD's patches and its SVD fallbacks run
+    through ``errors.each``; no bit of a model depends on the CPU count."""
 
     @pytest.mark.parametrize("kind, side, p, fallbacks", [
-        ("chaotic-surrogate", 32, 4, 0),  # N=64
+        ("chaotic-surrogate", 28, 4, 0),  # N=49
         ("laminar-surrogate", 40, 8, 10),  # N=25, ten patches take the SVD
     ], ids=["chaotic", "laminar"])
     def test_model_equal_at_one_and_four_cpus(self, monkeypatch, kind, side, p, fallbacks):
         t, e = 40, 4
         norm = normalize(generate(FlowSpec(kind, side, side, t, seed=3)), range(0, t))
-        n, m = (side // p) ** 2, min(2 * p * p, t)
-        # Blocks of 3 targets, blocks of 3 sources and sub-stacks of 3 Grams:
-        # no count of blocks, sources or sub-stacks is a multiple of four.
+        n = (side // p) ** 2
+        # Blocks of 3 targets and of 3 sources, and one POD item per patch: no
+        # count of blocks, sources or patches is a multiple of four.
         monkeypatch.setattr(attention, "_VALUE_BLOCK_BYTES", 3 * 8 * e * t)
         monkeypatch.setattr(attention, "_SOURCE_BLOCK_BYTES", 3 * 8 * n * t)
-        monkeypatch.setattr(pod, "BLOCK_BYTES", 3 * 8 * m * m)
         counts, each = [], attention.each
 
         def counting(fn, items):
@@ -630,10 +629,10 @@ class TestTrainOnEveryCpu:
                 models[count] = train_attention_model(norm, p, e)
             finally:
                 sys.setswitchinterval(interval)
-        blocks = -(-n // 3)  # of Grams, of targets and of sources
-        # Per fit: the Gram sub-stacks, the fallbacks, then per source block
-        # its target blocks and its sources.
-        per_fit = [blocks, fallbacks]
+        blocks = -(-n // 3)  # of targets and of sources
+        # Per fit: the patches' Gram eighs, the fallbacks, then per source
+        # block its target blocks and its sources.
+        per_fit = [n, fallbacks]
         for lo in range(0, n, 3):
             per_fit += [blocks, min(3, n - lo)]
         assert counts == per_fit * 2

@@ -744,6 +744,31 @@ class TestMalformedInputs:
         assert "models (P=8, N_e=2) would take" in err and "P=16" not in err
         assert list((tmp_path / "tight").iterdir()) == []
 
+    def test_sweep_budget_counts_the_arrangements_before_training(self, tmp_path, laminar_path,
+                                                                  monkeypatch, capsys):
+        # The scoring's job list and loss slots grow with --arrangements: a
+        # huge count exits 2 before run_sweep trains or allocates anything,
+        # also when a manifest replays it.
+        argv = ["sweep", "--dataset", laminar_path, "--patch-size", 8, "--latent-dim", 2]
+        assert run(*argv, "--arrangements", 1, "--out-dir", tmp_path / "one") == 0
+        capsys.readouterr()
+
+        def never(*args, **kwargs):
+            raise AssertionError("run_sweep was called")
+
+        monkeypatch.setattr(metrics, "run_sweep", never)
+        huge = tmp_path / "huge"
+        assert run(*argv, "--arrangements", 10**15, "--out-dir", huge) == 2
+        err = error_line(capsys)
+        assert "scoring 1000000000000000 arrangements would take" in err
+        assert "reduce --arrangements" in err
+        assert list(huge.iterdir()) == []
+        manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
+        manifest["config"]["arrangements"] = 10**15
+        (tmp_path / "huge.json").write_text(json.dumps(manifest))
+        assert run("rerun", tmp_path / "huge.json", "--out-dir", tmp_path / "rerun") == 2
+        assert error_line(capsys) == err.replace(str(huge), str(tmp_path / "rerun"))
+
     @pytest.mark.parametrize(
         "command, extra",
         [

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,14 +166,16 @@ class TestGramKernel:
 
         def failing(a, *args, **kwargs):
             calls.append(a.shape)
-            # The batched call fails, then the redo fails on its third patch.
-            if a.ndim == 3 or len(calls) == 4:
+            # Patch 2's one-patch stack fails, then the patch alone fails too.
+            if len(calls) in (3, 4):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", failing)
-        with pytest.raises(NumericalError, match="patch 2"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the patches in order
+        with pytest.raises(NumericalError, match="^Gram eigh did not converge for patch 2$"):
             fit_patch_pod(rand_series(np.random.default_rng(33)), 2)
+        assert calls == [(1, 8, 8)] * 3 + [(8, 8)]  # one eigh per patch, then the redo
 
     def test_eigh_failure_of_the_stack_alone_keeps_lapack_message(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -204,23 +207,20 @@ class TestGramKernel:
 
 
 class TestOnEveryCpu:
-    """The Gram sub-stacks and the SVD fallbacks run through ``errors.each``."""
+    """Each patch's Gram eigh and each SVD fallback is one ``errors.each`` item."""
 
     @staticmethod
     def cpus(monkeypatch, count):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
     @pytest.mark.parametrize("t, h, p, dead, items",
-                             [(12, 12, 2, 7, [6, 6]), (6, 16, 4, 3, [3, 6])], ids=["D<=T", "D>T"])
+                             [(12, 14, 2, 7, [49, 7]), (6, 20, 4, 4, [25, 7])], ids=["D<=T", "D>T"])
     def test_equal_at_one_and_four_cpus(self, monkeypatch, t, h, p, dead, items):
         series = rand_series(np.random.default_rng(36), t=t, h=h, w=h, p=p)
         vals = series.values.copy()
-        vals[:, ::dead] *= 1e-60                    # six dead patches take the SVD
+        vals[:, ::dead] *= 1e-60                    # seven dead patches take the SVD
         series = PatchedSeries(series.grid, vals)
-        m = min(series.grid.patch_dim, t)
         fits, counts, interval = {}, [], sys.getswitchinterval()
-        fits["one stack"] = fit_patch_pod(series, 3)
-        monkeypatch.setattr(pod, "BLOCK_BYTES", 7 * 8 * m * m)  # sub-stacks of 7 patches
         each = pod.each
 
         def counting(fn, items):
@@ -236,19 +236,17 @@ class TestOnEveryCpu:
             finally:
                 sys.setswitchinterval(interval)
         assert counts == items * 2                  # no count a multiple of four
-        for fit in (fits[1], fits[4]):
-            np.testing.assert_array_equal(fit.bases, fits["one stack"].bases)
-            np.testing.assert_array_equal(fit.singular_values, fits["one stack"].singular_values)
+        np.testing.assert_array_equal(fits[4].bases, fits[1].bases)
+        np.testing.assert_array_equal(fits[4].singular_values, fits[1].singular_values)
 
     def test_eigh_failure_names_the_first_patch_in_order(self, monkeypatch):
-        # Sub-stacks of 3 of 16 patches in four shares: patch 2 is in the
-        # calling thread's, patch 9 in the third.  Patch 9 fails first in time.
+        # 16 patches in four shares of four: patch 2 is in the calling
+        # thread's, patch 9 in the third.  Patch 9 fails first in time.
         series = rand_series(np.random.default_rng(37), t=12, h=8, w=8, p=2)
         vals = series.values.copy()
         vals[:, 2] *= 1e3                           # Gram entries near 1e7
         vals[:, 9] *= 1e4                           # and near 1e9
         self.cpus(monkeypatch, 4)
-        monkeypatch.setattr(pod, "BLOCK_BYTES", 3 * 8 * 8 * 8)
         eigh, failed_later = np.linalg.eigh, threading.Event()
         started = threading.active_count()
 
@@ -268,7 +266,7 @@ class TestOnEveryCpu:
         assert failed_later.is_set()
         assert threading.active_count() == started
         vals = vals.copy()
-        vals[:, 2] /= 1e3                           # patch 9 alone, in the fourth sub-stack
+        vals[:, 2] /= 1e3                           # patch 9 alone, in the third share
         with pytest.raises(NumericalError, match="^Gram eigh did not converge for patch 9$"):
             fit_patch_pod(PatchedSeries(series.grid, vals), 2)
 
@@ -290,6 +288,21 @@ class TestOnEveryCpu:
         with pytest.raises(NumericalError, match="^SVD did not converge for patch 2$"):
             fit_patch_pod(PatchedSeries(series.grid, vals), 2)
         assert failed_later.is_set()
+
+    def test_working_memory_is_a_small_multiple_of_the_bases(self, monkeypatch):
+        # D=32 <= T=40, 144 patches, k=2: an (N, D, D) stack of Gram
+        # eigenvectors would be 16 times the bases.  What the fit holds
+        # besides its input is the bases, the sign fix's copies of them, and
+        # per share one Gram and its eigendecomposition.
+        series = rand_series(np.random.default_rng(39), t=40, h=48, w=48, p=4)
+        self.cpus(monkeypatch, 4)
+        tracemalloc.start()
+        try:
+            model = fit_patch_pod(series, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * model.bases.nbytes
 
 
 class TestEncodeDecode:
