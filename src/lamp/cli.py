@@ -39,7 +39,7 @@ from .patches import (
     split,
     split_standardized,
 )
-from .pod import ae_loss, max_latent_dim
+from .pod import ae_loss, fit_patch_pod, max_latent_dim
 from .synthetic import CHAOTIC, LAMINAR, ChaoticParams, FlowSpec, LaminarParams
 
 DEFAULT_BUDGET_BYTES = 2 * 1024**3
@@ -190,7 +190,15 @@ def cmd_train(args, out: Path) -> tuple[list[str], dict]:
     # A file stored standardized keeps its stats; a raw one takes its train split's.
     train_set, test_set = (split(fields, spec) if fields.norm_stats is not None
                            else split_standardized(fields, spec)[:2])
+    del fields  # the mapped dataset; only a stored-standardized file's split views keep it
     need = _check_budget(args, train_set, args.patch_size, (args.latent_dim,))
+    # Both autoencoding losses are taken before the value maps exist.
+    series = patchify(train_set, args.patch_size)
+    pod = fit_patch_pod(series, args.latent_dim)
+    ae_loss_train = ae_loss(pod, series)
+    del series  # the train split's patch vectors
+    ae_loss_test = ae_loss(pod, patchify(test_set, args.patch_size))
+    del test_set  # the standardized test split
     model = train_attention_model(
         train_set,
         args.patch_size,
@@ -198,12 +206,13 @@ def cmd_train(args, out: Path) -> tuple[list[str], dict]:
         ridge_lambda=args.ridge_lambda,
         error_floor=args.error_floor,
         use_intercept=args.use_intercept,
+        pod=pod,
     )
     formats.write_model(model, out / "model.lampmd")
     off_diag = model.pair_losses[~np.eye(model.n_patches, dtype=bool)]
     return ["model.lampmd"], {
-        "ae_loss_train": ae_loss(model.pod, patchify(train_set, args.patch_size)),
-        "ae_loss_test": ae_loss(model.pod, patchify(test_set, args.patch_size)),
+        "ae_loss_train": ae_loss_train,
+        "ae_loss_test": ae_loss_test,
         "pair_loss": {  # a one-patch grid has no pair
             "min": float(off_diag.min()),
             "median": float(np.median(off_diag)),
@@ -351,7 +360,10 @@ def cmd_compare(args, out: Path) -> tuple[list[str], dict]:
     train_norm, test_norm, test_raw = split_standardized(raw, _split_spec(args), stats)
     power = predictive_power(model) if args.place_sensors else None
     mask, sigma2, test_in = _eval_input(args, test_raw, test_norm, grid, power)
+    del raw, test_raw  # the dataset in raw units and its test view
     rank = args.rank if args.rank is not None else model.latent_dim
+    # ``train_norm`` lives to the return: freed here, it raised glibc's mmap
+    # threshold and a long-lived caller kept ~50 MB more heap resident.
     baseline = fit_gappy(train_norm, rank)
     lamp_recon = reconstruct(model, test_in, mask, args.copy_through)
     gappy_recon = reconstruct_gappy(baseline, test_in, mask, grid, args.ridge_lambda)

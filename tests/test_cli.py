@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,32 @@ def trained(tmp_path_factory, laminar_path):
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def memory_ref(fields):
+    """A weak reference to the array that owns ``fields``' memory: any view keeps it alive."""
+    owner = fields.data
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    return weakref.ref(owner)
+
+
+def track_datasets(monkeypatch):
+    """Weak references to each set ``formats.read_dataset`` returns and to its memory."""
+    refs = []
+    read = formats.read_dataset
+
+    def reading(path):
+        fields = read(path)
+        refs.extend([weakref.ref(fields), memory_ref(fields)])
+        return fields
+
+    monkeypatch.setattr(formats, "read_dataset", reading)
+    return refs
+
+
+def alive(refs):
+    return [ref for ref in refs if ref() is not None]
 
 
 def error_line(capsys):
@@ -180,6 +207,38 @@ class TestTrain:
         assert np.array_equal(model.norm_stats.std, stored.norm_stats.std)
         write_model(train_attention_model(split(stored)[0], 8, 4), tmp_path / "library.lampmd")
         assert (out / "model.lampmd").read_bytes() == (tmp_path / "library.lampmd").read_bytes()
+
+    def test_only_the_train_split_alive_when_the_value_fit_starts(self, tmp_path, laminar_path,
+                                                                   monkeypatch):
+        # At the value fit the mapped dataset, the standardized test split and
+        # every patch series are gone: ``lamp train``'s peak holds only the
+        # standardized train split, its latents and the value maps.
+        datasets, tests, losses, seen = track_datasets(monkeypatch), [], [], []
+        standardize, loss, train = cli.split_standardized, cli.ae_loss, cli.train_attention_model
+
+        def standardizing(raw, spec, stats=None):
+            train_norm, test_norm, test_raw = standardize(raw, spec, stats)
+            tests.extend([weakref.ref(test_norm), memory_ref(test_norm)])
+            return train_norm, test_norm, test_raw
+
+        def recording_loss(pod, series):
+            losses.append(loss(pod, series))
+            return losses[-1]
+
+        def recording_train(*args, **kwargs):
+            seen.append((alive(datasets), alive(tests), len(losses)))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "split_standardized", standardizing)
+        monkeypatch.setattr(cli, "ae_loss", recording_loss)
+        monkeypatch.setattr(cli, "train_attention_model", recording_train)
+        out = tmp_path / "m"
+        assert run("train", "--dataset", laminar_path, "--patch-size", 8, "--latent-dim", 4,
+                   "--out-dir", out) == 0
+        assert len(datasets) == 2 and len(tests) == 2
+        assert seen == [([], [], 2)]
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert [results["ae_loss_train"], results["ae_loss_test"]] == losses
 
     def test_singular_fit_exits_4(self, tmp_path, capsys):
         # one patch identically equal to the component mean: its latents are
@@ -389,6 +448,21 @@ class TestCompare:
             assert (out / name).exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["rank"] == 12
+
+    def test_dataset_released_after_the_noise_draw(self, tmp_path, laminar_path, trained,
+                                                   monkeypatch):
+        datasets, seen = track_datasets(monkeypatch), []
+        fit = cli.fit_gappy
+
+        def recording_fit(train_norm, rank):
+            seen.append(alive(datasets))
+            return fit(train_norm, rank)
+
+        monkeypatch.setattr(cli, "fit_gappy", recording_fit)
+        assert run("compare", "--dataset", laminar_path, "--model", trained, "--coverage", 0.25,
+                   "--snr-db", 20, "--out-dir", tmp_path / "cmp") == 0
+        assert len(datasets) == 2
+        assert seen == [[]]
 
     def test_rerun_reproduces_compare(self, tmp_path, laminar_path, trained):
         out = tmp_path / "cmp"
