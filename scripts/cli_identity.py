@@ -22,9 +22,10 @@ the run directory's path is replaced by a placeholder, and each differing
 cell of a ``sweep.csv`` is printed with its coordinates, both
 ``median_pred_loss`` values and their relative change.
 Then each step of ``FAILING`` runs, steps that must fail: malformed numbers
-and power maps, a power map over another grid, singular fits, a sweep whose
-first patch size fails to train, a one-patch power map, a missing dataset
-and a malformed rerun manifest.  Of each, the
+and power maps, a power map over another grid, singular fits, a singular
+gappy solve through ``gappy`` and through ``compare``, a sweep whose first
+patch size fails to train, a one-patch power map, a missing dataset and a
+malformed rerun manifest.  Of each, the
 exit code and the last ``error:`` line of stderr (the run directory masked
 the same way) are compared; the lines before it can be warnings, which carry
 source paths.  Of a differing CSV or manifest it prints the largest relative
@@ -210,6 +211,10 @@ FAILING = [
     # The same mask on the seed-7 dataset: LAPACK may pass its Cholesky, the pivot rule does not.
     ("fail-gappy-singular-7", ["gappy", *LAMINAR, "--patch-size", "8", "--rank", "4",
                                "--coverage", "0.07", "--seed", "0", "--ridge-lambda", "0"]),
+    # The same singular gappy solve, reached through compare.
+    ("fail-compare-gappy-singular", ["compare", *LAMINAR, "--model", "model-laminar/model.lampmd",
+                                     "--rank", "4", "--coverage", "0.07", "--seed", "0",
+                                     "--ridge-lambda", "0"]),
     ("fail-power-one-patch", ["power-map", "--model", "model-one-patch/model.lampmd"]),
     ("fail-missing-dataset", ["train", "--dataset", "missing.lampds", "--patch-size", "8",
                               "--latent-dim", "4"]),

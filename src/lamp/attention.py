@@ -17,10 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.linalg.blas import dgemm
 
-from .errors import NumericalError, ValidationError, cholesky, each
+from .errors import NumericalError, ValidationError, each, solve
 from .patches import (
     MaskSpec,
     NormStats,
@@ -54,6 +53,9 @@ _VALUE_BLOCK_BYTES = 600 * 1024
 #: the block's value maps and confidence models are fitted from them, then
 #: they are dropped, so no (N, N, T) array is held.
 _SOURCE_BLOCK_BYTES = 8 * 1024**2
+
+#: The failure of a source's singular ridge system, after the system's name.
+_SINGULAR = "of source patch {} is singular; pass a positive ridge_lambda"
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,17 +127,15 @@ def _source_systems(
     latent: LatentSeries,
     ridge_lambda: float | None,
     sources: range,
-    system: str,
     centre: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """One block of sources' latents z (S, N_e, T), their time means (S, N_e)
-    if ``centre`` (z is then centred; else None), and the lower Cholesky
-    factors of z_j z_j^T + lambda_j I, from one :func:`lamp.errors.cholesky`.
+    if ``centre`` (z is then centred; else None), and their ridge systems
+    z_j z_j^T + lambda_j I (S, N_e, N_e), for :func:`lamp.errors.solve`.
 
     lambda_j is ``ridge_lambda`` or RIDGE_SCALE * max(tr G_j, E) / N_e, with
     G_j the uncentred Gram and E the mean energy over all N patches: the floor
-    keeps a near-constant source from an unboundedly amplifying map.  A
-    singular system raises NumericalError naming ``system`` and its source.
+    keeps a near-constant source from an unboundedly amplifying map.
     """
     z = latent.by_patch[sources.start : sources.stop]
     grams = z @ z.transpose(0, 2, 1)
@@ -149,9 +149,7 @@ def _source_systems(
         z_mean = z.mean(axis=2)
         z = z - z_mean[:, :, None]
         grams = z @ z.transpose(0, 2, 1)
-    mats = grams + lams[:, None, None] * np.eye(grams.shape[-1])
-    failure = f"{system} of source patch {{}} is singular; pass a positive ridge_lambda"
-    return z, z_mean, cholesky(mats, failure, sources)
+    return z, z_mean, grams + lams[:, None, None] * np.eye(grams.shape[-1])
 
 
 def fit_value_tensor(
@@ -161,7 +159,7 @@ def fit_value_tensor(
 
     Solves W_mn = argmin_W  sum_t ||z_m(t) - W z_n(t)||^2 + lambda_n ||W||_F^2
     through the normal equations W = (Z_m Z_n^T)(Z_n Z_n^T + lambda_n I)^-1,
-    with source n's ridge and Cholesky factor from :func:`_source_systems`.
+    with source n's ridge system from :func:`_source_systems`.
     Diagonal pairs are the identity with zero error by construction.
 
     Returns (value_maps, pair_errors) where pair_errors[m, n, t] is the
@@ -181,12 +179,10 @@ def fit_value_tensor(
             stacklevel=2,
         )
     s = len(sources)
-    z_src, _, factors = _source_systems(latent, ridge_lambda, sources, "normal matrix")
+    z_src, _, mats = _source_systems(latent, ridge_lambda, sources)
     z = latent.by_patch.reshape(n * e, t)
     # W_mn = Z_m Z_n^T (G_nn + lambda I)^-1 = Z_m Y_n^T with Y_n the scaled source.
-    scaled = np.empty_like(z_src)                                 # (S, e, T)
-    for src in range(s):
-        scaled[src] = cho_solve((factors[src], True), z_src[src])
+    scaled = solve(mats, z_src, "normal matrix " + _SINGULAR, sources)  # (S, e, T)
     value_maps = np.empty((n, s, e, e))
     pair_errors = np.empty((n, s, t))
     block = max(1, _VALUE_BLOCK_BYTES // (8 * e * t))             # targets per block
@@ -245,9 +241,7 @@ def fit_attention_tensor(
             f"pair_errors shape {pair_errors.shape} != {(n, s, t)} for sources {sources!r}"
         )
     # Centred z has zero sums over time, so Zc^T (Y - y_mean) = Zc^T Y.
-    z, z_mean, factors = _source_systems(
-        latent, ridge_lambda, sources, "attention system", centre=use_intercept
-    )
+    z, z_mean, mats = _source_systems(latent, ridge_lambda, sources, centre=use_intercept)
     w = np.empty((s, e, n))     # source j: Z_j Y_j^T, then one column of weights per target
     y_mean = np.empty((s, n))   # [source, target]
 
@@ -259,8 +253,8 @@ def fit_attention_tensor(
         y_mean[src] = y.mean(axis=1)
 
     each(targets, range(s))
-    for src in range(s):  # scipy's cho_solve holds the GIL, so the solves stay on this thread
-        w[src] = cho_solve((factors[src], True), w[src])
+    # scipy's cho_solve holds the GIL, so the solves stay on this thread.
+    w = solve(mats, w, "attention system " + _SINGULAR, sources)
     attn_vectors = np.ascontiguousarray(w.transpose(2, 0, 1))
     attn_intercepts = np.zeros((n, s))
     if use_intercept:

@@ -1,14 +1,15 @@
 """The package's failure contract: its exception types, the CLI exit code of
-each failure (:data:`EXIT_CODES`), the only handlers of LAPACK's error
-(:func:`batched`, which names the matrix a LAPACK call over a stack failed on,
-and :func:`cholesky`, which factors every ridge system under one singular rule)
-and :func:`each`, which spreads work over the CPUs and fails in serial order.
+each failure (:data:`EXIT_CODES`), the only handler of LAPACK's error
+(:func:`lapack`, which runs one routine on one matrix), the one ridge solve
+(:func:`solve`, which factors each system under one singular rule) and
+:func:`each`, which spreads work over the CPUs and fails in serial order.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 
 class ValidationError(ValueError):
@@ -28,37 +29,31 @@ class NumericalError(RuntimeError):
 EXIT_CODES = {ValidationError: 2, MemoryError: 2, FormatError: 3, OSError: 3, NumericalError: 4}
 
 
-def batched(op, mats, failure: str, labels=None):
-    """``op(mats)`` for a LAPACK routine ``op`` over a stack of matrices.
-
-    If the stack fails, the first matrix that fails alone raises
-    ``NumericalError(failure.format(label))``, with ``label`` its entry of
-    ``labels`` (default: its index); if none does, LAPACK's message is kept.
-    """
+def lapack(op, a, failure: str):
+    """``op(a)`` for a LAPACK routine ``op`` on one matrix; its failure raises
+    ``NumericalError(failure)``."""
     try:
-        return op(mats)
-    except np.linalg.LinAlgError as stacked:
-        for label, mat in zip(range(len(mats)) if labels is None else labels, mats):
-            try:
-                op(mat)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(failure.format(label)) from exc
-        raise NumericalError(f"{stacked}, though each matrix passes alone") from stacked
+        return op(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(failure) from exc
 
 
-def cholesky(mats, failure: str, labels=None):
-    """Lower Cholesky factors of a stack of ridge systems.  A matrix is singular
-    if its factorization fails or a squared pivot is at most eps * its trace
-    (eps the float64 machine epsilon: rounding); :func:`batched` names the first."""
-
-    def factor(a):
-        lower = np.linalg.cholesky(a)
-        pivot2 = np.diagonal(lower, axis1=-2, axis2=-1).min(axis=-1) ** 2
-        if np.any(pivot2 <= np.finfo(float).eps * np.trace(a, axis1=-2, axis2=-1)):
-            raise np.linalg.LinAlgError("Cholesky pivot at rounding level")
-        return lower
-
-    return batched(factor, mats, failure, labels)
+def solve(mats, rhs, failure: str, labels=None):
+    """The solutions of the ridge systems ``mats[i] x = rhs[i]``, one system at
+    a time.  A system is singular if its Cholesky factorization fails or a
+    squared pivot is at most eps * its trace (eps the float64 machine epsilon:
+    rounding); the first raises ``NumericalError(failure.format(label))``, with
+    ``label`` its entry of ``labels`` (default: its index).
+    """
+    labels = range(len(mats)) if labels is None else labels
+    out = np.empty(np.shape(rhs))
+    for i, (a, label) in enumerate(zip(mats, labels)):
+        message = failure.format(label)
+        lower = lapack(np.linalg.cholesky, a, message)
+        if np.diagonal(lower).min() ** 2 <= np.finfo(float).eps * np.trace(a):
+            raise NumericalError(message)
+        out[i] = cho_solve((lower, True), rhs[i])
+    return out
 
 
 def each(fn, items) -> None:

@@ -4,9 +4,9 @@ Reference reconstruction method for head-to-head comparison.  A global POD
 of the (unpatched) training snapshots gives r orthonormal modes, by the same
 Gram-eigh kernel as the patch-wise bases; reconstruction solves a ridge
 least-squares fit of the mode coefficients restricted to the pixels of
-unmasked patches, then evaluates the modes everywhere.  Its normal matrix is
-factored by :func:`lamp.errors.cholesky`, as the attention fits' are, so it
-is singular by the same rule: a squared pivot at most eps * its trace.
+unmasked patches, then evaluates the modes everywhere.  Its normal equations
+go through :func:`lamp.errors.solve`, as the attention fits' do, so they are
+singular by the same rule: a squared pivot at most eps * the matrix's trace.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from .errors import NumericalError, ValidationError, cholesky
+from .errors import NumericalError, ValidationError, solve
 from .patches import MaskSpec, PatchGrid, SnapshotSet, check_int, check_ridge, freeze, pixel_mask
 from .pod import leading_modes
 
@@ -97,8 +96,7 @@ def reconstruct_gappy(
     if lam is None:
         lam = GAPPY_RIDGE_SCALE * float(np.trace(gram)) / model.rank
     failure = "observed-pixel normal matrix is singular; pass a positive ridge_lambda"
-    lower = cholesky((gram + lam * np.eye(model.rank))[None], failure)[0]
     x_obs = fields.data.reshape(fields.snapshots, dim)[:, obs_flat]
-    coeffs = cho_solve((lower, True), phi.T @ x_obs.T)  # (r, T)
+    coeffs = solve((gram + lam * np.eye(model.rank))[None], (phi.T @ x_obs.T)[None], failure)[0]
     recon = (model.modes @ coeffs).T.reshape(fields.data.shape)
     return SnapshotSet(recon, norm_stats=fields.norm_stats)

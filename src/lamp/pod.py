@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, batched, each
+from .errors import ValidationError, each, lapack
 from .patches import PatchedSeries, PatchGrid, check_int, freeze
 
 #: A matrix takes its k retained modes from its Gram only if the k-th Gram
@@ -146,10 +146,8 @@ def leading_modes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     def decompose(i):
         x = mats[i]
         gram = x @ x.T if d <= t else x.T @ x
-        w, vec = batched(np.linalg.eigh, gram[None], "Gram eigh did not converge for patch {}",
-                         [i])
-        lam[i] = w[0]
-        u[i] = (vec[0] if d <= t else x @ vec[0])[:, :-k - 1:-1]
+        lam[i], vec = lapack(np.linalg.eigh, gram, f"Gram eigh did not converge for patch {i}")
+        u[i] = (vec if d <= t else x @ vec)[:, :-k - 1:-1]
 
     each(decompose, range(n))
     resolved = lam[:, -k] > _GRAM_RTOL * lam[:, -1].max()
@@ -159,9 +157,9 @@ def leading_modes(mats: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         u /= s[:, None, :]
 
     def fall_back(i):
-        u_i, s_i, _ = batched(lambda a: np.linalg.svd(a, full_matrices=False), mats[i : i + 1],
-                              "SVD did not converge for patch {}", [i])
-        u[i], s[i] = u_i[0, :, :k], s_i[0, :k]
+        u_i, s_i, _ = lapack(lambda a: np.linalg.svd(a, full_matrices=False), mats[i],
+                             f"SVD did not converge for patch {i}")
+        u[i], s[i] = u_i[:, :k], s_i[:k]
 
     each(fall_back, np.flatnonzero(~resolved))
     return _fix_signs(u), s

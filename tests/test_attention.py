@@ -32,7 +32,7 @@ from lamp import (
     train_attention_model,
     unpatchify,
 )
-from lamp import attention, pod
+from lamp import attention, errors, pod
 from lamp.attention import _PREDICT_CHUNK
 from lamp.patches import PatchGrid, split_standardized
 from lamp.pod import PatchPodModel, fit_patch_pod
@@ -324,13 +324,13 @@ class TestFitValueTensor:
     def test_solves_one_source_at_a_time(self, monkeypatch):
         # SciPy before 1.15 rejects a stack of factors in cho_solve, so both
         # fits must hand it one (N_e, N_e) factor per call.
-        solve = attention.cho_solve
+        solve = errors.cho_solve
 
         def two_dimensional_only(factor, b):
             assert factor[0].ndim == 2 and b.ndim == 2
             return solve(factor, b)
 
-        monkeypatch.setattr(attention, "cho_solve", two_dimensional_only)
+        monkeypatch.setattr(errors, "cho_solve", two_dimensional_only)
         latents = LatentSeries(np.random.default_rng(21).standard_normal((20, 5, 3)))
         _, pair_errors = fit_value_tensor(latents)
         fit_attention_tensor(latents, pair_errors)
@@ -508,23 +508,6 @@ class TestSourceBlocks:
             fit_attention_tensor(series, errors, 0.0)
         vec, _ = fit_attention_tensor(series, errors, 0.0, use_intercept=False)
         assert np.isfinite(vec).all()
-
-    def test_stack_failure_with_no_singular_source_is_numerical(self, monkeypatch):
-        # A library caller gets the package's typed error, never a raw LinAlgError.
-        cholesky = np.linalg.cholesky
-
-        def stack_fails(a):
-            if a.ndim == 3:
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
-            return cholesky(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", stack_fails)
-        fields = SnapshotSet(np.random.default_rng(48).standard_normal((12, 8, 8, 1)))
-        with pytest.raises(NumericalError) as info:
-            train_attention_model(normalize(fields, range(0, 12)), 4, 2)
-        assert str(info.value) == (
-            "Matrix is not positive definite, though each matrix passes alone"
-        )
 
     def test_validation_precedes_factorization(self):
         latents = np.random.default_rng(47).standard_normal((10, 5, 2))

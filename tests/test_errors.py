@@ -1,5 +1,6 @@
-"""The one factorization of every ridge system, ``errors.cholesky``, and the
-one ordered helper that spreads work over the usable CPUs, ``errors.each``."""
+"""The one ridge solve, ``errors.solve``, with ``errors.lapack`` the one
+handler of a LAPACK routine's failure, and the one ordered helper that
+spreads work over the usable CPUs, ``errors.each``."""
 
 import os
 import threading
@@ -7,9 +8,22 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
-from lamp import errors
-from lamp.errors import NumericalError, cholesky, each
+from lamp import (
+    FlowSpec,
+    MaskSpec,
+    SweepAxes,
+    attention,
+    errors,
+    fit_gappy,
+    generate,
+    reconstruct_gappy,
+    run_sweep,
+    train_attention_model,
+)
+from lamp.errors import NumericalError, each, solve
+from lamp.patches import PatchGrid, SnapshotSet, normalize
 
 EPS = np.finfo(np.float64).eps
 
@@ -19,21 +33,24 @@ def spd_stack(rng, n, e):
     return a @ a.transpose(0, 2, 1) + np.eye(e)
 
 
-def test_factors_are_numpys_lower_factors_bit_for_bit():
-    mats = spd_stack(np.random.default_rng(1), 5, 4)
-    np.testing.assert_array_equal(cholesky(mats, "{}"), np.linalg.cholesky(mats))
+def test_solutions_are_cho_solve_of_numpys_factors_bit_for_bit():
+    rng = np.random.default_rng(1)
+    mats, rhs = spd_stack(rng, 5, 4), rng.standard_normal((5, 4, 7))
+    got = solve(mats, rhs, "{}")
+    for a, b, x in zip(mats, rhs, got):
+        np.testing.assert_array_equal(x, cho_solve((np.linalg.cholesky(a), True), b))
 
 
 @pytest.mark.parametrize("pivot2, singular", [(0.5 * EPS, True), (EPS, True), (4.0 * EPS, False)])
 def test_squared_pivot_at_most_eps_trace_is_singular(pivot2, singular):
     # diag(1, 1, pivot2) has squared pivots 1, 1 and pivot2, and a trace that
     # rounds to 2: the bound eps * trace is 2 * eps.
-    mats = np.stack([np.eye(3), np.diag([1.0, 1.0, pivot2])])
+    mats, rhs = np.stack([np.eye(3), np.diag([1.0, 1.0, pivot2])]), np.ones((2, 3, 1))
     if singular:
         with pytest.raises(NumericalError, match="^system 1 is singular$"):
-            cholesky(mats, "system {} is singular")
+            solve(mats, rhs, "system {} is singular")
     else:
-        assert cholesky(mats, "system {} is singular").shape == (2, 3, 3)
+        assert solve(mats, rhs, "system {} is singular").shape == (2, 3, 1)
 
 
 def test_first_singular_matrix_is_named_by_its_label():
@@ -41,13 +58,16 @@ def test_first_singular_matrix_is_named_by_its_label():
     mats[3] = -np.eye(3)                       # fails in LAPACK
     mats[1] = np.diag([1.0, 1.0, 1e-20])       # passes LAPACK, rounding-level pivot
     with pytest.raises(NumericalError, match="^source 11 is singular$"):
-        cholesky(mats, "source {} is singular", range(10, 14))
+        solve(mats, np.ones((4, 3, 2)), "source {} is singular", range(10, 14))
+    with pytest.raises(NumericalError, match="^source 13 is singular$") as info:
+        solve(mats[2:], np.ones((2, 3, 2)), "source {} is singular", range(12, 14))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_a_single_system_takes_a_failure_without_label():
     gram = np.ones((2, 2))                     # rank one: its second pivot is rounding
     with pytest.raises(NumericalError, match="^normal matrix is singular$"):
-        cholesky(gram[None], "normal matrix is singular")
+        solve(gram[None], np.ones((1, 2, 3)), "normal matrix is singular")
 
 
 def test_looks_up_numpys_cholesky_at_call_time(monkeypatch):
@@ -59,8 +79,51 @@ def test_looks_up_numpys_cholesky_at_call_time(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
-    cholesky(spd_stack(np.random.default_rng(3), 2, 3), "{}")
-    assert calls == [(2, 3, 3)]
+    solve(spd_stack(np.random.default_rng(3), 2, 3), np.ones((2, 3, 1)), "{}")
+    assert calls == [(3, 3), (3, 3)]
+
+
+def test_every_lapack_call_takes_one_matrix(monkeypatch):
+    calls = []
+
+    def record(owner, name):
+        real = getattr(owner, name)
+
+        def recording(*args, **kwargs):
+            if name == "cho_solve":  # cho_solve((factor, lower), b)
+                calls.append((name, args[0][0].ndim, args[1].ndim))
+            else:
+                calls.append((name, args[0].ndim))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+
+    for name in ("cholesky", "eigh", "svd"):
+        record(np.linalg, name)
+    record(errors, "cho_solve")
+
+    # Training in source blocks of three, with four dead patches that take
+    # the SVD fallback.
+    t, side, p = 24, 16, 4
+    fields = normalize(SnapshotSet(np.random.default_rng(4).standard_normal((t, side, side, 2))),
+                       range(t))
+    data = fields.data.copy()
+    data[:, :p, :] *= 1e-60
+    n = (side // p) ** 2
+    monkeypatch.setattr(attention, "_SOURCE_BLOCK_BYTES", 3 * 8 * n * t)
+    train_attention_model(SnapshotSet(data, norm_stats=fields.norm_stats), p, 3)
+
+    # The gappy baseline, fitted and applied.
+    grid = PatchGrid(side, side, 2, p)
+    reconstruct_gappy(fit_gappy(fields, 5), fields, MaskSpec.random(n, 0.5, 0), grid)
+
+    # A sweep over one patch size.
+    axes = SweepAxes(patch_sizes=(8,), latent_dims=(2,), coverages=(0.5,))
+    run_sweep(generate(FlowSpec("laminar-surrogate", 32, 32, 40, seed=1)), axes,
+              n_arrangements=1)
+
+    assert {call[0] for call in calls} == {"cholesky", "eigh", "svd", "cho_solve"}
+    assert all(ndim == 2 for call in calls for ndim in call[1:]), sorted(set(calls))
 
 
 def cpus(monkeypatch, count):

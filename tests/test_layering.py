@@ -207,7 +207,7 @@ def lapack_handler_offenders(source: str) -> list[str]:
 
 @pytest.mark.parametrize("module", sorted((set(ALLOWED) | FACADES) - {"errors"}))
 def test_only_errors_catches_lapack_failures(module):
-    """Every factorization goes through ``errors.batched`` or ``errors.cholesky``."""
+    """Every factorization goes through ``errors.lapack`` or ``errors.solve``."""
     offenders = lapack_handler_offenders((PACKAGE / f"{module}.py").read_text())
     assert not offenders, f"{module}.py: {offenders}"
 
@@ -229,22 +229,23 @@ def test_errors_is_where_lapack_failures_are_caught():
     assert lapack_handler_offenders((PACKAGE / "errors.py").read_text())
 
 
-#: The only ``scipy.linalg`` names the package may import; both report bad
-#: input as ``ValueError``, never as ``LinAlgError``.
-SCIPY_LINALG = {"scipy.linalg.cho_solve", "scipy.linalg.blas.dgemm"}
+#: The only ``scipy.linalg`` name a module other than ``errors`` may import
+#: (``errors.solve`` alone imports ``cho_solve``); it reports bad input as
+#: ``ValueError``, never as ``LinAlgError``.
+SCIPY_LINALG = {"scipy.linalg.blas.dgemm"}
 
 
 def lapack_call_offenders(source: str) -> list[str]:
-    """``np.linalg`` outside the op of a ``batched(...)`` call, and imports that
+    """``np.linalg`` outside the op of a ``lapack(...)`` call, and imports that
     reach LAPACK some other way: so no ``LinAlgError`` can leave the package
     and :data:`lamp.errors.EXIT_CODES` needs no entry for it."""
     tree = ast.parse(source)
-    ops = set()  # nodes of a batched call's op: the np.linalg routine itself or a lambda
+    ops = set()  # nodes of a lapack call's op: the np.linalg routine itself or a lambda
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and node.args:
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "batched" and isinstance(node.args[0], (ast.Attribute, ast.Lambda)):
+            if name == "lapack" and isinstance(node.args[0], (ast.Attribute, ast.Lambda)):
                 ops.update(map(id, ast.walk(node.args[0])))
     offenders = []
     for node in ast.walk(tree):
@@ -265,7 +266,7 @@ def lapack_call_offenders(source: str) -> list[str]:
 
 @pytest.mark.parametrize("module", sorted((set(ALLOWED) | FACADES) - {"errors"}))
 def test_lapack_is_called_only_through_batched(module):
-    """Outside ``errors.py``, every LAPACK call is the op of ``errors.batched``."""
+    """Outside ``errors.py``, every LAPACK call is the op of ``errors.lapack``."""
     offenders = lapack_call_offenders((PACKAGE / f"{module}.py").read_text())
     assert not offenders, f"{module}.py: {offenders}"
 
@@ -275,22 +276,24 @@ def test_lapack_is_called_only_through_batched(module):
     [
         "np.linalg.solve(a, b)",
         "from scipy.linalg import cho_factor",
-        'lam = batched(np.linalg.eigh(gram), gram, "failed {}")',
+        "from scipy.linalg import cho_solve",
+        'lam = lapack(np.linalg.eigh(gram), gram, "failed")',
         "import scipy.linalg",
         "from numpy import linalg",
     ],
-    ids=["module-body", "cho-factor", "evaluated-op", "import-scipy-linalg", "import-numpy-linalg"],
+    ids=["module-body", "cho-factor", "cho-solve", "evaluated-op", "import-scipy-linalg",
+         "import-numpy-linalg"],
 )
 def test_lapack_call_guard_catches_a_planted_bypass(planted):
     source = (PACKAGE / "pod.py").read_text() + "\n\n" + planted + "\n"
     assert lapack_call_offenders(source)
 
 
-def test_pod_calls_lapack_only_as_the_op_of_batched():
-    """pod's Gram eigh and SVD fallback pass only because ``batched`` runs them."""
+def test_pod_calls_lapack_only_as_the_op_of_lapack():
+    """pod's Gram eigh and SVD fallback pass only because ``lapack`` runs them."""
     source = (PACKAGE / "pod.py").read_text()
     assert not lapack_call_offenders(source)
-    assert len(lapack_call_offenders(source.replace("batched(", "apply("))) == 2
+    assert len(lapack_call_offenders(source.replace("lapack(", "apply("))) == 2
 
 
 def noise_draw_offenders(source: str) -> list[str]:
